@@ -7,7 +7,7 @@ synthesis frontier), and refines winning strategies into sample-and-hold
 controllers validated by closed-loop simulation.
 """
 
-from .abstraction import BLOCKED, TableFormatError, TransitionTable, UnexploredTransitionError
+from .abstraction import BLOCKED, TransitionTable, UnexploredTransitionError
 from .benchmarks import build_system, dcdc, default_config, unicycle
 from .config import ConfigError, ProblemConfig, load_config, parse_config
 from .controller import (
@@ -42,21 +42,19 @@ from .grid import (
 )
 from .problem import ProblemSpec, SpecSets, build_spec_sets
 from .synthesis import (
+    ALGORITHMS,
     NonterminationError,
     SynthesisEngine,
     SynthesisResult,
     SynthesisStats,
     cpre,
-    eager_reach,
-    eager_safe,
-    lazy_reach,
-    lazy_safe,
-    single_layer,
+    synthesize,
     upre,
     upre_m,
 )
 
 __all__ = [
+    "ALGORITHMS",
     "BLOCKED",
     "CellId",
     "CellSet",
@@ -76,7 +74,6 @@ __all__ = [
     "SynthesisEngine",
     "SynthesisResult",
     "SynthesisStats",
-    "TableFormatError",
     "TrajectoryLog",
     "TransitionTable",
     "UnexploredTransitionError",
@@ -89,21 +86,17 @@ __all__ = [
     "cpre",
     "dcdc",
     "default_config",
-    "eager_reach",
-    "eager_safe",
     "export_cellset_csv",
     "gamma_down",
     "gamma_up",
     "integrate_nominal",
-    "lazy_reach",
-    "lazy_safe",
     "load_config",
     "over_approx_reach",
     "parse_config",
     "sample_disturbed_step",
     "simulate",
-    "single_layer",
     "step_closed_loop",
+    "synthesize",
     "unicycle",
     "upre",
     "upre_m",

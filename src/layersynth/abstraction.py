@@ -7,13 +7,11 @@ leaves the region of interest, so the pair can never satisfy a
 controllable-predecessor containment).  Main tables live on their own
 layer's grid; auxiliary tables combine a layer's sampling period with
 the coarsest grid and are used only to over-approximate exploration
-frontiers.
+frontiers.  Entries are computed one input at a time in vectorized
+batches and live in memory only.
 """
 
 from __future__ import annotations
-
-import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,14 +37,6 @@ BLOCKED = _BlockedType()
 
 class UnexploredTransitionError(RuntimeError):
     """A solver read a transition that the frontier never computed."""
-
-
-class TableFormatError(ValueError):
-    """Raised when a serialized transition table fails validation."""
-
-
-_DUMP_MAGIC = b"LSTT"
-_DUMP_VERSION = 1
 
 
 class TransitionTable:
@@ -103,7 +93,7 @@ class TransitionTable:
         self.explored_count += 1
 
     def preload(self, cell: int, u_idx: int, succ) -> None:
-        """Insert an entry directly (cached tables, hand-built games)."""
+        """Insert an entry directly (hand-built games)."""
         self._store(u_idx, int(cell), succ)
 
     def _compute_batch(self, u_idx: int, cells: np.ndarray) -> None:
@@ -138,25 +128,17 @@ class TransitionTable:
             self._compute_batch(u_idx, np.asarray([cell], dtype=np.int64))
         return self.successors(cell, u_idx)
 
-    def compute_region(self, region: CellSet, workers: int = 1) -> None:
+    def compute_region(self, region: CellSet) -> None:
         """Ensure every (cell, input) pair of ``region`` is explored."""
         if region.layer != self.grid_layer:
             raise LayerMismatchError(
                 f"region lives on layer {region.layer} but the table's grid "
                 f"is layer {self.grid_layer}"
             )
-        jobs = []
         for u_idx in range(self.sys.n_inputs):
-            pending = region.bits & ~self._explored[u_idx]
-            cells = np.flatnonzero(pending)
+            cells = np.flatnonzero(region.bits & ~self._explored[u_idx])
             if cells.size:
-                jobs.append((u_idx, cells))
-        if workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda j: self._compute_batch(*j), jobs))
-        else:
-            for job in jobs:
-                self._compute_batch(*job)
+                self._compute_batch(u_idx, cells)
 
     # -- access ---------------------------------------------------------
 
@@ -184,83 +166,18 @@ class TransitionTable:
         return CellSet(self.grid_layer, self._explored.all(axis=0))
 
     def csr(self, u_idx: int):
-        """Computed entries of one input as (cells, indptr, flat, lengths)."""
+        """Computed entries of one input as (cells, indptr, flat)."""
         cached = self._csr[u_idx]
         if cached is not None:
             return cached
         succ = self._succ[u_idx]
         cells = np.fromiter(sorted(succ), dtype=np.int64, count=len(succ))
+        indptr = np.zeros(cells.size + 1, dtype=np.int64)
         if cells.size:
             lengths = np.fromiter((succ[int(c)].size for c in cells), dtype=np.int64)
-            indptr = np.zeros(cells.size + 1, dtype=np.int64)
             np.cumsum(lengths, out=indptr[1:])
             flat = np.concatenate([succ[int(c)] for c in cells])
         else:
-            lengths = np.empty(0, dtype=np.int64)
-            indptr = np.zeros(1, dtype=np.int64)
             flat = np.empty(0, dtype=np.int64)
-        self._csr[u_idx] = (cells, indptr, flat, lengths)
+        self._csr[u_idx] = (cells, indptr, flat)
         return self._csr[u_idx]
-
-    # -- persistence ----------------------------------------------------
-
-    def dump(self, path) -> None:
-        """Serialize all explored entries (versioned, deterministic)."""
-        stack = self.stack
-        with open(path, "wb") as fh:
-            fh.write(_DUMP_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<IBBBB",
-                    _DUMP_VERSION,
-                    1 if self.kind == "aux" else 0,
-                    self.layer,
-                    self.grid_layer,
-                    stack.dim,
-                )
-            )
-            fh.write(np.asarray(stack.dims(self.grid_layer), dtype=np.int64).tobytes())
-            fh.write(struct.pack("<dI", self.tau, self.sys.n_inputs))
-            for u_idx in range(self.sys.n_inputs):
-                explored = np.flatnonzero(self._explored[u_idx])
-                fh.write(struct.pack("<q", explored.size))
-                for cell in explored:
-                    cell = int(cell)
-                    if self._blocked[u_idx, cell]:
-                        fh.write(struct.pack("<qBq", cell, 1, 0))
-                    else:
-                        arr = self._succ[u_idx][cell]
-                        fh.write(struct.pack("<qBq", cell, 0, arr.size))
-                        fh.write(arr.tobytes())
-
-    def load(self, path) -> None:
-        """Re-load entries dumped from an identically parameterized table."""
-        with open(path, "rb") as fh:
-            if fh.read(4) != _DUMP_MAGIC:
-                raise TableFormatError("bad magic; not a transition table dump")
-            version, aux, layer, grid_layer, dim = struct.unpack("<IBBBB", fh.read(8))
-            if version != _DUMP_VERSION:
-                raise TableFormatError(f"unsupported table dump version {version}")
-            kind = "aux" if aux else "main"
-            if (kind, layer, grid_layer, dim) != (
-                self.kind,
-                self.layer,
-                self.grid_layer,
-                self.stack.dim,
-            ):
-                raise TableFormatError("table dump parameters do not match this table")
-            dims = np.frombuffer(fh.read(8 * dim), dtype=np.int64)
-            if not np.array_equal(dims, self.stack.dims(self.grid_layer)):
-                raise TableFormatError("table dump grid dimensions do not match")
-            tau, n_inputs = struct.unpack("<dI", fh.read(12))
-            if n_inputs != self.sys.n_inputs or abs(tau - self.tau) > 1e-12:
-                raise TableFormatError("table dump input/period parameters do not match")
-            for u_idx in range(n_inputs):
-                (count,) = struct.unpack("<q", fh.read(8))
-                for _ in range(count):
-                    cell, blocked, size = struct.unpack("<qBq", fh.read(17))
-                    if blocked:
-                        self._store(u_idx, cell, BLOCKED)
-                    else:
-                        arr = np.frombuffer(fh.read(8 * size), dtype=np.int64)
-                        self._store(u_idx, cell, arr)

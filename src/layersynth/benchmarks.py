@@ -3,7 +3,7 @@
 Each benchmark registers a fully parameterized control system with a
 documented growth matrix.  Desk-scale configurations run in seconds and
 back the test suite; the finer paper-scale grids are included for
-completeness but marked long-running.
+completeness and take far longer.
 """
 
 from __future__ import annotations
@@ -135,14 +135,12 @@ _UNICYCLE_DESK = {
     "algorithm": "lazy-reach",
     "m": 2,
     "substeps": 5,
-    "seed": 0,
 }
 
 _UNICYCLE_PAPER = {
     **_UNICYCLE_DESK,
     "eta1": [0.1, 0.1, 0.1],
     "tau1": 0.1125,
-    "long_running": True,
 }
 
 _DCDC_DESK = {
@@ -156,14 +154,12 @@ _DCDC_DESK = {
     "algorithm": "lazy-safe",
     "m": 2,
     "substeps": 5,
-    "seed": 0,
 }
 
 _DCDC_PAPER = {
     **_DCDC_DESK,
     "eta1": [0.0005, 0.0005],
     "layers": 6,
-    "long_running": True,
 }
 
 DEFAULT_CONFIGS = {

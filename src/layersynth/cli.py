@@ -1,5 +1,13 @@
 """Command-line driver: synthesize controllers, validate them, print stats.
 
+``synthesize`` applies its ``--algorithm``/``--layers``/``--m`` overrides
+to the raw config document before validating it, so an override is
+checked like a config field.  Its outputs are the layer-1 winning set and
+per-layer stage domains as CSV, the serialized controller, ``stats.json``
+(exact counters) and ``timings.json`` (wall times of disjoint phases,
+plus their ``total``).  Degenerate outcomes (an empty winning set, a
+validation that ran no trajectory) are flagged on stderr.
+
 Exit codes: 0 success, 1 configuration error, 2 synthesis error,
 3 validation found violations.
 """
@@ -14,27 +22,8 @@ from pathlib import Path
 
 from . import controller as ctrl
 from . import synthesis
-from .config import ConfigError, ProblemConfig, load_config
-from .grid import export_cellset_csv, gamma_down
-from .problem import REACH_AVOID
-
-_RUNNERS = {
-    "eager-safe": lambda s, st, sp, c: synthesis.eager_safe(
-        s, st, sp, substeps=c.substeps, workers=c.workers
-    ),
-    "lazy-safe": lambda s, st, sp, c: synthesis.lazy_safe(
-        s, st, sp, substeps=c.substeps, workers=c.workers
-    ),
-    "eager-reach": lambda s, st, sp, c: synthesis.eager_reach(
-        s, st, sp, m=c.m, substeps=c.substeps, workers=c.workers
-    ),
-    "lazy-reach": lambda s, st, sp, c: synthesis.lazy_reach(
-        s, st, sp, m=c.m, substeps=c.substeps, workers=c.workers
-    ),
-    "single-layer": lambda s, st, sp, c: synthesis.single_layer(
-        s, st, sp, substeps=c.substeps, workers=c.workers
-    ),
-}
+from .config import ALGORITHMS, ConfigError, ProblemConfig, load_config, parse_config, read_config
+from .grid import CellSet, export_cellset_csv
 
 
 def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
@@ -43,24 +32,18 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
     stack = config.build_stack()
     spec = config.build_spec()
     t0 = time.perf_counter()
-    result = _RUNNERS[config.algorithm](sys_, stack, spec, config)
+    result = synthesis.synthesize(
+        sys_, stack, spec, config.algorithm, m=config.m, substeps=config.substeps
+    )
     total = time.perf_counter() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
 
     export_cellset_csv(stack, result.winning, out_dir / "winning_layer1.csv")
-    domains = {l: None for l in range(1, stack.levels + 1)}
-    for stage in result.controller.stages:
-        dom = stage.domain
-        if domains[stage.layer] is None:
-            domains[stage.layer] = dom.copy()
-        else:
-            domains[stage.layer].union_update(dom)
     for l in range(1, stack.levels + 1):
-        dom = domains[l]
-        if dom is None:
-            from .grid import CellSet
-
-            dom = CellSet.empty(stack, l)
+        dom = CellSet.empty(stack, l)
+        for stage in result.controller.stages:
+            if stage.layer == l:
+                dom.union_update(stage.domain)
         export_cellset_csv(stack, dom, out_dir / f"domain_layer{l}.csv")
     ctrl.save(result.controller, out_dir / "controller.mlc")
 
@@ -94,9 +77,7 @@ def run_validation(
     mlc = ctrl.load(controller_path)
     sys_ = config.build_system()
     spec = config.build_spec()
-    report = ctrl.validate(
-        mlc, sys_, spec, runs, horizon, seed, substeps_base=config.substeps, workers=config.workers
-    )
+    report = ctrl.validate(mlc, sys_, spec, runs, horizon, seed, substeps_base=config.substeps)
     payload = report.to_dict()
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -104,23 +85,18 @@ def run_validation(
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
+    if report.executed == 0:
+        print("warning: validation executed 0 trajectories", file=sys.stderr)
     return report
 
 
 def _cmd_synthesize(args) -> int:
     try:
-        config = load_config(args.config)
-        if args.algorithm:
-            config.algorithm = args.algorithm
-        if args.layers:
-            config.layers = args.layers
-        if args.m:
-            config.m = args.m
-        if args.threads:
-            config.workers = args.threads
-        if config.algorithm not in _RUNNERS:
-            raise ConfigError(f"algorithm: unknown algorithm {config.algorithm!r}")
-        config.build_stack()
+        raw = read_config(args.config)
+        for key in ("algorithm", "layers", "m"):
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
+        config = parse_config(raw)
         out_dir = Path(args.out or config.out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -188,10 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synthesize", help="run controller synthesis from a config")
     p_syn.add_argument("--config", required=True)
-    p_syn.add_argument("--algorithm", choices=sorted(_RUNNERS))
+    p_syn.add_argument("--algorithm", choices=ALGORITHMS)
     p_syn.add_argument("--layers", type=int)
     p_syn.add_argument("--m", type=int)
-    p_syn.add_argument("--threads", type=int)
     p_syn.add_argument("--out")
     p_syn.set_defaults(func=_cmd_synthesize)
 

@@ -12,8 +12,7 @@ from .benchmarks import build_system
 from .dynamics import ControlSystem
 from .grid import LayerStack
 from .problem import ProblemSpec, REACH_AVOID, SAFETY
-
-ALGORITHMS = ("eager-safe", "lazy-safe", "eager-reach", "lazy-reach", "single-layer")
+from .synthesis import ALGORITHMS
 
 
 class ConfigError(ValueError):
@@ -35,11 +34,8 @@ class ProblemConfig:
     target_boxes: list = field(default_factory=list)
     m: int = 2
     substeps: int = 5
-    seed: int = 0
-    workers: int = 1
     dynamics_params: dict | None = None
     out_dir: str = "out"
-    long_running: bool = False
 
     def build_system(self) -> ControlSystem:
         return build_system(self.benchmark, self.dynamics_params)
@@ -91,8 +87,6 @@ class ProblemConfig:
             "target_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in _pairs(self.target_boxes)],
             "m": self.m,
             "substeps": self.substeps,
-            "seed": self.seed,
-            "workers": self.workers,
             "dynamics_params": self.dynamics_params,
             "out_dir": self.out_dir,
         }
@@ -184,17 +178,15 @@ def parse_config(raw: dict) -> ProblemConfig:
         target_boxes=_boxes(raw, "target_boxes", dim),
         m=m,
         substeps=substeps,
-        seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
         dynamics_params=raw.get("dynamics_params"),
         out_dir=str(raw.get("out_dir", "out")),
-        long_running=bool(raw.get("long_running", False)),
     )
     cfg.build_stack()  # surfaces grid divisibility errors early
     return cfg
 
 
-def load_config(path) -> ProblemConfig:
+def read_config(path) -> dict:
+    """The raw configuration document, before :func:`parse_config`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -204,4 +196,8 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    return parse_config(raw)
+    return raw
+
+
+def load_config(path) -> ProblemConfig:
+    return parse_config(read_config(path))

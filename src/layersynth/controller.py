@@ -13,7 +13,6 @@ layer, so trajectories have non-uniform sampling times.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,7 +239,6 @@ def validate(
     horizon: int,
     seed: int,
     substeps_base: int = 5,
-    workers: int = 1,
 ) -> ValidationReport:
     """Monte Carlo closed-loop check over the controller domain.
 
@@ -264,11 +262,7 @@ def validate(
         x0 = lo + rng.uniform(0.0, 1.0, size=mlc.stack.dim) * eta1
         return simulate(mlc, sys, spec, x0, horizon, rng, substeps_base)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(one, range(runs)))
-    else:
-        logs = [one(i) for i in range(runs)]
+    logs = [one(i) for i in range(runs)]
 
     ok = {"safe-horizon-complete"} if mlc.kind == SAFETY else {"target-reached"}
     counts: dict[str, int] = {}
@@ -280,21 +274,6 @@ def validate(
         rank_ok = all(check_rank_progress(log) for log in logs)
     mean_steps = float(np.mean([log.steps for log in logs]))
     return ValidationReport(runs, runs, violations, counts, horizon, seed, mean_steps, rank_ok)
-
-
-def export_trajectory_csv(log: TrajectoryLog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if log.entries:
-            n = log.entries[0].state.size
-        else:
-            n = log.final_state.size
-        header = ["time"] + [f"x{i}" for i in range(n)] + ["layer", "stage", "input"]
-        fh.write(",".join(header) + "\n")
-        for e in log.entries:
-            parts = [repr(float(e.time))]
-            parts += [repr(float(v)) for v in e.state]
-            parts += [str(e.layer), str(e.stage), str(e.input_index)]
-            fh.write(",".join(parts) + "\n")
 
 
 _MAGIC = b"LSMC"

@@ -73,7 +73,6 @@ class SpecSets:
 
     safe: list[CellSet]
     target: list[CellSet] | None
-    coarse_obstacles: CellSet
 
     def safe_at(self, layer: int) -> CellSet:
         return self.safe[layer - 1]
@@ -129,5 +128,4 @@ def build_spec_sets(stack: LayerStack, spec: ProblemSpec) -> SpecSets:
                 gamma_down(stack, t1, layer).intersect(direct).intersect(safe_sets[layer - 1])
             )
 
-    coarse_obstacles = _union_intersecting(stack, L, spec.obstacle_boxes)
-    return SpecSets(safe=safe_sets, target=target_sets, coarse_obstacles=coarse_obstacles)
+    return SpecSets(safe=safe_sets, target=target_sets)

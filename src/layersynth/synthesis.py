@@ -7,6 +7,10 @@ sets to the finest layer and re-loading them when switching layers.  In
 lazy mode abstract transitions are computed only for frontier cells:
 directly for safety, and through a cooperative-predecessor
 over-approximation on coarse auxiliary systems for reach-avoid.
+
+:func:`synthesize` is the one entry point for every algorithm.  The
+single-layer baseline is not a separate solver: it is the eager protocol
+on a one-level stack, the case the multi-layer protocols reduce to.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ from .controller import LayerController, MultiLayeredController
 from .dynamics import ControlSystem
 from .grid import CellSet, LayerMismatchError, LayerStack, gamma_down, gamma_up
 from .problem import ProblemSpec, REACH_AVOID, SAFETY, SpecSets, build_spec_sets
+
+#: Names accepted by :func:`synthesize`.
+ALGORITHMS = ("eager-safe", "lazy-safe", "eager-reach", "lazy-reach", "single-layer")
+_SUFFIX = {SAFETY: "-safe", REACH_AVOID: "-reach"}
 
 
 class NonterminationError(RuntimeError):
@@ -96,7 +104,7 @@ def cpre(table: TransitionTable, target: CellSet, candidates: CellSet | None = N
     result = np.zeros(table.n_cells, dtype=bool)
     tb = target.bits
     for u_idx in range(table.sys.n_inputs):
-        cells, indptr, flat, _ = table.csr(u_idx)
+        cells, indptr, flat = table.csr(u_idx)
         if cells.size == 0:
             continue
         ok = np.minimum.reduceat(tb[flat], indptr[:-1])
@@ -116,7 +124,7 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
     result = np.zeros(table.n_cells, dtype=bool)
     tb = target.bits
     for u_idx in range(table.sys.n_inputs):
-        cells, indptr, flat, _ = table.csr(u_idx)
+        cells, indptr, flat = table.csr(u_idx)
         if cells.size == 0:
             continue
         ok = np.maximum.reduceat(tb[flat], indptr[:-1])
@@ -156,7 +164,6 @@ class SynthesisEngine:
         spec: ProblemSpec,
         m: int = 2,
         substeps: int = 5,
-        workers: int = 1,
         max_switches: int = 100_000,
     ):
         self.sys = sys
@@ -165,7 +172,6 @@ class SynthesisEngine:
         self.spec_sets: SpecSets = build_spec_sets(stack, spec)
         self.m = m
         self.substeps = substeps
-        self.workers = workers
         self.max_switches = max_switches
         self.main = [
             TransitionTable(sys, stack, l, "main", substeps) for l in range(1, stack.levels + 1)
@@ -185,7 +191,7 @@ class SynthesisEngine:
         return out
 
     def explore(self, layer: int, region: CellSet) -> None:
-        self._timed("abstraction", self.table(layer).compute_region, region, self.workers)
+        self._timed("abstraction", self.table(layer).compute_region, region)
 
     def ensure_aux(self, layer: int) -> TransitionTable:
         """Auxiliary system: this layer's period on the coarsest grid.
@@ -196,7 +202,7 @@ class SynthesisEngine:
         if layer not in self.aux:
             t = TransitionTable(self.sys, self.stack, layer, "aux", self.substeps)
             full = CellSet.full(self.stack, self.stack.levels)
-            self._timed("aux_abstraction", t.compute_region, full, self.workers)
+            self._timed("aux_abstraction", t.compute_region, full)
             self.aux[layer] = t
             self.stats.aux_transitions[layer] = t.explored_count
         return self.aux[layer]
@@ -235,19 +241,6 @@ class SynthesisEngine:
         w = self._cpre(layer, current, candidates)
         self.stats.fp_iterations[layer - 1] += 1
         return w
-
-    def safe_fixpoint(self, layer: int) -> tuple[CellSet, dict[int, tuple[int, ...]], int]:
-        """Greatest fixed point of :meth:`safe_step` within the safe set."""
-        w = self.spec_sets.safe_at(layer).copy()
-        iterations = 0
-        while True:
-            nxt = self.safe_step(layer, w)
-            iterations += 1
-            if nxt == w:
-                break
-            w = nxt
-        moves = _moves_into(self.table(layer), w.indices(), w.bits)
-        return w, moves, iterations
 
     def reach_m(
         self,
@@ -457,7 +450,7 @@ def _moves_into(table: TransitionTable, cells: np.ndarray, region_bits: np.ndarr
     want = np.zeros(table.n_cells, dtype=bool)
     want[cells] = True
     for u_idx in range(table.sys.n_inputs):
-        tab_cells, indptr, flat, _ = table.csr(u_idx)
+        tab_cells, indptr, flat = table.csr(u_idx)
         if tab_cells.size == 0:
             continue
         ok = np.minimum.reduceat(region_bits[flat], indptr[:-1]) & want[tab_cells]
@@ -469,95 +462,54 @@ def _moves_into(table: TransitionTable, cells: np.ndarray, region_bits: np.ndarr
     return out
 
 
-# -- wrappers ---------------------------------------------------------------
+# -- entry point ------------------------------------------------------------
 
 
-def _empty_result(engine: SynthesisEngine, kind: str, reason: str) -> SynthesisResult:
-    warnings.warn(f"{reason}; returning an empty controller")
-    winning = CellSet.empty(engine.stack, 1)
-    controller = MultiLayeredController(kind, engine.stack, [])
-    engine.finalize_stats(winning, [])
-    return SynthesisResult(winning, controller, engine.stats)
+def synthesize(
+    sys: ControlSystem,
+    stack: LayerStack,
+    spec: ProblemSpec,
+    algorithm: str,
+    m: int = 2,
+    substeps: int = 5,
+) -> SynthesisResult:
+    """Solve ``spec`` over ``stack`` with one of :data:`ALGORITHMS`.
 
-
-def _engine(sys, stack, spec, m, substeps, workers) -> SynthesisEngine:
-    return SynthesisEngine(sys, stack, spec, m=m, substeps=substeps, workers=workers)
-
-
-def _run_safe(engine: SynthesisEngine, lazy: bool) -> SynthesisResult:
-    if engine.spec_sets.safe_at(1).is_empty():
-        return _empty_result(engine, SAFETY, "safe-set under-approximation is empty")
-    if not lazy:
-        engine._timed("eager_abstraction", engine.populate_eager)
-    t0 = time.perf_counter()
-    psi, stages, _ = engine.safe_iteration(lazy)
-    engine.stats.timings["synthesis"] = time.perf_counter() - t0
-    controller = MultiLayeredController(SAFETY, engine.stack, stages)
-    engine.finalize_stats(psi, stages)
-    return SynthesisResult(psi, controller, engine.stats)
-
-
-def _run_reach(engine: SynthesisEngine, lazy: bool) -> SynthesisResult:
-    if engine.spec_sets.safe_at(1).is_empty():
-        return _empty_result(engine, REACH_AVOID, "safe-set under-approximation is empty")
-    if engine.spec_sets.target_at(1).is_empty():
-        return _empty_result(engine, REACH_AVOID, "target under-approximation is empty")
-    if not lazy:
-        engine._timed("eager_abstraction", engine.populate_eager)
-    t0 = time.perf_counter()
-    upsilon, stages = engine.reach_iteration(lazy)
-    engine.stats.timings["synthesis"] = time.perf_counter() - t0
-    controller = MultiLayeredController(REACH_AVOID, engine.stack, stages)
-    engine.finalize_stats(upsilon, stages)
-    return SynthesisResult(upsilon, controller, engine.stats)
-
-
-def eager_safe(sys, stack, spec, substeps=5, workers=1) -> SynthesisResult:
-    """Safety synthesis with fully pre-computed abstractions."""
-    return _run_safe(_engine(sys, stack, spec, 2, substeps, workers), lazy=False)
-
-
-def lazy_safe(sys, stack, spec, substeps=5, workers=1) -> SynthesisResult:
-    """Safety synthesis exploring only per-round frontier cells."""
-    return _run_safe(_engine(sys, stack, spec, 2, substeps, workers), lazy=True)
-
-
-def eager_reach(sys, stack, spec, m=2, substeps=5, workers=1) -> SynthesisResult:
-    """Reach-avoid synthesis with fully pre-computed abstractions."""
-    return _run_reach(_engine(sys, stack, spec, m, substeps, workers), lazy=False)
-
-
-def lazy_reach(sys, stack, spec, m=2, substeps=5, workers=1) -> SynthesisResult:
-    """Reach-avoid synthesis with frontier-driven exploration."""
-    return _run_reach(_engine(sys, stack, spec, m, substeps, workers), lazy=True)
-
-
-def single_layer(sys, stack, spec, substeps=5, workers=1) -> SynthesisResult:
-    """Finest-layer-only baseline; the reference the protocols must match."""
-    engine = _engine(sys, stack, spec, 2, substeps, workers)
-    kind = engine.spec.kind
-    if engine.spec_sets.safe_at(1).is_empty():
-        return _empty_result(engine, kind, "safe-set under-approximation is empty")
-    if kind == REACH_AVOID and engine.spec_sets.target_at(1).is_empty():
-        return _empty_result(engine, kind, "target under-approximation is empty")
-    engine._timed("eager_abstraction", engine.explore, 1, engine.spec_sets.safe_at(1))
-    t0 = time.perf_counter()
-    stages: list[LayerController] = []
-    if kind == SAFETY:
-        winning, moves, _ = engine.safe_fixpoint(1)
-        if not winning.is_empty():
-            stages.append(LayerController(1, 0, winning, moves))
+    ``eager-*`` pre-computes every main table over its safe set,
+    ``lazy-*`` explores along the frontier.  ``single-layer`` is the
+    eager protocol on the one-level stack with the same finest grid and
+    period; its stages are returned on the caller's ``stack``, so the
+    controller keeps the caller's level count.  Degenerate problems
+    (empty safe or target set) warn and return an empty controller.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm != "single-layer" and not algorithm.endswith(_SUFFIX[spec.kind]):
+        raise ValueError(f"algorithm {algorithm} does not solve {spec.kind!r} problems")
+    if algorithm == "single-layer":
+        game_stack = LayerStack(1, stack.eta1, stack.tau1, stack.y_lower, stack.y_upper)
     else:
-        target = engine.spec_sets.target_at(1)
-        outcome = engine.reach_m(1, target, engine.spec_sets.safe_at(1), None)
-        winning = outcome.won
-        if outcome.ranks:
-            moves = engine.reach_moves(1, outcome)
-            domain = CellSet.from_indices(
-                stack, 1, np.asarray(sorted(outcome.ranks), dtype=np.int64)
-            )
-            stages.append(LayerController(1, 0, domain, moves, dict(outcome.ranks)))
-    engine.stats.timings["synthesis"] = time.perf_counter() - t0
-    controller = MultiLayeredController(kind, engine.stack, stages)
+        game_stack = stack
+    engine = SynthesisEngine(sys, game_stack, spec, m=m, substeps=substeps)
+    lazy = algorithm.startswith("lazy-")
+    sets = engine.spec_sets
+    timings = engine.stats.timings
+    t0 = time.perf_counter()
+    if sets.safe_at(1).is_empty():
+        warnings.warn("safe-set under-approximation is empty; returning an empty controller")
+        winning, stages = CellSet.empty(game_stack, 1), []
+    elif spec.kind == REACH_AVOID and sets.target_at(1).is_empty():
+        warnings.warn("target under-approximation is empty; returning an empty controller")
+        winning, stages = CellSet.empty(game_stack, 1), []
+    else:
+        if not lazy:
+            engine.populate_eager()
+        if spec.kind == SAFETY:
+            winning, stages, _ = engine.safe_iteration(lazy)
+        else:
+            winning, stages = engine.reach_iteration(lazy)
+    # Exploration is timed on its own; keep the ledger keys disjoint.
+    explored = timings.get("abstraction", 0.0) + timings.get("aux_abstraction", 0.0)
+    timings["synthesis"] = time.perf_counter() - t0 - explored
     engine.finalize_stats(winning, stages)
-    return SynthesisResult(winning, controller, engine.stats)
+    return SynthesisResult(winning, MultiLayeredController(spec.kind, stack, stages), engine.stats)

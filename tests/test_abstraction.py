@@ -7,7 +7,6 @@ from layersynth import (
     CellSet,
     LayerMismatchError,
     LayerStack,
-    TableFormatError,
     TransitionTable,
 )
 from layersynth.benchmarks import dcdc
@@ -94,15 +93,6 @@ class TestComputeRegion:
         with pytest.raises(LayerMismatchError):
             table.compute_region(CellSet.empty(stack, 2))
 
-    def test_workers_agree_with_serial(self):
-        sys = dcdc()
-        stack = LayerStack(1, [0.05, 0.05], 0.0625, [1.15, 5.45], [1.55, 5.85])
-        serial = TransitionTable(sys, stack, 1)
-        serial.compute_region(CellSet.full(stack, 1))
-        threaded = TransitionTable(sys, stack, 1)
-        threaded.compute_region(CellSet.full(stack, 1), workers=4)
-        assert table_as_dict(serial) == table_as_dict(threaded)
-
 
 class TestSuccessorsAccessor:
     def test_three_states(self):
@@ -131,34 +121,3 @@ class TestAuxiliaryTables:
         assert aux.grid_layer == 2
         assert aux.tau == 1.0
         assert aux.n_cells == 2
-
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        stack = line_stack()
-        table = TransitionTable(drift_system(), stack, 1)
-        table.compute_region(CellSet.full(stack, 1))
-        path = tmp_path / "table.bin"
-        table.dump(path)
-        fresh = TransitionTable(drift_system(), stack, 1)
-        fresh.load(path)
-        assert table_as_dict(fresh) == table_as_dict(table)
-        assert fresh.explored_count == table.explored_count
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        table = TransitionTable(drift_system(), line_stack(), 1)
-        with pytest.raises(TableFormatError, match="magic"):
-            table.load(path)
-
-    def test_mismatched_grid_rejected(self, tmp_path):
-        stack = line_stack()
-        table = TransitionTable(drift_system(), stack, 1)
-        table.compute_region(CellSet.full(stack, 1))
-        path = tmp_path / "table.bin"
-        table.dump(path)
-        other_stack = LayerStack(1, [0.5], 1.0, [0.0], [4.0])
-        other = TransitionTable(drift_system(), other_stack, 1)
-        with pytest.raises(TableFormatError):
-            other.load(path)

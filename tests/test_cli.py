@@ -1,0 +1,91 @@
+import json
+
+import pytest
+
+from conftest import DCDC_SAFE
+from layersynth import ALGORITHMS, MultiLayeredController, cli
+from layersynth import controller as ctrl
+from layersynth.config import load_config
+
+UNICYCLE_REACH = {
+    "benchmark": "unicycle",
+    "spec": "reach-avoid",
+    "layers": 3,
+    "eta1": [0.2, 0.2, 0.2],
+    "tau1": 0.45,
+    "y_lower": [0.0, 0.0, -3.2],
+    "y_upper": [6.4, 6.4, 3.2],
+    "target_boxes": [{"lower": [4.8, 2.4, -3.2], "upper": [6.4, 4.0, 3.2]}],
+    "algorithm": "lazy-reach",
+}
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_synthesize_validate_stats_round_trip(tmp_path, capsys):
+    config = write_config(tmp_path, DCDC_SAFE)
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
+    args = ["--controller", str(out / "controller.mlc"), "--config", config]
+    assert cli.main(["validate", *args, "--runs", "3", "--horizon", "5"]) == 0
+    assert cli.main(["stats", "--in", str(out)]) == 0
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert stats["winning_layer1_cells"] == 5393
+    assert sorted({s["layer"] for s in stats["stages"]}) == [1, 2, 3]
+    assert "layer-1 winning cells: 5393" in capsys.readouterr().out
+
+
+def test_timings_are_disjoint_phases(tmp_path):
+    out = tmp_path / "out"
+    for algorithm in ("eager-safe", "lazy-safe"):
+        config = write_config(tmp_path, {**DCDC_SAFE, "algorithm": algorithm})
+        assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
+        timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+        assert set(timings) == {"abstraction", "synthesis", "total"}
+        assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [
+        ({**DCDC_SAFE, "algorithm": "bogus"}, []),
+        (DCDC_SAFE, ["--algorithm", "lazy-reach"]),
+        (UNICYCLE_REACH, ["--algorithm", "lazy-safe"]),
+        (DCDC_SAFE, ["--layers", "0"]),
+    ],
+    ids=["unknown-algorithm", "reach-on-safety", "safety-on-reach", "bad-layers"],
+)
+def test_config_errors_exit_1_and_name_the_field(tmp_path, capsys, doc, extra):
+    config = write_config(tmp_path, doc)
+    argv = ["synthesize", "--config", config, "--out", str(tmp_path / "out"), *extra]
+    assert cli.main(argv) == 1
+    field = "layers" if "--layers" in extra else "algorithm"
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_exits_1(tmp_path, capsys):
+    assert cli.main(["synthesize", "--config", str(tmp_path / "absent.json")]) == 1
+    assert "config file not found" in capsys.readouterr().err
+
+
+def test_algorithm_choices_are_the_synthesis_algorithms(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["synthesize", "--help"])
+    assert "{" + ",".join(ALGORITHMS) + "}" in capsys.readouterr().out
+
+
+def test_zero_trajectory_validation_is_flagged(tmp_path, capsys):
+    config = write_config(tmp_path, DCDC_SAFE)
+    path = tmp_path / "empty.mlc"
+    stack = load_config(config).build_stack()
+    ctrl.save(MultiLayeredController("safe", stack, []), path)
+    report = tmp_path / "report.json"
+    argv = ["validate", "--controller", str(path), "--config", config, "--out", str(report)]
+    assert cli.main(argv) == 0
+    assert "warning: validation executed 0 trajectories" in capsys.readouterr().err
+    assert json.loads(report.read_text(encoding="utf-8"))["executed"] == 0

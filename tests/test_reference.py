@@ -22,8 +22,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_problem
-from layersynth import synthesis
+from conftest import DCDC_SAFE, random_problem
+from layersynth import synthesize
 from layersynth.config import parse_config
 from layersynth.controller import serialize
 from layersynth.problem import REACH_AVOID, SAFETY
@@ -42,33 +42,11 @@ RANDOM = [
     for seed in seeds
 ]
 
-# The dcdc-safe benchmark workload: 6,400 layer-1 cells, 3 layers.
-DCDC_SAFE = {
-    "benchmark": "dcdc",
-    "spec": "safe",
-    "layers": 3,
-    "eta1": [0.005, 0.005],
-    "tau1": 0.5,
-    "y_lower": [1.15, 5.45],
-    "y_upper": [1.55, 5.85],
-    "algorithm": "lazy-safe",
-    "m": 2,
-    "substeps": 5,
-}
-
-_RUNNERS = {
-    "eager-safe": synthesis.eager_safe,
-    "lazy-safe": synthesis.lazy_safe,
-    "eager-reach": synthesis.eager_reach,
-    "lazy-reach": synthesis.lazy_reach,
-    "single-layer": synthesis.single_layer,
-}
-
 
 def run(sys_, stack, spec, algorithm):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return _RUNNERS[algorithm](sys_, stack, spec)
+        return synthesize(sys_, stack, spec, algorithm)
 
 
 def _digest(data: bytes) -> str:

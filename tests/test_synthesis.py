@@ -19,13 +19,9 @@ from layersynth import (
     TransitionTable,
     UnexploredTransitionError,
     cpre,
-    eager_reach,
-    eager_safe,
     gamma_down,
     gamma_up,
-    lazy_reach,
-    lazy_safe,
-    single_layer,
+    synthesize,
     upre,
     upre_m,
 )
@@ -169,6 +165,12 @@ class TestSafeStep:
         assert engine.safe_step(1, cells(stack, 1, [0])) == cells(stack, 1, [0])
 
 
+def one_level_safety(engine):
+    """The safety game of a 1-level engine: (winning set, moves)."""
+    w, stages, _ = engine.safe_iteration(lazy=False)
+    return w, stages[0].moves if stages else {}
+
+
 class TestSafeFixpoint:
     def test_blocked_rows_lose_everything(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [3.0])
@@ -176,12 +178,12 @@ class TestSafeFixpoint:
         engine = SynthesisEngine(sys, stack, ProblemSpec(kind=SAFETY))
         for c in range(3):
             engine.table(1).preload(c, 0, BLOCKED)
-        w, moves, _ = engine.safe_fixpoint(1)
+        w, moves = one_level_safety(engine)
         assert w.is_empty() and moves == {}
 
     def test_self_loops_keep_everything(self):
         _, engine = self_loop_engine()
-        w, moves, _ = engine.safe_fixpoint(1)
+        w, moves = one_level_safety(engine)
         assert w == engine.spec_sets.safe_at(1)
         assert all(m == (0,) for m in moves.values())
 
@@ -189,7 +191,7 @@ class TestSafeFixpoint:
         stack = LayerStack(1, [1.0], 1.0, [0.0], [5.0])
         engine = SynthesisEngine(drift_system(), stack, ProblemSpec(kind=SAFETY))
         engine.explore(1, CellSet.full(stack, 1))
-        w, _, _ = engine.safe_fixpoint(1)
+        w, _ = one_level_safety(engine)
         expect = safe_gfp_oracle(table_as_dict(engine.table(1)), set(range(5)))
         assert set(w.indices().tolist()) == expect == set()
 
@@ -199,7 +201,7 @@ class TestSafeFixpoint:
             engine = SynthesisEngine(sys, stack, spec)
             safe = engine.spec_sets.safe_at(1)
             engine.explore(1, safe)
-            w, moves, _ = engine.safe_fixpoint(1)
+            w, moves = one_level_safety(engine)
             oracle = safe_gfp_oracle(
                 table_as_dict(engine.table(1)), set(int(c) for c in safe.indices())
             )
@@ -257,10 +259,10 @@ class TestSafeIteration:
             engine = SynthesisEngine(sys, stack, spec)
             engine.populate_eager()
             psi, stages, _ = engine.safe_iteration(lazy=False)
-            ref = SynthesisEngine(sys, stack, spec)
-            ref.explore(1, ref.spec_sets.safe_at(1))
-            w, _, _ = ref.safe_fixpoint(1)
-            assert psi == w
+            safe = set(int(c) for c in engine.spec_sets.safe_at(1).indices())
+            expect = safe_gfp_oracle(table_as_dict(engine.table(1)), safe)
+            assert set(psi.indices().tolist()) == expect
+            assert [(st.layer, st.domain) for st in stages] == ([(1, psi)] if expect else [])
 
     def test_all_safe_self_loops_terminate_first_round(self):
         sys = stationary_system(dim=2)
@@ -316,30 +318,30 @@ class TestProtocolEquivalence:
     def test_safety_three_way_equality(self):
         for seed in range(10):
             sys, stack, spec = random_problem(seed + 200, kind=SAFETY, levels=2)
-            ref = single_layer(sys, stack, spec)
-            for algo in (eager_safe, lazy_safe):
-                got = algo(sys, stack, spec)
-                assert got.winning == ref.winning, f"{algo.__name__} differs on seed {seed}"
+            ref = synthesize(sys, stack, spec, "single-layer")
+            for algo in ("eager-safe", "lazy-safe"):
+                got = synthesize(sys, stack, spec, algo)
+                assert got.winning == ref.winning, f"{algo} differs on seed {seed}"
 
     def test_reach_three_way_equality(self):
         for seed in range(10):
             sys, stack, spec = random_problem(seed + 300, kind=REACH_AVOID, levels=2)
-            ref = single_layer(sys, stack, spec)
-            for algo in (eager_reach, lazy_reach):
-                got = algo(sys, stack, spec, m=2)
-                assert got.winning == ref.winning, f"{algo.__name__} differs on seed {seed}"
+            ref = synthesize(sys, stack, spec, "single-layer")
+            for algo in ("eager-reach", "lazy-reach"):
+                got = synthesize(sys, stack, spec, algo, m=2)
+                assert got.winning == ref.winning, f"{algo} differs on seed {seed}"
 
     def test_lazy_explores_no_more_than_eager(self):
         for seed in (17, 23):
             sys, stack, spec = random_problem(seed, kind=REACH_AVOID, levels=2)
-            lz = lazy_reach(sys, stack, spec)
-            eg = eager_reach(sys, stack, spec)
+            lz = synthesize(sys, stack, spec, "lazy-reach")
+            eg = synthesize(sys, stack, spec, "eager-reach")
             for l in range(stack.levels):
                 assert lz.stats.transitions_per_layer[l] <= eg.stats.transitions_per_layer[l]
         for seed in (31, 37):
             sys, stack, spec = random_problem(seed, kind=SAFETY, levels=2)
-            lz = lazy_safe(sys, stack, spec)
-            eg = eager_safe(sys, stack, spec)
+            lz = synthesize(sys, stack, spec, "lazy-safe")
+            eg = synthesize(sys, stack, spec, "eager-safe")
             for l in range(stack.levels):
                 assert lz.stats.transitions_per_layer[l] <= eg.stats.transitions_per_layer[l]
 
@@ -410,7 +412,13 @@ class TestDegenerateInputs:
             target_boxes=[(stack.y_lower + 0.01, stack.y_lower + 0.02)],
         )
         with pytest.warns(UserWarning, match="empty"):
-            out = lazy_reach(sys, stack, spec)
+            out = synthesize(sys, stack, spec, "lazy-reach")
         assert out.winning.is_empty()
         assert out.controller.stages == []
         assert sum(out.stats.transitions_per_layer) == 0
+
+    def test_algorithm_must_name_a_protocol_for_the_spec_kind(self):
+        sys, stack, spec = random_problem(606, kind=REACH_AVOID, levels=2)
+        for algorithm in ("eager-safe", "lazy-safe", "bogus"):
+            with pytest.raises(ValueError, match="algorithm"):
+                synthesize(sys, stack, spec, algorithm)
