@@ -6,6 +6,11 @@ sha256 of the layer-1 winning bits. For the multi-layer algorithms it
 also pins the sha256 of ``stats.to_dict()``, which holds the exact
 counters and the protocol trace. For ``single-layer`` it pins the
 layer-1 counters. Digests are cut to their first 16 hex digits.
+``VALIDATION`` pins, for dcdc-safe and every reach-avoid row, the sha256
+of ``validate(...).to_dict()`` for a few short closed-loop runs at a
+fixed seed, and the sha256 of the (stage, layer, input, rank) sequence
+and status of closed-loop runs from fixed states spread over the
+controller domain, which covers the quantizer and the moves it picks.
 
 A refactor must leave every value unchanged. A change that is meant to
 alter a result prints the new table with
@@ -15,6 +20,7 @@ says why.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
@@ -25,7 +31,7 @@ import pytest
 from conftest import DCDC_SAFE, random_problem
 from layersynth import synthesize
 from layersynth.config import parse_config
-from layersynth.controller import serialize
+from layersynth.controller import serialize, simulate, validate
 from layersynth.problem import REACH_AVOID, SAFETY
 
 ALGORITHMS = {
@@ -43,10 +49,23 @@ RANDOM = [
 ]
 
 
+# Closed-loop runs behind the validation digests: (runs, horizon, seed),
+# and how many fixed initial states the trajectory digest follows.
+VALIDATION_RUNS = (4, 20, 7)
+TRAJECTORY_STARTS = 8
+
+
 def run(sys_, stack, spec, algorithm):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return synthesize(sys_, stack, spec, algorithm)
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(name, algorithm, source):
+    """Problem and synthesis result of one pinned run, solved once."""
+    sys_, stack, spec = problem(source)
+    return sys_, spec, run(sys_, stack, spec, algorithm)
 
 
 def _digest(data: bytes) -> str:
@@ -79,6 +98,33 @@ def cases():
             yield f"random-{kind}-L{levels}-s{seed}", algorithm, (kind, levels, seed)
     for algorithm in ALGORITHMS[SAFETY]:
         yield "dcdc-safe", algorithm, None
+
+
+def validation_cases():
+    """The pinned runs whose closed-loop validation is pinned too."""
+    for name, algorithm, source in cases():
+        if source is None or source[0] == REACH_AVOID:
+            yield name, algorithm, source
+
+
+def validation_digest(sys_, spec, result) -> tuple[str, str]:
+    """(validation report digest, closed-loop trajectory digest)."""
+    mlc = result.controller
+    runs, horizon, seed = VALIDATION_RUNS
+    report = validate(mlc, sys_, spec, runs, horizon, seed)
+    cells = mlc.domain_projection().indices()
+    starts = cells[:: max(1, cells.size // TRAJECTORY_STARTS)][:TRAJECTORY_STARTS]
+    eta1 = mlc.stack.eta(1)
+    runs_seen = []
+    for i, cell in enumerate(starts):
+        x0 = mlc.stack.centers(1, np.asarray([cell]))[0] + 0.3 * eta1
+        log = simulate(mlc, sys_, spec, x0, horizon, seed + i)
+        steps = [(e.stage, e.layer, e.input_index, e.rank) for e in log.entries]
+        runs_seen.append([log.status, steps])
+    return (
+        _digest(json.dumps(report.to_dict(), sort_keys=True).encode()),
+        _digest(json.dumps(runs_seen).encode()),
+    )
 
 
 def problem(source):
@@ -131,6 +177,29 @@ GOLDEN = {
     ('dcdc-safe', 'lazy-safe'): ('f591075200bd68b3', 'd043bb071d846840', 5393, 'b907c32e7c0d5093'),
     ('dcdc-safe', 'single-layer'): ('c1cbf790a1390cef', '67eefbeadd989ebc', 5262, (12800, 32, 32, 5262)),
 }
+VALIDATION = {
+    ('random-reach-avoid-L2-s2', 'eager-reach'): ('37740f029e2e9714', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s2', 'lazy-reach'): ('37740f029e2e9714', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s2', 'single-layer'): ('37740f029e2e9714', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s4', 'eager-reach'): ('37740f029e2e9714', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s4', 'lazy-reach'): ('37740f029e2e9714', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s4', 'single-layer'): ('37740f029e2e9714', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s8', 'eager-reach'): ('528ad388c2f88198', 'd084a6085ab16310'),
+    ('random-reach-avoid-L2-s8', 'lazy-reach'): ('528ad388c2f88198', 'd084a6085ab16310'),
+    ('random-reach-avoid-L2-s8', 'single-layer'): ('528ad388c2f88198', 'b7caf1ce651fe112'),
+    ('random-reach-avoid-L3-s2', 'eager-reach'): ('a14820eee484a44c', '254d0f81280a9546'),
+    ('random-reach-avoid-L3-s2', 'lazy-reach'): ('a14820eee484a44c', '254d0f81280a9546'),
+    ('random-reach-avoid-L3-s2', 'single-layer'): ('a14820eee484a44c', 'dacd70d328e04cfd'),
+    ('random-reach-avoid-L3-s4', 'eager-reach'): ('311b0a6b6c695961', '74581fb6134d83c0'),
+    ('random-reach-avoid-L3-s4', 'lazy-reach'): ('311b0a6b6c695961', '74581fb6134d83c0'),
+    ('random-reach-avoid-L3-s4', 'single-layer'): ('4cac7709caedce75', '17860a0302f39551'),
+    ('random-reach-avoid-L3-s8', 'eager-reach'): ('311b0a6b6c695961', 'd91f07338c3b12f5'),
+    ('random-reach-avoid-L3-s8', 'lazy-reach'): ('311b0a6b6c695961', 'd91f07338c3b12f5'),
+    ('random-reach-avoid-L3-s8', 'single-layer'): ('311b0a6b6c695961', 'c8acd74da763d675'),
+    ('dcdc-safe', 'eager-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
+    ('dcdc-safe', 'lazy-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
+    ('dcdc-safe', 'single-layer'): ('9717401fbb4c46de', 'de34699bddc5c5a9'),
+}
 # fmt: on
 
 
@@ -138,13 +207,28 @@ GOLDEN = {
     "name, algorithm, source", list(cases()), ids=[f"{n}-{a}" for n, a, _ in cases()]
 )
 def test_matches_golden_reference(name, algorithm, source):
-    got = fingerprint(run(*problem(source), algorithm), algorithm)
+    got = fingerprint(_solved(name, algorithm, source)[2], algorithm)
     assert got == GOLDEN[(name, algorithm)]
+
+
+@pytest.mark.parametrize(
+    "name, algorithm, source",
+    list(validation_cases()),
+    ids=[f"{n}-{a}" for n, a, _ in validation_cases()],
+)
+def test_validation_matches_golden_reference(name, algorithm, source):
+    got = validation_digest(*_solved(name, algorithm, source))
+    assert got == VALIDATION[(name, algorithm)]
 
 
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name, algorithm, source in cases():
-        value = fingerprint(run(*problem(source), algorithm), algorithm)
+        value = fingerprint(_solved(name, algorithm, source)[2], algorithm)
+        print(f"    {(name, algorithm)!r}: {value!r},")
+    print("}")
+    print("VALIDATION = {")
+    for name, algorithm, source in validation_cases():
+        value = validation_digest(*_solved(name, algorithm, source))
         print(f"    {(name, algorithm)!r}: {value!r},")
     print("}")
