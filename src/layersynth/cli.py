@@ -6,7 +6,8 @@ checked like a config field.  Its outputs are the layer-1 winning set and
 per-layer stage domains as CSV, the serialized controller, ``stats.json``
 (exact counters) and ``timings.json`` (wall times of disjoint phases,
 plus their ``total``).  Degenerate outcomes (an empty winning set, a
-validation that ran no trajectory) are flagged on stderr.
+winning set that is the target alone with no stages, a validation that
+ran no trajectory) are flagged on stderr.
 
 Exit codes: 0 success, 1 configuration error, 2 synthesis error,
 3 validation found violations.
@@ -64,6 +65,8 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
         fh.write("\n")
     if result.winning.is_empty():
         print("warning: winning set is empty", file=sys.stderr)
+    elif not result.controller.stages:
+        print("warning: winning set is the target alone; no stages", file=sys.stderr)
     print(
         f"{config.algorithm}: winning layer-1 cells = {result.winning.count()}, "
         f"stages = {len(result.controller.stages)}, wall = {total:.2f}s"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,43 +63,43 @@ class MultiLayeredController:
             if st.stage != p:
                 raise ValueError("stages must be ordered by insertion index")
 
+    @cached_property
+    def _acting(self) -> np.ndarray:
+        """Acting stage of every layer-1 cell (-1: none).
+
+        Built at first use, so decoding a controller file writes no
+        memory per grid cell of its header.  Stages are written in
+        ascending priority, so the winner is written last: safety prefers
+        the coarsest layer, then the earliest stage; reach-avoid the
+        earliest stage.
+        """
+        layers = [st.layer if self.kind == SAFETY else 0 for st in self.stages]
+        acting = np.full(self.stack.cell_count(1), -1, dtype=np.int32)
+        for p in sorted(range(len(layers)), key=lambda p: (layers[p], -p)):
+            acting[gamma_down(self.stack, self.stages[p].domain, 1).bits] = p
+        return acting
+
     def domain_projection(self) -> CellSet:
         """Layer-1 cell set covering the union of all stage domains."""
-        out = CellSet.empty(self.stack, 1)
-        for st in self.stages:
-            out.union_update(gamma_down(self.stack, st.domain, 1))
-        return out
+        return CellSet(1, self._acting >= 0)
 
     def quantize(self, x) -> tuple[int, int] | None:
         """Stage selection for a concrete state.
 
         Returns ``(stage_index, linear_cell)`` of the acting stage, or
-        ``None`` when no stage domain contains ``x``.  Safety picks the
-        coarsest applicable stage, reach-avoid the earliest inserted one
-        (ties broken toward the coarser layer).
+        ``None`` when no stage domain contains ``x``.  The cell on the
+        stage's layer is the layer-1 index shifted right by ``layer - 1``:
+        cell widths are ``eta1`` times powers of two, so this is exact.
         """
-        cell_cache: dict[int, int | None] = {}
-
-        def cell_at(layer: int) -> int | None:
-            if layer not in cell_cache:
-                cid = self.stack.quantize(x, layer)
-                cell_cache[layer] = (
-                    None if cid is None else int(self.stack.linearize(layer, cid.index))
-                )
-            return cell_cache[layer]
-
-        hits = []
-        for p, st in enumerate(self.stages):
-            cell = cell_at(st.layer)
-            if cell is not None and bool(st.domain.bits[cell]):
-                hits.append((p, st.layer, cell))
-        if not hits:
+        cid = self.stack.quantize(x, 1)
+        if cid is None:
             return None
-        if self.kind == SAFETY:
-            p, _, cell = max(hits, key=lambda h: (h[1], -h[0]))
-        else:
-            p, _, cell = min(hits, key=lambda h: (h[0], -h[1]))
-        return p, cell
+        p = int(self._acting[self.stack.linearize(1, cid.index)])
+        if p < 0:
+            return None
+        layer = self.stages[p].layer
+        index = np.asarray(cid.index, dtype=np.int64) >> (layer - 1)
+        return p, int(self.stack.linearize(layer, index))
 
 
 @dataclass
@@ -247,6 +248,8 @@ def validate(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if any(not 0 <= u < sys.n_inputs for st in mlc.stages for mv in st.moves.values() for u in mv):
+        raise ValueError(f"a move names an input outside the system's {sys.n_inputs} inputs")
     domain = mlc.domain_projection()
     cells = domain.indices()
     if cells.size == 0:
@@ -280,19 +283,19 @@ _MAGIC = b"LSMC"
 _VERSION = 1
 
 
+def _grid_format(dim: int) -> str:
+    """eta1, tau1, y_lower, y_upper and the stage count."""
+    return f"<{dim}dd{dim}d{dim}dI"
+
+
 def serialize(mlc: MultiLayeredController) -> bytes:
     """Versioned binary encoding; byte-identical for equal controllers."""
     st = mlc.stack
-    out = bytearray()
-    out += _MAGIC
+    out = bytearray(_MAGIC)
+    out += struct.pack("<IBBB", _VERSION, 1 if mlc.kind == REACH_AVOID else 0, st.levels, st.dim)
     out += struct.pack(
-        "<IBBB", _VERSION, 1 if mlc.kind == REACH_AVOID else 0, st.levels, st.dim
+        _grid_format(st.dim), *st.eta1, st.tau1, *st.y_lower, *st.y_upper, len(mlc.stages)
     )
-    out += st.eta1.astype("<f8").tobytes()
-    out += struct.pack("<d", st.tau1)
-    out += st.y_lower.astype("<f8").tobytes()
-    out += st.y_upper.astype("<f8").tobytes()
-    out += struct.pack("<I", len(mlc.stages))
     for stage in mlc.stages:
         cells = sorted(stage.moves)
         out += struct.pack("<BIq", stage.layer, stage.stage, len(cells))
@@ -305,48 +308,56 @@ def serialize(mlc: MultiLayeredController) -> bytes:
 
 
 def deserialize(data: bytes) -> MultiLayeredController:
+    """Decode :func:`serialize` output; raise only :class:`ControllerFormatError`."""
+    try:
+        with np.errstate(all="raise"):
+            return _decode(data)
+    except ControllerFormatError:
+        raise
+    except (struct.error, ValueError, ArithmeticError) as exc:
+        raise ControllerFormatError(f"malformed controller file: {exc}") from exc
+
+
+def _decode(data: bytes) -> MultiLayeredController:
     if data[:4] != _MAGIC:
         raise ControllerFormatError("bad magic; not a controller file")
-    try:
-        version, kind_flag, levels, dim = struct.unpack_from("<IBBB", data, 4)
-        if version != _VERSION:
-            raise ControllerFormatError(f"unsupported controller version {version}")
-        off = 11
-        eta1 = np.frombuffer(data, "<f8", dim, off); off += 8 * dim
-        (tau1,) = struct.unpack_from("<d", data, off); off += 8
-        y_lower = np.frombuffer(data, "<f8", dim, off); off += 8 * dim
-        y_upper = np.frombuffer(data, "<f8", dim, off); off += 8 * dim
-        (n_stages,) = struct.unpack_from("<I", data, off); off += 4
-        stack = LayerStack(levels, eta1, tau1, y_lower, y_upper)
-        kind = REACH_AVOID if kind_flag else SAFETY
-        stages = []
-        for _ in range(n_stages):
-            layer, stage_idx, n_cells = struct.unpack_from("<BIq", data, off)
-            off += 13
-            moves: dict[int, tuple[int, ...]] = {}
-            ranks: dict[int, int] = {}
-            lin = []
-            for _ in range(n_cells):
-                cell, rank, n_moves = struct.unpack_from("<qiH", data, off)
-                off += 14
-                mv = struct.unpack_from(f"<{n_moves}H", data, off)
-                off += 2 * n_moves
-                moves[cell] = tuple(int(v) for v in mv)
-                ranks[cell] = rank
-                lin.append(cell)
-            domain = CellSet.from_indices(stack, layer, np.asarray(lin, dtype=np.int64))
-            stages.append(
-                LayerController(
-                    layer,
-                    stage_idx,
-                    domain,
-                    moves,
-                    ranks if kind == REACH_AVOID else None,
-                )
-            )
-        return MultiLayeredController(kind, stack, stages)
-    except struct.error as exc:
-        raise ControllerFormatError(f"truncated controller file: {exc}") from exc
+    version, kind_flag, levels, dim = struct.unpack_from("<IBBB", data, 4)
+    if version != _VERSION or kind_flag not in (0, 1) or levels < 1 or dim < 1:
+        raise ControllerFormatError(
+            f"bad header: version {version}, kind flag {kind_flag}, {levels} levels, {dim} dims"
+        )
+    grid = struct.unpack_from(_grid_format(dim), data, 11)
+    off = 11 + struct.calcsize(_grid_format(dim))
+    stack = LayerStack(
+        levels, grid[:dim], grid[dim], grid[dim + 1 : 2 * dim + 1], grid[2 * dim + 1 : -1]
+    )
+    # No synthesized controller outgrows the tables' int32 cell indices.
+    if np.prod(stack.dims(1), dtype=float) > np.iinfo(np.int32).max:
+        raise ControllerFormatError("grid has more layer-1 cells than int32 indices address")
+    kind = REACH_AVOID if kind_flag else SAFETY
+    stages = []
+    for _ in range(grid[-1]):
+        layer, stage_idx, n_cells = struct.unpack_from("<BIq", data, off)
+        off += 13
+        if not 1 <= layer <= levels or n_cells < 0:
+            raise ControllerFormatError(f"stage layer {layer} not in [1;{levels}], {n_cells} cells")
+        n_layer = stack.cell_count(layer)
+        moves: dict[int, tuple[int, ...]] = {}
+        ranks: dict[int, int] = {}
+        for _ in range(n_cells):
+            cell, rank, n_moves = struct.unpack_from("<qiH", data, off)
+            off += 14
+            if not 0 <= cell < n_layer:
+                raise ControllerFormatError(f"cell {cell} outside layer {layer}'s {n_layer} cells")
+            moves[cell] = struct.unpack_from(f"<{n_moves}H", data, off)
+            off += 2 * n_moves
+            ranks[cell] = rank
+        domain = CellSet.from_indices(stack, layer, list(moves))
+        ranks = ranks if kind == REACH_AVOID else None
+        stages.append(LayerController(layer, stage_idx, domain, moves, ranks))
+    if off != len(data):
+        raise ControllerFormatError(f"{len(data) - off} trailing bytes after the last stage")
+    return MultiLayeredController(kind, stack, stages)
 
 
 def save(mlc: MultiLayeredController, path) -> None:

@@ -85,6 +85,31 @@ def _check_table_set(table: TransitionTable, cells: CellSet) -> None:
         )
 
 
+def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
+    """``mask[u, c]``: input ``u`` keeps every successor of cell ``c`` in ``region``.
+
+    The one containment test behind ``cpre`` and every stage's moves.
+    The mask has shape ``(n_inputs, n_cells)`` and is never true for a
+    blocked or unexplored pair.
+    """
+    _check_table_set(table, region)
+    mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
+    for u_idx in range(table.sys.n_inputs):
+        cells, indptr, flat, blocked = table.csr(u_idx)
+        if cells.size:
+            mask[u_idx, cells] = np.minimum.reduceat(region.bits[flat], indptr[:-1]) & ~blocked
+    return mask
+
+
+def _moves_into(mask: np.ndarray, cells: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """For each cell, the inputs set in its column of a closing-input mask."""
+    columns = mask[:, cells].T.tolist()
+    moves = {int(c): tuple(u for u, ok in enumerate(col) if ok) for c, col in zip(cells, columns)}
+    if not all(moves.values()):
+        raise AssertionError("winning cell without a closing move")
+    return moves
+
+
 def cpre(table: TransitionTable, target: CellSet, candidates: CellSet | None = None) -> CellSet:
     """Cells with an input whose every successor lies in ``target``.
 
@@ -92,7 +117,6 @@ def cpre(table: TransitionTable, target: CellSet, candidates: CellSet | None = N
     under consideration; reading a candidate whose transitions were
     never computed is a frontier bug and raises.
     """
-    _check_table_set(table, target)
     if candidates is not None:
         _check_table_set(table, candidates)
         missing = candidates.bits & ~table.explored_cells().bits
@@ -101,14 +125,7 @@ def cpre(table: TransitionTable, target: CellSet, candidates: CellSet | None = N
                 f"{int(missing.sum())} candidate cells of layer {table.layer} "
                 f"({table.kind}) were never explored"
             )
-    result = np.zeros(table.n_cells, dtype=bool)
-    tb = target.bits
-    for u_idx in range(table.sys.n_inputs):
-        cells, indptr, flat, blocked = table.csr(u_idx)
-        if cells.size == 0:
-            continue
-        ok = np.minimum.reduceat(tb[flat], indptr[:-1]) & ~blocked
-        result[cells[ok]] = True
+    result = _closing_inputs(table, target).any(axis=0)
     if candidates is not None:
         result &= candidates.bits
     return CellSet(target.layer, result)
@@ -152,7 +169,7 @@ def upre_m(table: TransitionTable, target: CellSet, m: int) -> CellSet:
 class ReachOutcome:
     won: CellSet
     ranks: dict[int, int]
-    snapshots: list[CellSet]
+    moves: dict[int, tuple[int, ...]]
     fixed_point: bool
     iterations: int
 
@@ -215,10 +232,6 @@ class SynthesisEngine:
         for l in range(1, self.stack.levels + 1):
             self.explore(l, self.spec_sets.safe_at(l))
 
-    def _cpre(self, layer: int, target: CellSet, candidates: CellSet) -> CellSet:
-        self.stats.cpre_evals[layer - 1] += 1
-        return cpre(self.table(layer), target, candidates)
-
     # -- single-layer fixed points ----------------------------------------
 
     def safe_step(self, layer: int, current: CellSet, covered: CellSet | None = None) -> CellSet:
@@ -241,7 +254,8 @@ class SynthesisEngine:
                     f"layer {layer} were never explored"
                 )
             candidates = current.intersect(explored)
-        w = self._cpre(layer, current, candidates)
+        self.stats.cpre_evals[layer - 1] += 1
+        w = cpre(self.table(layer), current, candidates)
         self.stats.fp_iterations[layer - 1] += 1
         return w
 
@@ -256,41 +270,33 @@ class SynthesisEngine:
 
         Iterates ``W <- (CPre(W) n safe) u target`` from ``W = target``
         and records, for every newly won cell, the iteration at which it
-        entered.  Reports whether a fixed point was reached.
+        entered and the inputs that drive it into ``W`` of that
+        iteration, read from the same closing-input mask that won it.
+        Reports whether a fixed point was reached.
         """
+        table = self.table(layer)
         safe = safe.intersect(self.spec_sets.safe_at(layer))
         target = target.intersect(safe)
-        explored = self.table(layer).explored_cells()
-        candidates = safe.intersect(explored)
+        candidates = safe.intersect(table.explored_cells())
         w = target.copy()
-        snapshots = [w.copy()]
         ranks: dict[int, int] = {}
+        moves: dict[int, tuple[int, ...]] = {}
         fixed = False
         iterations = 0
         while m is None or iterations < m:
-            nxt = self._cpre(layer, w, candidates).union(target)
+            self.stats.cpre_evals[layer - 1] += 1
+            mask = _closing_inputs(table, w)
+            nxt = CellSet(layer, mask.any(axis=0) & candidates.bits).union(target)
             iterations += 1
             self.stats.fp_iterations[layer - 1] += 1
             if nxt == w:
                 fixed = True
                 break
-            for c in nxt.difference(w).indices():
-                ranks[int(c)] = iterations
+            new = _moves_into(mask, nxt.difference(w).indices())
+            moves.update(new)
+            ranks.update(dict.fromkeys(new, iterations))
             w = nxt
-            snapshots.append(w.copy())
-        return ReachOutcome(w, ranks, snapshots, fixed, iterations)
-
-    def reach_moves(self, layer: int, outcome: ReachOutcome) -> dict[int, tuple[int, ...]]:
-        """Inputs that drive each newly won cell into its entry set."""
-        by_rank: dict[int, list[int]] = {}
-        for cell, rank in outcome.ranks.items():
-            by_rank.setdefault(rank, []).append(cell)
-        moves: dict[int, tuple[int, ...]] = {}
-        for rank in sorted(by_rank):
-            region = outcome.snapshots[rank - 1].bits
-            cells = np.asarray(sorted(by_rank[rank]), dtype=np.int64)
-            moves.update(_moves_into(self.table(layer), cells, region))
-        return moves
+        return ReachOutcome(w, ranks, moves, fixed, iterations)
 
     # -- frontier exploration ----------------------------------------------
 
@@ -358,7 +364,7 @@ class SynthesisEngine:
             if w.is_empty():
                 continue
             region = gamma_down(stack, psi, layer)
-            moves = _moves_into(self.table(layer), w.indices(), region.bits)
+            moves = _moves_into(_closing_inputs(self.table(layer), region), w.indices())
             stages.append(LayerController(layer, len(stages), w, moves))
         return psi, stages, history
 
@@ -415,12 +421,9 @@ class SynthesisEngine:
                 }
             )
             if outcome.ranks:
-                moves = self.reach_moves(layer, outcome)
-                domain = CellSet.from_indices(
-                    stack, layer, np.asarray(sorted(outcome.ranks), dtype=np.int64)
-                )
+                domain = CellSet.from_indices(stack, layer, list(outcome.moves))
                 stages.append(
-                    LayerController(layer, len(stages), domain, moves, dict(outcome.ranks))
+                    LayerController(layer, len(stages), domain, outcome.moves, outcome.ranks)
                 )
                 upsilon.union_update(gamma_down(stack, outcome.won, 1))
             if layer == L:
@@ -442,27 +445,6 @@ class SynthesisEngine:
             sizes[st.layer - 1] += st.domain.count()
         self.stats.winning_sizes = sizes
         self.stats.trace.append({"phase": "result", "layer1_winning": winning.count()})
-
-
-def _moves_into(table: TransitionTable, cells: np.ndarray, region_bits: np.ndarray):
-    """For each cell, the inputs whose successors all lie in ``region``."""
-    cells = np.asarray(cells, dtype=np.int64)
-    moves: dict[int, list[int]] = {int(c): [] for c in cells}
-    if cells.size == 0:
-        return {}
-    want = np.zeros(table.n_cells, dtype=bool)
-    want[cells] = True
-    for u_idx in range(table.sys.n_inputs):
-        tab_cells, indptr, flat, blocked = table.csr(u_idx)
-        if tab_cells.size == 0:
-            continue
-        ok = np.minimum.reduceat(region_bits[flat], indptr[:-1]) & ~blocked & want[tab_cells]
-        for c in tab_cells[ok]:
-            moves[int(c)].append(u_idx)
-    out = {c: tuple(v) for c, v in moves.items()}
-    if any(len(v) == 0 for v in out.values()):
-        raise AssertionError("winning cell without a closing move")
-    return out
 
 
 # -- entry point ------------------------------------------------------------

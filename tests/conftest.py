@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from layersynth import (
     BLOCKED,
@@ -14,6 +15,10 @@ from layersynth import (
 )
 from layersynth.problem import REACH_AVOID, SAFETY
 
+# Property tests draw the same examples on every run and have no
+# per-example deadline, so a slow host cannot turn them flaky.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 # The dcdc-safe benchmark workload as a config document: 6,400 layer-1
 # cells on 3 layers; it wins 5,393 cells in well under a second.

@@ -7,6 +7,7 @@ bitset machinery in the package.
 from __future__ import annotations
 
 from layersynth import BLOCKED
+from layersynth.problem import SAFETY
 
 
 def table_as_dict(table):
@@ -80,3 +81,27 @@ def attractor_oracle(table_dict, target: set[int], safe: set[int], m: int | None
             ranks[c] = i
         w = step
     return w, ranks
+
+
+def quantize_oracle(mlc, x):
+    """Stage selection by quantizing ``x`` on every stage's own layer.
+
+    Returns ``(stage_index, linear_cell)`` or ``None``.  Safety picks the
+    coarsest applicable stage, reach-avoid the earliest inserted one
+    (ties broken toward the coarser layer).
+    """
+    hits = []
+    for p, st in enumerate(mlc.stages):
+        cid = mlc.stack.quantize(x, st.layer)
+        if cid is None:
+            continue
+        cell = int(mlc.stack.linearize(st.layer, cid.index))
+        if cell in st.moves:
+            hits.append((p, st.layer, cell))
+    if not hits:
+        return None
+    if mlc.kind == SAFETY:
+        p, _, cell = max(hits, key=lambda h: (h[1], -h[0]))
+    else:
+        p, _, cell = min(hits, key=lambda h: (h[0], -h[1]))
+    return p, cell

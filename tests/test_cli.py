@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import DCDC_SAFE
-from layersynth import ALGORITHMS, MultiLayeredController, cli
+from layersynth import ALGORITHMS, MultiLayeredController, cli, default_config
 from layersynth import controller as ctrl
 from layersynth.config import load_config
 
@@ -36,7 +36,9 @@ def test_synthesize_validate_stats_round_trip(tmp_path, capsys):
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats["winning_layer1_cells"] == 5393
     assert sorted({s["layer"] for s in stats["stages"]}) == [1, 2, 3]
-    assert "layer-1 winning cells: 5393" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "layer-1 winning cells: 5393" in captured.out
+    assert "warning" not in captured.err
 
 
 def test_timings_are_disjoint_phases(tmp_path):
@@ -89,3 +91,15 @@ def test_zero_trajectory_validation_is_flagged(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert "warning: validation executed 0 trajectories" in capsys.readouterr().err
     assert json.loads(report.read_text(encoding="utf-8"))["executed"] == 0
+
+
+def test_target_only_winning_set_is_flagged(tmp_path, capsys):
+    # The shipped unicycle-desk reach box never fits inside the target,
+    # so only the target cells are won and no stage is built.
+    config = write_config(tmp_path, default_config("unicycle-desk"))
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
+    assert "warning: winning set is the target alone; no stages" in capsys.readouterr().err
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert stats["winning_layer1_cells"] == 2048 and stats["stages"] == []
+
