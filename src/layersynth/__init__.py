@@ -18,7 +18,6 @@ from .controller import (
     ValidationReport,
     check_rank_progress,
     simulate,
-    step_closed_loop,
     validate,
 )
 from .dynamics import (
@@ -95,7 +94,6 @@ __all__ = [
     "parse_config",
     "sample_disturbed_step",
     "simulate",
-    "step_closed_loop",
     "synthesize",
     "unicycle",
     "upre",

@@ -44,7 +44,7 @@ class ProblemConfig:
         try:
             return LayerStack(self.layers, self.eta1, self.tau1, self.y_lower, self.y_upper)
         except ValueError as exc:
-            raise ConfigError(f"layers/eta1/y bounds: {exc}") from exc
+            raise ConfigError(f"layers/eta1/tau1/y bounds: {exc}") from exc
 
     def build_spec(self) -> ProblemSpec:
         lo = np.asarray(self.y_lower, dtype=float)

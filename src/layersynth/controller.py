@@ -87,19 +87,36 @@ class MultiLayeredController:
         """Stage selection for a concrete state.
 
         Returns ``(stage_index, linear_cell)`` of the acting stage, or
-        ``None`` when no stage domain contains ``x``.  The cell on the
+        ``None`` when no stage domain contains ``x``.
+        """
+        p, cell = self.quantize_batch(np.asarray(x, dtype=float)[None, :])
+        return None if p[0] < 0 else (int(p[0]), int(cell[0]))
+
+    def quantize_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stage selection for every row of the states ``x`` ``(N, n)``.
+
+        Returns the acting stage index and its linear cell per row, both
+        -1 where no stage domain contains the row.  The cell on the
         stage's layer is the layer-1 index shifted right by ``layer - 1``:
         cell widths are ``eta1`` times powers of two, so this is exact.
+        Cells are semi-open, as in :meth:`LayerStack.quantize`.
         """
-        cid = self.stack.quantize(x, 1)
-        if cid is None:
-            return None
-        p = int(self._acting[self.stack.linearize(1, cid.index)])
-        if p < 0:
-            return None
-        layer = self.stages[p].layer
-        index = np.asarray(cid.index, dtype=np.int64) >> (layer - 1)
-        return p, int(self.stack.linearize(layer, index))
+        stack = self.stack
+        index = np.floor((x - stack.y_lower) / stack.eta(1)).astype(np.int64)
+        inside = np.all((index >= 0) & (index < stack.dims(1)), axis=1)
+        stage = np.full(len(x), -1, dtype=np.int64)
+        stage[inside] = self._acting[stack.linearize(1, index[inside])]
+        cell = np.full(len(x), -1, dtype=np.int64)
+        layer = self._stage_layers[stage]
+        for lay in np.unique(layer[stage >= 0]):
+            rows = (stage >= 0) & (layer == lay)
+            cell[rows] = stack.linearize(int(lay), index[rows] >> (lay - 1))
+        return stage, cell
+
+    @cached_property
+    def _stage_layers(self) -> np.ndarray:
+        """Layer of every stage; the last entry (read for stage -1) is 0."""
+        return np.array([st.layer for st in self.stages] + [0], dtype=np.int64)
 
 
 @dataclass
@@ -123,35 +140,6 @@ class TrajectoryLog:
         return len(self.entries)
 
 
-def step_closed_loop(
-    mlc: MultiLayeredController,
-    sys: ControlSystem,
-    x,
-    rng,
-    t: float = 0.0,
-    substeps_base: int = 5,
-) -> tuple[np.ndarray, LogEntry] | None:
-    """Apply one sample-and-hold step; ``None`` when outside the domain.
-
-    Input tie-break within a stage is the lowest input index, so runs
-    are reproducible.
-    """
-    sel = mlc.quantize(x)
-    if sel is None:
-        return None
-    p, cell = sel
-    st = mlc.stages[p]
-    u_idx = min(st.moves[cell])
-    layer = st.layer
-    tau = mlc.stack.tau(layer)
-    x_next = sample_disturbed_step(
-        sys, x, sys.inputs[u_idx], tau, rng, substeps=substeps_base * 2 ** (layer - 1)
-    )
-    rank = None if st.ranks is None else st.ranks[cell]
-    entry = LogEntry(t, np.asarray(x, dtype=float).copy(), layer, p, u_idx, rank)
-    return x_next, entry
-
-
 def rank_budget(mlc: MultiLayeredController) -> int:
     """Worst-case step bound for reach-avoid runs, with slack factor 2."""
     total = 0
@@ -159,6 +147,95 @@ def rank_budget(mlc: MultiLayeredController) -> int:
         if st.ranks:
             total += max(st.ranks.values())
     return max(2 * total, 10)
+
+
+def _closed_loop(
+    mlc: MultiLayeredController,
+    sys: ControlSystem,
+    spec: ProblemSpec,
+    x0: np.ndarray,
+    horizon: int,
+    rngs: list,
+    substeps_base: int,
+    entries: list[list[LogEntry]] | None = None,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Run the closed loops from the rows of ``x0`` ``(N, n)`` together.
+
+    Each round applies one sample-and-hold step to every run still
+    going, with the period of its acting stage's layer; the runs that
+    share a layer and an input are integrated in one call, each with its
+    own generator from ``rngs``.  A run stops on a violation, on target
+    entry (reach-avoid) or on leaving the controller domain; the
+    specification is checked at sampling instants.  The input tie-break
+    within a stage is the lowest input index, so runs are reproducible.
+
+    Returns the status, final state and step count of every run, and
+    whether its (stage, rank) measure strictly decreased at every step.
+    Given ``entries`` (one list per run), every step is logged there.
+    """
+    reach = mlc.kind == REACH_AVOID
+    if reach:
+        horizon = min(horizon, rank_budget(mlc)) if horizon else rank_budget(mlc)
+    x = np.array(x0, dtype=float)
+    status = [""] * len(x)
+    steps = np.zeros(len(x), dtype=np.int64)
+    t = np.zeros(len(x))
+    monotone = np.ones(len(x), dtype=bool)
+    measure = np.full((len(x), 2), np.iinfo(np.int64).max)  # last (stage, rank)
+    active = np.arange(len(x))
+
+    def stop(rows, what: str) -> None:
+        for i in rows.tolist():
+            status[i] = what
+
+    for _ in range(horizon):
+        if active.size == 0:
+            break
+        xa = x[active]
+        going = spec.in_safe_region(xa, mlc.stack)
+        stop(active[~going], "violation")
+        if reach:
+            arrived = going & spec.in_target_region(xa)
+            stop(active[arrived], "target-reached")
+            going &= ~arrived
+        stage, cell = mlc.quantize_batch(xa)
+        stop(active[going & (stage < 0)], "left-domain")
+        going &= stage >= 0
+        active, stage, cell = active[going], stage[going], cell[going]
+
+        chosen = [mlc.stages[p] for p in stage.tolist()]
+        moves = np.array([min(st.moves[c]) for st, c in zip(chosen, cell.tolist())], dtype=np.int64)
+        ranks = [None if st.ranks is None else st.ranks[c] for st, c in zip(chosen, cell.tolist())]
+        layers = mlc._stage_layers[stage]
+        now = np.stack([stage, [r or 0 for r in ranks]], axis=1)
+        prev = measure[active]
+        monotone[active] &= (now[:, 0] < prev[:, 0]) | (
+            (now[:, 0] == prev[:, 0]) & (now[:, 1] < prev[:, 1])
+        )
+        measure[active] = now
+        if entries is not None:
+            for j, i in enumerate(active.tolist()):
+                entries[i].append(
+                    LogEntry(float(t[i]), x[i].copy(), int(layers[j]), int(stage[j]),
+                             int(moves[j]), ranks[j])
+                )
+        for layer, u in sorted(set(zip(layers.tolist(), moves.tolist()))):
+            rows = active[(layers == layer) & (moves == u)]
+            tau = mlc.stack.tau(layer)
+            x[rows] = sample_disturbed_step(
+                sys, x[rows], sys.inputs[u], tau,
+                [rngs[i] for i in rows.tolist()], substeps=substeps_base * 2 ** (layer - 1),
+            )
+            t[rows] += tau
+        steps[active] += 1
+
+    xa = x[active]
+    ok = spec.in_safe_region(xa, mlc.stack)
+    if reach:
+        ok &= spec.in_target_region(xa)
+    stop(active[ok], "target-reached" if reach else "safe-horizon-complete")
+    stop(active[~ok], "violation")
+    return status, x, steps, monotone
 
 
 def simulate(
@@ -174,32 +251,15 @@ def simulate(
 
     Safety runs complete after ``horizon`` steps; reach-avoid runs stop
     on target entry and count failing to arrive within the step budget
-    as a violation.  The specification is checked at sampling instants.
+    as a violation.  This is the step code of :func:`validate` with a
+    single run, every step logged.
     """
-    rng = np.random.default_rng(rng)
-    x = np.asarray(x0, dtype=float)
-    entries: list[LogEntry] = []
-    t = 0.0
-    if mlc.kind == REACH_AVOID:
-        horizon = min(horizon, rank_budget(mlc)) if horizon else rank_budget(mlc)
-    for _ in range(horizon):
-        if not spec.in_safe_region(x, mlc.stack):
-            return TrajectoryLog(entries, "violation", x)
-        if mlc.kind == REACH_AVOID and spec.in_target_region(x):
-            return TrajectoryLog(entries, "target-reached", x)
-        stepped = step_closed_loop(mlc, sys, x, rng, t, substeps_base)
-        if stepped is None:
-            return TrajectoryLog(entries, "left-domain", x)
-        x, entry = stepped
-        entries.append(entry)
-        t += mlc.stack.tau(entry.layer)
-    if mlc.kind == SAFETY:
-        if not spec.in_safe_region(x, mlc.stack):
-            return TrajectoryLog(entries, "violation", x)
-        return TrajectoryLog(entries, "safe-horizon-complete", x)
-    if spec.in_target_region(x) and spec.in_safe_region(x, mlc.stack):
-        return TrajectoryLog(entries, "target-reached", x)
-    return TrajectoryLog(entries, "violation", x)
+    entries: list[list[LogEntry]] = [[]]
+    status, x, _, _ = _closed_loop(
+        mlc, sys, spec, np.asarray(x0, dtype=float)[None, :], horizon,
+        [np.random.default_rng(rng)], substeps_base, entries,
+    )
+    return TrajectoryLog(entries[0], status[0], x[0])
 
 
 def check_rank_progress(log: TrajectoryLog) -> bool:
@@ -244,39 +304,34 @@ def validate(
     """Monte Carlo closed-loop check over the controller domain.
 
     Initial states are sampled uniformly from the layer-1 projection of
-    the domain.  An empty domain yields a vacuous pass with zero runs.
+    the domain; run ``i`` draws its initial cell, then its offset in the
+    cell, then its disturbances from the ``i``-th generator spawned from
+    ``seed``.  All runs are simulated together.  An empty domain yields
+    a vacuous pass with zero runs.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if any(not 0 <= u < sys.n_inputs for st in mlc.stages for mv in st.moves.values() for u in mv):
         raise ValueError(f"a move names an input outside the system's {sys.n_inputs} inputs")
-    domain = mlc.domain_projection()
-    cells = domain.indices()
+    cells = mlc.domain_projection().indices()
     if cells.size == 0:
         return ValidationReport(runs, 0, 0, {}, horizon, seed, 0.0,
                                 None if mlc.kind == SAFETY else True)
-    seeds = np.random.SeedSequence(seed).spawn(runs)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(runs)]
     eta1 = mlc.stack.eta(1)
-
-    def one(i: int) -> TrajectoryLog:
-        rng = np.random.default_rng(seeds[i])
-        cell = int(cells[rng.integers(cells.size)])
-        lo = mlc.stack.centers(1, np.asarray([cell]))[0] - 0.5 * eta1
-        x0 = lo + rng.uniform(0.0, 1.0, size=mlc.stack.dim) * eta1
-        return simulate(mlc, sys, spec, x0, horizon, rng, substeps_base)
-
-    logs = [one(i) for i in range(runs)]
+    start = np.array([cells[rng.integers(cells.size)] for rng in rngs])
+    offset = np.array([rng.uniform(0.0, 1.0, size=mlc.stack.dim) for rng in rngs])
+    x0 = mlc.stack.centers(1, start) - 0.5 * eta1 + offset * eta1
+    status, _, steps, monotone = _closed_loop(mlc, sys, spec, x0, horizon, rngs, substeps_base)
 
     ok = {"safe-horizon-complete"} if mlc.kind == SAFETY else {"target-reached"}
     counts: dict[str, int] = {}
-    for log in logs:
-        counts[log.status] = counts.get(log.status, 0) + 1
+    for s in status:
+        counts[s] = counts.get(s, 0) + 1
     violations = sum(n for s, n in counts.items() if s not in ok)
-    rank_ok = None
-    if mlc.kind == REACH_AVOID:
-        rank_ok = all(check_rank_progress(log) for log in logs)
-    mean_steps = float(np.mean([log.steps for log in logs]))
-    return ValidationReport(runs, runs, violations, counts, horizon, seed, mean_steps, rank_ok)
+    rank_ok = bool(monotone.all()) if mlc.kind == REACH_AVOID else None
+    return ValidationReport(runs, runs, violations, counts, horizon, seed,
+                            float(np.mean(steps)), rank_ok)
 
 
 _MAGIC = b"LSMC"
@@ -331,9 +386,6 @@ def _decode(data: bytes) -> MultiLayeredController:
     stack = LayerStack(
         levels, grid[:dim], grid[dim], grid[dim + 1 : 2 * dim + 1], grid[2 * dim + 1 : -1]
     )
-    # No synthesized controller outgrows the tables' int32 cell indices.
-    if np.prod(stack.dims(1), dtype=float) > np.iinfo(np.int32).max:
-        raise ControllerFormatError("grid has more layer-1 cells than int32 indices address")
     kind = REACH_AVOID if kind_flag else SAFETY
     stages = []
     for _ in range(grid[-1]):

@@ -194,23 +194,34 @@ def sample_disturbed_step(
     rng,
     substeps: int = 5,
 ) -> np.ndarray:
-    """One disturbed sample-and-hold step.
+    """One disturbed sample-and-hold step of a state ``(n,)`` or of states ``(N, n)``.
 
     The disturbance is piecewise constant over ``DISTURBANCE_SEGMENTS``
     equal sub-intervals, each drawn uniformly from the disturbance box.
-    Deterministic for a fixed seed.  With a zero disturbance bound this
-    is exactly ``integrate_nominal``.
+    A single state takes one generator (or seed) ``rng``; a batch takes
+    one per row, and each row draws its own ``(DISTURBANCE_SEGMENTS, n)``
+    block from it, so a row steps exactly as it would alone.
+    Deterministic for fixed seeds.  With a zero disturbance bound this
+    is exactly ``integrate_nominal`` and draws nothing.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if not np.any(sys.disturbance > 0.0):
         return integrate_nominal(sys, x0, u, tau, substeps)
-    rng = np.random.default_rng(rng)
+    x = np.asarray(x0, dtype=float)
+    rngs = [rng] if x.ndim == 1 else rng
+    if len(rngs) != len(np.atleast_2d(x)):
+        raise ValueError("a batch of states needs one generator per row")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    w = rng.uniform(-sys.disturbance, sys.disturbance, size=(DISTURBANCE_SEGMENTS, sys.dim))
+    shape = (DISTURBANCE_SEGMENTS, sys.dim)
+    w = np.stack(
+        [np.random.default_rng(r).uniform(-sys.disturbance, sys.disturbance, size=shape) for r in rngs],
+        axis=-2,
+    )
+    if x.ndim == 1:
+        w = w[:, 0]
     seg_tau = tau / DISTURBANCE_SEGMENTS
     seg_steps = max(1, -(-substeps // DISTURBANCE_SEGMENTS))
-    x = np.asarray(x0, dtype=float)
     for k in range(DISTURBANCE_SEGMENTS):
         wk = w[k]
         x = _rk4(lambda y: sys.vector_field(y, u) + wk, x, seg_tau, seg_steps)

@@ -8,6 +8,7 @@ varying fastest, which matches numpy's Fortran order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from .dynamics import ReachBox
 # floor/ceil arithmetic; keeps successor enumeration stable when ODE
 # endpoints land within rounding error of a cell boundary.
 _SNAP_REL = 1e-9
+
+# Most layer-1 cells a stack may have: the largest int32 cell index.
+_MAX_CELLS = 2**31 - 1
 
 
 class LayerMismatchError(ValueError):
@@ -39,20 +43,32 @@ class LayerStack:
         eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
         y_lower = np.atleast_1d(np.asarray(y_lower, dtype=float))
         y_upper = np.atleast_1d(np.asarray(y_upper, dtype=float))
+        if eta1.shape != y_lower.shape or eta1.shape != y_upper.shape:
+            raise ValueError("eta1 and region bounds must have the same dimension")
+        if not (np.all(np.isfinite(eta1)) and np.isfinite(tau1)
+                and np.all(np.isfinite(y_lower)) and np.all(np.isfinite(y_upper))):
+            raise ValueError("eta1, tau1 and region bounds must be finite")
         if np.any(eta1 <= 0.0):
             raise ValueError("eta1 must be positive in every dimension")
         if tau1 <= 0.0:
             raise ValueError("tau1 must be positive")
-        if eta1.shape != y_lower.shape or eta1.shape != y_upper.shape:
-            raise ValueError("eta1 and region bounds must have the same dimension")
         if np.any(y_upper <= y_lower):
             raise ValueError("region of interest is empty")
-        counts = (y_upper - y_lower) / eta1
+        with np.errstate(over="ignore"):  # an infinite count is rejected next
+            counts = (y_upper - y_lower) / eta1
+        # Transition tables and controller files index layer-1 cells as int32.
+        too_many = f"grid has more than {_MAX_CELLS} layer-1 cells"
+        if not np.all(counts <= _MAX_CELLS):
+            raise ValueError(too_many)
         rounded = np.rint(counts)
-        if np.any(np.abs(counts - rounded) > 1e-6 * np.maximum(1.0, rounded)):
+        if np.any(np.abs(counts - rounded) > 1e-6 * np.maximum(1.0, rounded)) or np.any(
+            rounded < 1
+        ):
             raise ValueError(
                 "region extent must be an integer multiple of eta1 in every dimension"
             )
+        if math.prod(int(c) for c in rounded) > _MAX_CELLS:
+            raise ValueError(too_many)
         base = rounded.astype(np.int64)
         factor = 2 ** (levels - 1)
         if np.any(base % factor != 0):

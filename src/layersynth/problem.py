@@ -49,22 +49,29 @@ class ProblemSpec:
         if self.kind == REACH_AVOID and not self.target_boxes:
             raise ValueError("reach-avoid problems need at least one target box")
 
-    def in_safe_region(self, x, stack: LayerStack) -> bool:
-        """Point test against the concrete safe region (closed boxes)."""
+    def in_safe_region(self, x, stack: LayerStack):
+        """Test a point ``(n,)`` or each row of ``(N, n)`` against the
+        concrete safe region (closed boxes); a bool or a bool array."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < stack.y_lower) or np.any(x > stack.y_upper):
-            return False
-        if self.safe_boxes and not any(
-            np.all(x >= lo) and np.all(x <= hi) for lo, hi in self.safe_boxes
-        ):
-            return False
-        return not any(
-            np.all(x >= lo) and np.all(x <= hi) for lo, hi in self.obstacle_boxes
-        )
+        ok = ~np.any((x < stack.y_lower) | (x > stack.y_upper), axis=-1)
+        if self.safe_boxes:
+            ok &= _in_any(x, self.safe_boxes)
+        ok &= ~_in_any(x, self.obstacle_boxes)
+        return bool(ok) if x.ndim == 1 else ok
 
-    def in_target_region(self, x) -> bool:
+    def in_target_region(self, x):
+        """Like :meth:`in_safe_region`, for the union of the target boxes."""
         x = np.asarray(x, dtype=float)
-        return any(np.all(x >= lo) and np.all(x <= hi) for lo, hi in self.target_boxes)
+        ok = _in_any(x, self.target_boxes)
+        return bool(ok) if x.ndim == 1 else ok
+
+
+def _in_any(x: np.ndarray, boxes) -> np.ndarray:
+    """Whether each point of ``x`` lies in one of the closed ``boxes``."""
+    out = np.zeros(x.shape[:-1], dtype=bool)
+    for lo, hi in boxes:
+        out |= np.all((x >= lo) & (x <= hi), axis=-1)
+    return out
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 from conftest import DCDC_SAFE
 from layersynth import ALGORITHMS, MultiLayeredController, cli, default_config
 from layersynth import controller as ctrl
-from layersynth.config import load_config
+from layersynth.config import ConfigError, load_config, parse_config
 
 UNICYCLE_REACH = {
     "benchmark": "unicycle",
@@ -103,3 +103,12 @@ def test_target_only_winning_set_is_flagged(tmp_path, capsys):
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats["winning_layer1_cells"] == 2048 and stats["stages"] == []
 
+
+
+def test_non_finite_tau1_is_a_config_error(tmp_path, capsys):
+    doc = {**DCDC_SAFE, "tau1": float("nan")}
+    with pytest.raises(ConfigError, match="tau1"):
+        parse_config(doc)
+    config = write_config(tmp_path, doc)  # written as the JSON token NaN
+    assert cli.main(["synthesize", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert "must be finite" in capsys.readouterr().err

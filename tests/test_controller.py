@@ -1,7 +1,8 @@
-"""Controller stage selection and the controller file decoder."""
+"""Controller stage selection, closed-loop validation and the controller file decoder."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import struct
 import warnings
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_problem
-from oracles import quantize_oracle
+from conftest import drift_system, random_problem, stationary_system
+from oracles import quantize_oracle, simulate_oracle, validate_oracle
 from layersynth import (
     CellSet,
     ControllerFormatError,
+    IntegrationDivergenceError,
     LayerController,
     MultiLayeredController,
+    ProblemSpec,
+    simulate,
     synthesize,
     validate,
 )
@@ -65,10 +69,13 @@ def probe_states(mlc: MultiLayeredController, rng: np.random.Generator) -> np.nd
 def test_quantize_matches_per_stage_oracle(kind, levels, seed):
     _, _, mlc = solved(kind, levels, seed)
     rng = np.random.default_rng(seed)
+    states = probe_states(mlc, rng)
+    stage, cell = mlc.quantize_batch(states)
     hits = 0
-    for x in probe_states(mlc, rng):
+    for x, p, c in zip(states, stage.tolist(), cell.tolist()):
         expect = quantize_oracle(mlc, x)
         assert mlc.quantize(x) == expect, x
+        assert (None if p < 0 else (p, c)) == expect, x
         hits += expect is not None
     assert hits > 0
 
@@ -150,8 +157,8 @@ def _with(data: bytes, offset: int, fmt: str, value) -> bytes:
     return bytes(out)
 
 
-# Offsets in a 2-D controller file: kind flag, level count, first stage.
-_KIND, _LEVELS, _STAGE = 8, 9, 11 + 7 * 8 + 4
+# Offsets in a 2-D controller file: kind flag, level count, eta1, first stage.
+_KIND, _LEVELS, _ETA1, _STAGE = 8, 9, 11, 11 + 7 * 8 + 4
 
 
 @pytest.mark.parametrize(
@@ -164,8 +171,11 @@ _KIND, _LEVELS, _STAGE = 8, 9, 11 + 7 * 8 + 4
         (lambda d: _with(d, _STAGE, "<B", 4), "layer 4 not in"),
         (lambda d: _with(d, _STAGE + 13, "<q", 10**6), "outside layer"),
         (lambda d: _with(d, _STAGE + 13, "<q", -1), "outside layer"),
+        (lambda d: _with(d, _ETA1, "<d", 1e-300), "layer-1 cells"),
+        (lambda d: _with(d, _ETA1 + 16, "<d", float("nan")), "finite"),
     ],
-    ids=["trailing", "kind", "no-levels", "too-many-levels", "layer", "cell", "negative-cell"],
+    ids=["trailing", "kind", "no-levels", "too-many-levels", "layer", "cell", "negative-cell",
+         "huge-grid", "nan-tau1"],
 )
 def test_malformed_controller_names_the_fault(edit, message):
     data = encoded((REACH_AVOID, 3, 2))
@@ -182,3 +192,68 @@ def test_validate_rejects_moves_outside_the_input_alphabet():
     bad_mlc = MultiLayeredController(mlc.kind, mlc.stack, [bad, *mlc.stages[1:]])
     with pytest.raises(ValueError, match="outside the system"):
         validate(bad_mlc, sys_, spec, runs=2, horizon=5, seed=0)
+
+
+# -- closed-loop validation ------------------------------------------------------
+
+
+@pytest.mark.parametrize("runs", [1, 7, 64])
+@pytest.mark.parametrize("kind, levels, seed", PROBLEMS)
+def test_validate_matches_per_trajectory_oracle(kind, levels, seed, runs):
+    sys_, spec, mlc = solved(kind, levels, seed)
+    args = (mlc, sys_, spec, runs, 20, seed)
+    assert validate(*args).to_dict() == validate_oracle(*args).to_dict()
+
+
+def logged(log) -> tuple:
+    steps = [(e.time, e.state.tolist(), e.layer, e.stage, e.input_index, e.rank)
+             for e in log.entries]
+    return log.status, log.final_state.tolist(), steps
+
+
+@pytest.mark.parametrize("kind, levels, seed", PROBLEMS[::3])
+def test_simulate_matches_per_trajectory_oracle(kind, levels, seed):
+    sys_, spec, mlc = solved(kind, levels, seed)
+    cells = mlc.domain_projection().indices()
+    for i, x0 in enumerate(mlc.stack.centers(1, cells[:: max(1, cells.size // 5)])):
+        assert logged(simulate(mlc, sys_, spec, x0, 30, i)) == logged(
+            simulate_oracle(mlc, sys_, spec, x0, 30, i)
+        )
+
+
+@pytest.mark.parametrize("kind, levels, seed", [(SAFETY, 2, 12), (REACH_AVOID, 3, 2)])
+def test_undisturbed_validation_matches_oracle(kind, levels, seed):
+    # a zero disturbance bound takes the nominal integrator and draws nothing
+    sys_, spec, mlc = solved(kind, levels, seed)
+    calm = dataclasses.replace(sys_, disturbance=np.zeros(sys_.dim))
+    args = (mlc, calm, spec, 16, 30, seed)
+    assert validate(*args).to_dict() == validate_oracle(*args).to_dict()
+
+
+def test_diverging_closed_loop_raises_on_both_paths():
+    sys_, spec, mlc = solved(SAFETY, 2, 12)
+    blowup = dataclasses.replace(
+        sys_, vector_field=lambda x, u: np.full_like(np.asarray(x, dtype=float), np.inf)
+    )
+    for check in (validate, validate_oracle):
+        with pytest.raises(IntegrationDivergenceError):
+            check(mlc, blowup, spec, 7, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "system, kind, status",
+    [(stationary_system(), REACH_AVOID, "violation"), (drift_system(1.0, dim=2), SAFETY, "left-domain")],
+    ids=["stalled", "drifted-out"],
+)
+def test_hand_built_failures_match_oracle(square_stack, system, kind, status):
+    # One layer-1 stage on cell 0: the stationary system stays there,
+    # repeating its (stage, rank) until the step budget runs out; the
+    # drifting one leaves the stage domain.
+    spec = ProblemSpec(kind=kind, target_boxes=[([3.0, 3.0], [4.0, 4.0])] if kind == REACH_AVOID else [])
+    ranks = {0: 1} if kind == REACH_AVOID else None
+    stage = LayerController(1, 0, CellSet.from_indices(square_stack, 1, [0]), {0: (0,)}, ranks)
+    mlc = MultiLayeredController(kind, square_stack, [stage])
+    report = validate(mlc, system, spec, 3, 5, 0)
+    assert report.to_dict() == validate_oracle(mlc, system, spec, 3, 5, 0).to_dict()
+    assert report.status_counts == {status: 3}
+    assert report.rank_monotone is (False if kind == REACH_AVOID else None)

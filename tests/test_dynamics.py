@@ -140,6 +140,24 @@ class TestSampleDisturbedStep:
         b = sample_disturbed_step(sys, [1.2, 5.6], sys.inputs[1], 0.0625, 42)
         assert np.array_equal(a, b)
 
+    def test_batch_rows_step_as_they_would_alone(self):
+        sys = unicycle()
+        x0 = np.random.default_rng(3).uniform(0.0, 3.0, size=(9, 3))
+        batch = sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, list(range(9)))
+        for i in range(9):
+            alone = sample_disturbed_step(sys, x0[i], sys.inputs[4], 0.225, i)
+            assert np.array_equal(batch[i], alone)
+        with pytest.raises(ValueError, match="one generator per row"):
+            sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, list(range(8)))
+
+    def test_undisturbed_batch_draws_nothing(self):
+        sys = decay_system(dim=2)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        x0 = np.array([[1.0, -1.0], [0.5, 0.0], [2.0, 3.0]])
+        out = sample_disturbed_step(sys, x0, sys.inputs[0], 0.5, rngs, substeps=7)
+        assert np.array_equal(out, integrate_nominal(sys, x0, sys.inputs[0], 0.5, 7))
+        assert [r.random() for r in rngs] == [np.random.default_rng(s).random() for s in range(3)]
+
 
 def _containment_trial(sys, lower, upper, tau, seeds, points, rng):
     cell = ReachBox(lower, upper)

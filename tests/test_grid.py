@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,25 @@ class TestLayerStack:
         # 6 layer-1 cells per axis cannot be halved twice
         with pytest.raises(ValueError, match="divisible"):
             LayerStack(3, [1.0, 1.0], 0.1, [0.0, 0.0], [6.0, 6.0])
+
+    @pytest.mark.parametrize(
+        "eta1, tau1, y_upper, message",
+        [
+            ([0.5, 0.5], float("nan"), [4.0, 4.0], "finite"),
+            ([0.5, 0.5], float("inf"), [4.0, 4.0], "finite"),
+            ([float("nan"), 0.5], 0.1, [4.0, 4.0], "finite"),
+            ([0.5, 0.5], 0.1, [4.0, float("inf")], "finite"),
+            ([1e-300, 0.5], 0.1, [4.0, 4.0], "layer-1 cells"),
+            ([1e-5, 1e-5], 0.1, [4.0, 4.0], "layer-1 cells"),
+        ],
+        ids=["nan-tau1", "inf-tau1", "nan-eta1", "inf-upper", "tiny-eta1", "too-many-cells"],
+    )
+    def test_rejects_non_finite_values_and_huge_grids(self, eta1, tau1, y_upper, message):
+        # a ValueError, not a RuntimeWarning from casting the cell counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                LayerStack(1, eta1, tau1, [0.0, 0.0], y_upper)
 
     def test_linearize_is_fortran_order(self):
         stack = LayerStack(1, [1.0, 1.0, 1.0], 0.1, [0, 0, 0], [2.0, 3.0, 4.0])

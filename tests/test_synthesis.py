@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from layersynth import (
     synthesize,
     upre,
     upre_m,
+    validate,
 )
 from layersynth.problem import REACH_AVOID, SAFETY
 
@@ -369,24 +373,49 @@ class TestContainmentLemma:
                         )
 
 
+# (levels, seed) of the random problems swept for both kinds.
+SWEEP = [(levels, seed) for levels in (2, 3) for seed in range(40)]
+
+
+@functools.lru_cache(maxsize=None)
+def swept(kind, levels, seed):
+    """Problem and eager, lazy and single-layer results of one sweep instance."""
+    sys, stack, spec = random_problem(seed, kind=kind, levels=levels)
+    suffix = "-reach" if kind == REACH_AVOID else "-safe"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "target under-approximation is empty")
+        results = [synthesize(sys, stack, spec, algorithm)
+                   for algorithm in ("eager" + suffix, "lazy" + suffix, "single-layer")]
+    return sys, spec, results
+
+
 class TestLazyFrontierSweep:
-    @pytest.mark.filterwarnings("ignore:target under-approximation is empty")
-    @pytest.mark.parametrize(
-        "kind, suffix", [(REACH_AVOID, "-reach"), (SAFETY, "-safe")], ids=["reach", "safe"]
-    )
-    def test_lazy_wins_what_eager_wins(self, kind, suffix):
+    @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
+    def test_lazy_wins_what_eager_wins(self, kind):
         # the lazy frontier may skip only transitions that cannot make
         # progress, so it wins exactly the eager set; single-layer wins
         # a subset of it (relative completeness)
-        for levels in (2, 3):
-            for seed in range(40):
-                sys, stack, spec = random_problem(seed, kind=kind, levels=levels)
-                eager = synthesize(sys, stack, spec, "eager" + suffix).winning
-                lazy = synthesize(sys, stack, spec, "lazy" + suffix).winning
-                single = synthesize(sys, stack, spec, "single-layer").winning
-                where = f"seed {seed}, L={levels}"
-                assert lazy == eager, f"lazy {lazy.count()} != eager {eager.count()}: {where}"
-                assert single.is_subset(eager), where
+        for levels, seed in SWEEP:
+            eager, lazy, single = (r.winning for r in swept(kind, levels, seed)[2])
+            where = f"seed {seed}, L={levels}"
+            assert lazy == eager, f"lazy {lazy.count()} != eager {eager.count()}: {where}"
+            assert single.is_subset(eager), where
+
+    @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
+    def test_every_controller_validates_without_violation(self, kind):
+        validated = 0
+        for levels, seed in SWEEP:
+            sys, spec, results = swept(kind, levels, seed)
+            for result in results:
+                mlc = result.controller
+                if mlc.domain_projection().is_empty():
+                    continue
+                report = validate(mlc, sys, spec, runs=50, horizon=50, seed=seed)
+                where = f"seed {seed}, L={levels}: {report.to_dict()}"
+                assert report.violations == 0 and report.executed == report.runs, where
+                assert report.rank_monotone is (True if kind == REACH_AVOID else None), where
+                validated += 1
+        assert validated > 0
 
 
 class TestStructuralInvariants:
