@@ -16,16 +16,13 @@ from .controller import (
     MultiLayeredController,
     TrajectoryLog,
     ValidationReport,
-    check_rank_progress,
     simulate,
     validate,
 )
 from .dynamics import (
     ControlSystem,
     IntegrationDivergenceError,
-    ReachBox,
     integrate_nominal,
-    over_approx_reach,
     sample_disturbed_step,
 )
 from .grid import (
@@ -68,7 +65,6 @@ __all__ = [
     "NonterminationError",
     "ProblemConfig",
     "ProblemSpec",
-    "ReachBox",
     "SpecSets",
     "SynthesisEngine",
     "SynthesisResult",
@@ -81,7 +77,6 @@ __all__ = [
     "build_system",
     "cells_inside_box",
     "cells_intersecting_box",
-    "check_rank_progress",
     "cpre",
     "dcdc",
     "default_config",
@@ -90,7 +85,6 @@ __all__ = [
     "gamma_up",
     "integrate_nominal",
     "load_config",
-    "over_approx_reach",
     "parse_config",
     "sample_disturbed_step",
     "simulate",

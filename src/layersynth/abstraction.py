@@ -124,7 +124,9 @@ class TransitionTable:
 
     # -- population ----------------------------------------------------
 
-    def _store(self, u_idx: int, cell: int, succ) -> None:
+    def preload(self, cell: int, u_idx: int, succ) -> None:
+        """Insert an entry directly (hand-built games); no-op if explored."""
+        cell = int(cell)
         if self._explored[u_idx, cell]:
             return
         if succ is BLOCKED:
@@ -136,10 +138,6 @@ class TransitionTable:
             self._pending[u_idx].append((np.asarray([cell]), np.asarray([arr.size]), arr))
         self._explored[u_idx, cell] = True
         self.explored_count += 1
-
-    def preload(self, cell: int, u_idx: int, succ) -> None:
-        """Insert an entry directly (hand-built games)."""
-        self._store(u_idx, int(cell), succ)
 
     def _compute_batch(self, u_idx: int, cells: np.ndarray) -> None:
         stack = self.stack
@@ -167,12 +165,6 @@ class TransitionTable:
         self._explored[u_idx, cells] = True
         self.explored_count += cells.size
 
-    def compute(self, cell: int, u_idx: int):
-        """Compute one entry (idempotent); returns the stored value."""
-        if not self._explored[u_idx, cell]:
-            self._compute_batch(u_idx, np.asarray([cell], dtype=np.int64))
-        return self.successors(cell, u_idx)
-
     def compute_region(self, region: CellSet) -> None:
         """Ensure every (cell, input) pair of ``region`` is explored."""
         if region.layer != self.grid_layer:
@@ -193,21 +185,10 @@ class TransitionTable:
             return None
         if self._blocked[u_idx, cell]:
             return BLOCKED
-        succ = self.successor_indices(cell, u_idx)
-        return CellSet.from_indices(self.stack, self.grid_layer, succ)
-
-    def successor_indices(self, cell: int, u_idx: int) -> np.ndarray:
-        """Raw sorted successor indices; empty for BLOCKED, raises on unexplored reads."""
-        if not self._explored[u_idx, cell]:
-            raise UnexploredTransitionError(
-                f"transition ({cell}, input {u_idx}) at layer {self.layer} "
-                f"({self.kind}) read before exploration"
-            )
-        if self._blocked[u_idx, cell]:
-            return np.empty(0, dtype=_INDEX)
         cells, indptr, flat, _ = self.csr(u_idx)
         (row,) = np.flatnonzero(cells == cell)
-        return flat[indptr[row] : indptr[row + 1]]
+        succ = flat[indptr[row] : indptr[row + 1]]
+        return CellSet.from_indices(self.stack, self.grid_layer, succ)
 
     def explored_cells(self) -> CellSet:
         """Cells whose entries are explored for every input."""

@@ -44,14 +44,15 @@ def dcdc(params: dict | None = None) -> ControlSystem:
         ]
     )
     b = np.array([vs / xl, 0.0])
-    modes = {1: a1, 2: a2}
+    # Keyed by the exact input values of ``inputs`` below.
+    modes = {1.0: a1, 2.0: a2}
 
     def field(x, u):
-        a = modes[int(round(u[0]))]
+        a = modes[u[0]]
         return np.asarray(x) @ a.T + b
 
     def growth(u):
-        a = modes[int(round(u[0]))]
+        a = modes[u[0]]
         return np.diag(np.diag(a)) + np.abs(a - np.diag(np.diag(a)))
 
     return ControlSystem(

@@ -82,22 +82,14 @@ class ProblemConfig:
             "y_lower": list(map(float, self.y_lower)),
             "y_upper": list(map(float, self.y_upper)),
             "algorithm": self.algorithm,
-            "safe_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in _pairs(self.safe_boxes)],
-            "obstacle_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in _pairs(self.obstacle_boxes)],
-            "target_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in _pairs(self.target_boxes)],
+            "safe_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in self.safe_boxes],
+            "obstacle_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in self.obstacle_boxes],
+            "target_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in self.target_boxes],
             "m": self.m,
             "substeps": self.substeps,
             "dynamics_params": self.dynamics_params,
             "out_dir": self.out_dir,
         }
-
-
-def _pairs(boxes):
-    for box in boxes:
-        if isinstance(box, dict):
-            yield box["lower"], box["upper"]
-        else:
-            yield box[0], box[1]
 
 
 def _require(raw: dict, key: str, kinds, what: str):

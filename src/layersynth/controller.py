@@ -96,14 +96,17 @@ class MultiLayeredController:
         """Stage selection for every row of the states ``x`` ``(N, n)``.
 
         Returns the acting stage index and its linear cell per row, both
-        -1 where no stage domain contains the row.  The cell on the
-        stage's layer is the layer-1 index shifted right by ``layer - 1``:
-        cell widths are ``eta1`` times powers of two, so this is exact.
-        Cells are semi-open, as in :meth:`LayerStack.quantize`.
+        -1 where no stage domain contains the row or the row is not
+        finite.  The cell on the stage's layer is the layer-1 index
+        shifted right by ``layer - 1``: cell widths are ``eta1`` times
+        powers of two, so this is exact.  Cells are semi-open, as in
+        :meth:`LayerStack.quantize`.
         """
         stack = self.stack
-        index = np.floor((x - stack.y_lower) / stack.eta(1)).astype(np.int64)
-        inside = np.all((index >= 0) & (index < stack.dims(1)), axis=1)
+        q = np.floor((x - stack.y_lower) / stack.eta(1))
+        inside = np.all((q >= 0) & (q < stack.dims(1)), axis=1)
+        # Only rows inside are cast, so a non-finite row raises no warning.
+        index = np.where(inside[:, None], q, 0).astype(np.int64)
         stage = np.full(len(x), -1, dtype=np.int64)
         stage[inside] = self._acting[stack.linearize(1, index[inside])]
         cell = np.full(len(x), -1, dtype=np.int64)
@@ -173,6 +176,8 @@ def _closed_loop(
     whether its (stage, rank) measure strictly decreased at every step.
     Given ``entries`` (one list per run), every step is logged there.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     reach = mlc.kind == REACH_AVOID
     if reach:
         horizon = min(horizon, rank_budget(mlc)) if horizon else rank_budget(mlc)
@@ -260,12 +265,6 @@ def simulate(
         [np.random.default_rng(rng)], substeps_base, entries,
     )
     return TrajectoryLog(entries[0], status[0], x[0])
-
-
-def check_rank_progress(log: TrajectoryLog) -> bool:
-    """True iff (stage, rank) strictly decreases along the whole run."""
-    measure = [(e.stage, e.rank if e.rank is not None else 0) for e in log.entries]
-    return all(b < a for a, b in zip(measure, measure[1:]))
 
 
 @dataclass

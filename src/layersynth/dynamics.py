@@ -25,42 +25,6 @@ class IntegrationDivergenceError(RuntimeError):
     """Raised when a trajectory integration produces non-finite values."""
 
 
-@dataclass(frozen=True)
-class ReachBox:
-    """Closed axis-aligned box ``[lower, upper]``."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape:
-            raise ValueError("lower and upper must have the same shape")
-        if np.any(lower > upper):
-            raise ValueError("box is empty: lower > upper")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def half_width(self) -> np.ndarray:
-        return 0.5 * (self.upper - self.lower)
-
-    def contains_point(self, x, atol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
-
-    def contains_box(self, other: "ReachBox", atol: float = 0.0) -> bool:
-        return bool(
-            np.all(other.lower >= self.lower - atol)
-            and np.all(other.upper <= self.upper + atol)
-        )
-
-
 @dataclass
 class ControlSystem:
     """Perturbed control system with a finite input alphabet.
@@ -172,18 +136,6 @@ def reach_boxes(
         raise IntegrationDivergenceError("non-finite state in batched reach computation")
     r = radius_dynamics(sys, u, np.asarray(half_width, dtype=float), tau, substeps)
     return c - r, c + r
-
-
-def over_approx_reach(sys: ControlSystem, cell: ReachBox, u, tau: float, substeps: int) -> ReachBox:
-    """Over-approximate the reach set of ``cell`` after time ``tau``.
-
-    Contains every endpoint of the disturbed dynamics started anywhere in
-    ``cell``, provided the growth matrix is valid for the dynamics.
-    """
-    lo, hi = reach_boxes(
-        sys, cell.center[None, :], cell.half_width, u, tau, substeps
-    )
-    return ReachBox(lo[0], hi[0])
 
 
 def sample_disturbed_step(

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReachBox
-
 # Relative tolerance used to snap box corners onto grid lines before
 # floor/ceil arithmetic; keeps successor enumeration stable when ODE
 # endpoints land within rounding error of a cell boundary.
@@ -133,26 +131,15 @@ class LayerStack:
         """Cell containing ``x``, or ``None`` outside the region.
 
         Cells are semi-open, so a point on the upper boundary of the
-        region is out of domain.
+        region is out of domain; so is a point with a non-finite
+        coordinate.
         """
         self._check_layer(layer)
-        x = np.asarray(x, dtype=float)
-        q = (x - self.y_lower) / self.eta(layer)
-        idx = np.floor(q).astype(np.int64)
-        dims = self.dims(layer)
-        if np.any(idx < 0) or np.any(idx >= dims):
+        # Compared as floats, so no non-finite value is cast to int.
+        q = np.floor((np.asarray(x, dtype=float) - self.y_lower) / self.eta(layer))
+        if not np.all((q >= 0) & (q < self.dims(layer))):
             return None
-        return CellId(layer, tuple(int(i) for i in idx))
-
-    def cell_box(self, cid: CellId) -> ReachBox:
-        self._check_layer(cid.layer)
-        idx = np.asarray(cid.index, dtype=np.int64)
-        dims = self.dims(cid.layer)
-        if np.any(idx < 0) or np.any(idx >= dims):
-            raise ValueError(f"cell index {cid.index} out of bounds for layer {cid.layer}")
-        eta = self.eta(cid.layer)
-        lo = self.y_lower + idx * eta
-        return ReachBox(lo, lo + eta)
+        return CellId(layer, tuple(int(i) for i in q))
 
     def grid_coords(self, layer: int, coords) -> np.ndarray:
         """Coordinates in grid units, snapped onto near-exact grid lines."""

@@ -51,9 +51,10 @@ class ProblemSpec:
 
     def in_safe_region(self, x, stack: LayerStack):
         """Test a point ``(n,)`` or each row of ``(N, n)`` against the
-        concrete safe region (closed boxes); a bool or a bool array."""
+        concrete safe region (closed boxes); a bool or a bool array.
+        A non-finite row is outside every box, so it is never safe."""
         x = np.asarray(x, dtype=float)
-        ok = ~np.any((x < stack.y_lower) | (x > stack.y_upper), axis=-1)
+        ok = _in_any(x, [(stack.y_lower, stack.y_upper)])
         if self.safe_boxes:
             ok &= _in_any(x, self.safe_boxes)
         ok &= ~_in_any(x, self.obstacle_boxes)

@@ -31,9 +31,12 @@ from .problem import ProblemSpec, REACH_AVOID, SAFETY, SpecSets, build_spec_sets
 ALGORITHMS = ("eager-safe", "lazy-safe", "eager-reach", "lazy-reach", "single-layer")
 _SUFFIX = {SAFETY: "-safe", REACH_AVOID: "-reach"}
 
+# Cap on safety rounds and on reach-avoid layer switches.
+_MAX_SWITCHES = 100_000
+
 
 class NonterminationError(RuntimeError):
-    """Layer-switching exceeded the configured recursion cap."""
+    """Safety rounds or reach-avoid layer switches exceeded their cap."""
 
 
 @dataclass
@@ -184,7 +187,6 @@ class SynthesisEngine:
         spec: ProblemSpec,
         m: int = 2,
         substeps: int = 5,
-        max_switches: int = 100_000,
     ):
         self.sys = sys
         self.stack = stack
@@ -192,7 +194,6 @@ class SynthesisEngine:
         self.spec_sets: SpecSets = build_spec_sets(stack, spec)
         self.m = m
         self.substeps = substeps
-        self.max_switches = max_switches
         self.main = [
             TransitionTable(sys, stack, l, "main", substeps) for l in range(1, stack.levels + 1)
         ]
@@ -322,7 +323,7 @@ class SynthesisEngine:
 
     # -- multi-resolution protocols -----------------------------------------
 
-    def safe_iteration(self, lazy: bool) -> tuple[CellSet, list[LayerController], list[CellSet]]:
+    def safe_iteration(self, lazy: bool) -> tuple[CellSet, list[LayerController]]:
         """Round-robin safety protocol over all layers.
 
         Each round performs one fixed-point step per layer from coarse
@@ -333,12 +334,11 @@ class SynthesisEngine:
         stack = self.stack
         L = stack.levels
         psi = self.spec_sets.safe_at(1).copy()
-        history: list[CellSet] = []
         rounds = 0
         while True:
             rounds += 1
-            if rounds > self.max_switches:
-                raise NonterminationError(f"safety protocol exceeded {self.max_switches} rounds")
+            if rounds > _MAX_SWITCHES:
+                raise NonterminationError(f"safety protocol exceeded {_MAX_SWITCHES} rounds")
             upsilon = CellSet.empty(stack, 1)
             round_domains: list[tuple[int, CellSet]] = []
             for layer in range(L, 0, -1):
@@ -355,7 +355,6 @@ class SynthesisEngine:
                 )
             if not upsilon.is_subset(psi):
                 raise AssertionError("layer-1 safety winning sets must shrink per round")
-            history.append(upsilon.copy())
             if upsilon == psi:
                 break
             psi = upsilon
@@ -366,7 +365,7 @@ class SynthesisEngine:
             region = gamma_down(stack, psi, layer)
             moves = _moves_into(_closing_inputs(self.table(layer), region), w.indices())
             stages.append(LayerController(layer, len(stages), w, moves))
-        return psi, stages, history
+        return psi, stages
 
     def reach_iteration(self, lazy: bool) -> tuple[CellSet, list[LayerController]]:
         """Coarse-to-fine switching protocol for reach-avoid synthesis.
@@ -387,9 +386,9 @@ class SynthesisEngine:
         switches = 0
         while True:
             switches += 1
-            if switches > self.max_switches:
+            if switches > _MAX_SWITCHES:
                 raise NonterminationError(
-                    f"layer switching exceeded {self.max_switches} steps; "
+                    f"layer switching exceeded {_MAX_SWITCHES} steps; "
                     f"trace tail: {self.stats.trace[-10:]}"
                 )
             safe_l = self.spec_sets.safe_at(layer)
@@ -489,10 +488,8 @@ def synthesize(
     else:
         if not lazy:
             engine.populate_eager()
-        if spec.kind == SAFETY:
-            winning, stages, _ = engine.safe_iteration(lazy)
-        else:
-            winning, stages = engine.reach_iteration(lazy)
+        protocol = engine.safe_iteration if spec.kind == SAFETY else engine.reach_iteration
+        winning, stages = protocol(lazy)
     # Exploration is timed on its own; keep the ledger keys disjoint.
     explored = timings.get("abstraction", 0.0) + timings.get("aux_abstraction", 0.0)
     timings["synthesis"] = time.perf_counter() - t0 - explored

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from layersynth import BLOCKED, TrajectoryLog, ValidationReport, check_rank_progress
+from layersynth import BLOCKED, TrajectoryLog, ValidationReport
 from layersynth.controller import LogEntry, rank_budget
 from layersynth.dynamics import sample_disturbed_step
 from layersynth.problem import REACH_AVOID, SAFETY
@@ -165,6 +165,16 @@ def simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base=5):
         return TrajectoryLog(entries, "safe-horizon-complete" if ok else "violation", x)
     ok = in_target_oracle(spec, x) and in_safe_oracle(spec, x, mlc.stack)
     return TrajectoryLog(entries, "target-reached" if ok else "violation", x)
+
+
+def check_rank_progress(log: TrajectoryLog) -> bool:
+    """True iff (stage, rank) strictly decreases along the whole run.
+
+    The reference for the ``rank_monotone`` flag that the batched
+    closed loop tracks as it steps.
+    """
+    measure = [(e.stage, e.rank if e.rank is not None else 0) for e in log.entries]
+    return all(b < a for a, b in zip(measure, measure[1:]))
 
 
 def validate_oracle(mlc, sys, spec, runs, horizon, seed, substeps_base=5):

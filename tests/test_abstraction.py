@@ -19,6 +19,12 @@ def line_stack(levels=1):
     return LayerStack(levels, [1.0], 1.0, [0.0], [4.0])
 
 
+def explore(table, cell, u_idx=0):
+    """Explore one cell through ``compute_region``; its stored entry for ``u_idx``."""
+    table.compute_region(CellSet.from_indices(table.stack, table.grid_layer, [cell]))
+    return table.successors(cell, u_idx)
+
+
 class TestComputeTransition:
     def test_stationary_cell_covers_touching_neighborhood(self):
         # the reach box of a stationary cell is its closed box, which
@@ -26,27 +32,27 @@ class TestComputeTransition:
         stack = LayerStack(1, [1.0, 1.0], 0.5, [0, 0], [4.0, 4.0])
         table = TransitionTable(stationary_system(), stack, 1)
         interior = int(stack.linearize(1, (1, 1)))
-        got = {tuple(i) for i in stack.unlinearize(1, table.compute(interior, 0).indices())}
+        got = {tuple(i) for i in stack.unlinearize(1, explore(table, interior).indices())}
         assert got == {(x, y) for x in (1, 2) for y in (1, 2)}
         corner = int(stack.linearize(1, (0, 0)))
-        got = {tuple(i) for i in stack.unlinearize(1, table.compute(corner, 0).indices())}
+        got = {tuple(i) for i in stack.unlinearize(1, explore(table, corner).indices())}
         assert got == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_stationary_boundary_cell_is_not_blocked(self):
         stack = LayerStack(1, [1.0, 1.0], 0.5, [0, 0], [4.0, 4.0])
         table = TransitionTable(stationary_system(), stack, 1)
         top = int(stack.linearize(1, (3, 3)))
-        assert table.compute(top, 0) is not None
+        assert explore(table, top) is not BLOCKED
 
     def test_unit_drift_translates_with_boundary_touch(self):
         table = TransitionTable(drift_system(), line_stack(), 1)
-        succ = table.compute(1, 0)
+        succ = explore(table, 1)
         # reach box is [2, 3]; the endpoint touches the lower edge of [3, 4)
         assert succ.indices().tolist() == [2, 3]
 
     def test_outward_drift_is_blocked(self):
         table = TransitionTable(drift_system(), line_stack(), 1)
-        assert table.compute(3, 0) is BLOCKED
+        assert explore(table, 3) is BLOCKED
 
     def test_chain_fixture_matches_computed_table(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [5.0])
@@ -58,10 +64,10 @@ class TestComputeTransition:
 
     def test_idempotent_and_monotone_counter(self):
         table = TransitionTable(drift_system(), line_stack(), 1)
-        table.compute(1, 0)
+        explore(table, 1)
         count = table.explored_count
         before = table.successors(1, 0).indices().tolist()
-        table.compute(1, 0)
+        explore(table, 1)
         assert table.explored_count == count
         assert table.successors(1, 0).indices().tolist() == before
 
@@ -100,9 +106,9 @@ class TestSuccessorsAccessor:
     def test_three_states(self):
         table = TransitionTable(drift_system(), line_stack(), 1)
         assert table.successors(0, 0) is None
-        table.compute(0, 0)
+        explore(table, 0)
         assert table.successors(0, 0).indices().tolist() == [1, 2]
-        table.compute(3, 0)
+        explore(table, 3)
         assert table.successors(3, 0) is BLOCKED
 
 
@@ -131,7 +137,6 @@ class TestAuxiliaryTables:
         aux = TransitionTable(drift_system(), stack, 1, "aux")
         aux.compute_region(CellSet.full(stack, 2))
         assert aux.successors(1, 0) is BLOCKED
-        assert aux.successor_indices(1, 0).size == 0
         right = CellSet.from_indices(stack, 2, [1])
         assert upre(aux, right).indices().tolist() == [0, 1]
         assert cpre(aux, CellSet.full(stack, 2)).indices().tolist() == [0]

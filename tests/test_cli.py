@@ -81,6 +81,15 @@ def test_algorithm_choices_are_the_synthesis_algorithms(capsys):
     assert "{" + ",".join(ALGORITHMS) + "}" in capsys.readouterr().out
 
 
+def test_negative_horizon_is_a_validation_error(tmp_path, capsys):
+    config = write_config(tmp_path, DCDC_SAFE)
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
+    args = ["--controller", str(out / "controller.mlc"), "--config", config]
+    assert cli.main(["validate", *args, "--runs", "5", "--horizon", "-1"]) == 2
+    assert "validation error: horizon must be >= 0" in capsys.readouterr().err
+
+
 def test_zero_trajectory_validation_is_flagged(tmp_path, capsys):
     config = write_config(tmp_path, DCDC_SAFE)
     path = tmp_path / "empty.mlc"

@@ -110,6 +110,18 @@ def test_overlapping_stages_follow_the_priority_rule(square_stack):
     assert reach.quantize([3.5, 3.5]) is None
 
 
+def test_non_finite_states_have_no_acting_stage():
+    _, _, mlc = solved(SAFETY, 2, 12)
+    x = mlc.stack.centers(1, mlc.domain_projection().indices()[:1])[0]
+    bad = np.array([[np.nan, x[1]], [x[0], np.inf], [-np.inf, np.nan], [x[0], 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stage, cell = mlc.quantize_batch(np.vstack([bad, x]))
+        assert stage.tolist()[:4] == cell.tolist()[:4] == [-1] * 4
+        assert stage[4] >= 0
+        assert all(mlc.quantize(row) is None for row in bad)
+
+
 # -- the decoder ----------------------------------------------------------------
 
 FUZZED = [(REACH_AVOID, 3, 2), (SAFETY, 3, 12)]
@@ -203,6 +215,17 @@ def test_validate_matches_per_trajectory_oracle(kind, levels, seed, runs):
     sys_, spec, mlc = solved(kind, levels, seed)
     args = (mlc, sys_, spec, runs, 20, seed)
     assert validate(*args).to_dict() == validate_oracle(*args).to_dict()
+
+
+@pytest.mark.parametrize("kind, levels, seed", [(SAFETY, 2, 12), (REACH_AVOID, 3, 2)])
+def test_negative_horizon_is_rejected(kind, levels, seed):
+    sys_, spec, mlc = solved(kind, levels, seed)
+    x0 = mlc.stack.centers(1, mlc.domain_projection().indices()[:1])[0]
+    with pytest.raises(ValueError, match="horizon"):
+        validate(mlc, sys_, spec, runs=5, horizon=-1, seed=0)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate(mlc, sys_, spec, x0, -1, 0)
+    assert validate(mlc, sys_, spec, runs=2, horizon=0, seed=0).executed == 2
 
 
 def logged(log) -> tuple:

@@ -7,12 +7,19 @@ from conftest import drift_system, linear_system, stationary_system
 from layersynth import (
     ControlSystem,
     IntegrationDivergenceError,
-    ReachBox,
     integrate_nominal,
-    over_approx_reach,
     sample_disturbed_step,
 )
+from layersynth.dynamics import reach_boxes
 from layersynth.benchmarks import dcdc, unicycle
+
+
+def reach_box(sys, lower, upper, u, tau, substeps):
+    """Reach box of the cell ``[lower, upper]``: a one-row ``reach_boxes`` batch."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    center, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    lo, hi = reach_boxes(sys, center[None, :], half_width, u, tau, substeps)
+    return lo[0], hi[0]
 
 
 def decay_system(dim=2, disturbance=0.0):
@@ -90,16 +97,15 @@ class TestIntegrateNominal:
 class TestOverApproxReach:
     def test_stationary_cell_is_fixed(self):
         sys = stationary_system()
-        cell = ReachBox([0.0, 0.0], [1.0, 1.0])
-        box = over_approx_reach(sys, cell, sys.inputs[0], 0.7, 5)
-        assert np.allclose(box.lower, [0.0, 0.0]) and np.allclose(box.upper, [1.0, 1.0])
+        lo, hi = reach_box(sys, [0.0, 0.0], [1.0, 1.0], sys.inputs[0], 0.7, 5)
+        assert np.allclose(lo, [0.0, 0.0]) and np.allclose(hi, [1.0, 1.0])
 
     def test_contracting_dynamics_matches_closed_form(self):
         sys = decay_system(dim=1)
-        box = over_approx_reach(sys, ReachBox([-0.5], [0.5]), sys.inputs[0], 1.0, 100)
+        lo, hi = reach_box(sys, [-0.5], [0.5], sys.inputs[0], 1.0, 100)
         expect = 0.5 * math.exp(-1.0)
-        assert np.allclose(box.lower, [-expect], atol=1e-6)
-        assert np.allclose(box.upper, [expect], atol=1e-6)
+        assert np.allclose(lo, [-expect], atol=1e-6)
+        assert np.allclose(hi, [expect], atol=1e-6)
 
     def test_disturbance_grows_radius_linearly(self):
         sys = ControlSystem(
@@ -109,9 +115,9 @@ class TestOverApproxReach:
             [np.array([0.0])],
             lambda u: np.zeros((1, 1)),
         )
-        box = over_approx_reach(sys, ReachBox([0.0], [1.0]), sys.inputs[0], 2.0, 10)
-        assert np.allclose(box.lower, [-0.2], atol=1e-9)
-        assert np.allclose(box.upper, [1.2], atol=1e-9)
+        lo, hi = reach_box(sys, [0.0], [1.0], sys.inputs[0], 2.0, 10)
+        assert np.allclose(lo, [-0.2], atol=1e-9)
+        assert np.allclose(hi, [1.2], atol=1e-9)
 
 
 class TestSampleDisturbedStep:
@@ -160,14 +166,13 @@ class TestSampleDisturbedStep:
 
 
 def _containment_trial(sys, lower, upper, tau, seeds, points, rng):
-    cell = ReachBox(lower, upper)
     for u in sys.inputs:
-        box = over_approx_reach(sys, cell, u, tau, 10)
+        lo, hi = reach_box(sys, lower, upper, u, tau, 10)
         for s in range(seeds):
             for _ in range(points):
-                x0 = rng.uniform(cell.lower, cell.upper)
+                x0 = rng.uniform(lower, upper)
                 x1 = sample_disturbed_step(sys, x0, u, tau, int(rng.integers(2**31)), substeps=10)
-                assert box.contains_point(x1, atol=1e-9), (
+                assert np.all((x1 >= lo - 1e-9) & (x1 <= hi + 1e-9)), (
                     f"sampled endpoint {x1} escapes reach box for input {u}"
                 )
 
@@ -198,13 +203,13 @@ class TestNestedCellMonotonicity:
 
     def _check(self, sys, rng, width, tau, scale=2.0):
         inner_lo = rng.uniform(0.0, 1.0, sys.dim)
-        inner = ReachBox(inner_lo, inner_lo + width)
+        inner_hi = inner_lo + width
         pad = rng.uniform(0.0, width * (scale - 1.0), sys.dim)
-        outer = ReachBox(inner.lower - pad, inner.upper + (width * (scale - 1.0) - pad))
+        outer_lo, outer_hi = inner_lo - pad, inner_hi + (width * (scale - 1.0) - pad)
         for u in sys.inputs:
-            small = over_approx_reach(sys, inner, u, tau, 10)
-            big = over_approx_reach(sys, outer, u, tau, 10)
-            assert big.contains_box(small, atol=1e-9)
+            small_lo, small_hi = reach_box(sys, inner_lo, inner_hi, u, tau, 10)
+            big_lo, big_hi = reach_box(sys, outer_lo, outer_hi, u, tau, 10)
+            assert np.all((small_lo >= big_lo - 1e-9) & (small_hi <= big_hi + 1e-9))
 
     def test_dcdc_nested_cells(self):
         sys = dcdc()

@@ -78,15 +78,31 @@ class TestQuantize:
     def test_below_domain(self):
         assert make_stack().quantize([-0.1, 1.0], 1) is None
 
+    @pytest.mark.parametrize(
+        "x", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [1e300, 1.0]],
+        ids=["nan", "inf", "minus-inf", "huge"],
+    )
+    def test_non_finite_or_huge_point_is_out_of_domain(self, x):
+        # None, not a RuntimeWarning from casting the coordinate to int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_stack().quantize(x, 1) is None
+            assert make_stack().quantize(x, 2) is None
+
 
 class TestCellBox:
+    # a cell's box is its center plus or minus half the layer's eta
     def test_fine_cell(self):
-        box = make_stack().cell_box(CellId(1, (0, 0)))
-        assert np.allclose(box.lower, [0, 0]) and np.allclose(box.upper, [1, 1])
+        stack = make_stack()
+        center = stack.centers(1, stack.linearize(1, (0, 0)))
+        assert np.allclose(center - 0.5 * stack.eta(1), [0, 0])
+        assert np.allclose(center + 0.5 * stack.eta(1), [1, 1])
 
     def test_coarse_cell(self):
-        box = make_stack().cell_box(CellId(2, (1, 0)))
-        assert np.allclose(box.lower, [2, 0]) and np.allclose(box.upper, [4, 2])
+        stack = make_stack()
+        center = stack.centers(2, stack.linearize(2, (1, 0)))
+        assert np.allclose(center - 0.5 * stack.eta(2), [2, 0])
+        assert np.allclose(center + 0.5 * stack.eta(2), [4, 2])
 
     def test_quantize_round_trip_on_random_cells(self):
         stack = LayerStack(2, [0.5, 0.25, 1.0], 0.1, [-1, 0, 2], [3.0, 2.0, 10.0])
@@ -96,7 +112,7 @@ class TestCellBox:
             dims = stack.dims(layer)
             idx = tuple(int(rng.integers(0, k)) for k in dims)
             cid = CellId(layer, idx)
-            center = stack.cell_box(cid).center
+            center = stack.centers(layer, stack.linearize(layer, idx))
             assert stack.quantize(center, layer) == cid
 
 

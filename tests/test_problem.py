@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,23 @@ def test_coarse_sets_refine_the_layer_1_sets(seed, levels):
             lower = stack.centers(layer, cells) - 0.5 * stack.eta(layer)
             inner = lower + rng.uniform(1e-9, 1.0, size=lower.shape) * stack.eta(layer)
             assert spec.in_target_region(inner).all(), layer
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("safe_boxes", [[], [([0.0, 0.0], [4.0, 4.0])]], ids=["no-safe-box", "safe-box"])
+def test_non_finite_states_are_outside_every_region(stack, safe_boxes, bad):
+    spec = ProblemSpec(
+        kind=REACH_AVOID,
+        safe_boxes=safe_boxes,
+        obstacle_boxes=[([1.0, 1.0], [2.0, 2.0])],
+        target_boxes=[([0.0, 0.0], [4.0, 4.0])],
+    )
+    rows = np.array([[bad, 1.5], [1.5, bad], [bad, bad], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in rows[:3]:
+            assert spec.in_safe_region(x, stack) is False
+            assert spec.in_target_region(x) is False
+            assert in_safe_oracle(spec, x, stack) is False
+        assert spec.in_safe_region(rows, stack).tolist() == [False, False, False, True]
+        assert spec.in_target_region(rows).tolist() == [False, False, False, True]

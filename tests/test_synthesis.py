@@ -171,7 +171,7 @@ class TestSafeStep:
 
 def one_level_safety(engine):
     """The safety game of a 1-level engine: (winning set, moves)."""
-    w, stages, _ = engine.safe_iteration(lazy=False)
+    w, stages = engine.safe_iteration(lazy=False)
     return w, stages[0].moves if stages else {}
 
 
@@ -212,8 +212,7 @@ class TestSafeFixpoint:
             assert set(w.indices().tolist()) == oracle
             for cell, mv in moves.items():
                 for u in mv:
-                    succ = engine.table(1).successor_indices(cell, u)
-                    assert bool(w.bits[succ].all())
+                    assert engine.table(1).successors(cell, u).is_subset(w)
 
 
 class TestReachM:
@@ -262,7 +261,7 @@ class TestSafeIteration:
             sys, stack, spec = random_problem(seed + 40, kind=SAFETY, levels=1)
             engine = SynthesisEngine(sys, stack, spec)
             engine.populate_eager()
-            psi, stages, _ = engine.safe_iteration(lazy=False)
+            psi, stages = engine.safe_iteration(lazy=False)
             safe = set(int(c) for c in engine.spec_sets.safe_at(1).indices())
             expect = safe_gfp_oracle(table_as_dict(engine.table(1)), safe)
             assert set(psi.indices().tolist()) == expect
@@ -272,18 +271,31 @@ class TestSafeIteration:
         sys = stationary_system(dim=2)
         stack = LayerStack(2, [1.0, 1.0], 0.5, [0, 0], [4.0, 4.0])
         engine = SynthesisEngine(sys, stack, ProblemSpec(kind=SAFETY))
-        psi, stages, history = engine.safe_iteration(lazy=True)
+        psi, stages = engine.safe_iteration(lazy=True)
         assert psi == engine.spec_sets.safe_at(1)
-        assert len(history) == 1
+        assert {e["round"] for e in engine.stats.trace} == {1}
 
-    def test_history_is_monotone(self):
+    def test_rounds_are_bounded_by_the_cells_they_remove(self):
+        # each round's layer-1 set is a subset of the last one's (the
+        # protocol asserts it), so every round but the last removes at
+        # least one cell; the last round's stages cover the result
         for seed in range(8):
             sys, stack, spec = random_problem(seed + 60, kind=SAFETY, levels=2)
             engine = SynthesisEngine(sys, stack, spec)
-            psi, _, history = engine.safe_iteration(lazy=True)
-            for a, b in zip(history, history[1:]):
-                assert b.is_subset(a)
-            assert history[-1] == psi
+            psi, stages = engine.safe_iteration(lazy=True)
+            trace = engine.stats.trace
+            rounds = trace[-1]["round"]
+            assert [(e["round"], e["layer"]) for e in trace] == [
+                (r, l) for r in range(1, rounds + 1) for l in (2, 1)
+            ]
+            assert rounds - 1 <= engine.spec_sets.safe_at(1).count() - psi.count()
+            assert [st.domain.count() for st in stages] == [
+                e["size"] for e in trace[-2:] if e["size"]
+            ]
+            covered = CellSet.empty(stack, 1)
+            for st in stages:
+                covered.union_update(gamma_down(stack, st.domain, 1))
+            assert covered == psi
 
 
 class TestExpandAbstraction:
@@ -423,13 +435,12 @@ class TestStructuralInvariants:
         sys, stack, spec = random_problem(404, kind=SAFETY, levels=2)
         engine = SynthesisEngine(sys, stack, spec)
         engine.populate_eager()
-        psi, stages, _ = engine.safe_iteration(lazy=False)
+        psi, stages = engine.safe_iteration(lazy=False)
         for st in stages:
             region = gamma_down(stack, psi, st.layer)
             for cell, moves in st.moves.items():
                 for u in moves:
-                    succ = engine.table(st.layer).successor_indices(cell, u)
-                    assert bool(region.bits[succ].all())
+                    assert engine.table(st.layer).successors(cell, u).is_subset(region)
 
     def test_reach_rank_progress_structure(self):
         sys, stack, spec = random_problem(505, kind=REACH_AVOID, levels=2)
@@ -448,8 +459,8 @@ class TestStructuralInvariants:
                     if r < rank:
                         allowed[other] = True
                 for u in moves:
-                    succ = engine.table(st.layer).successor_indices(cell, u)
-                    assert bool(allowed[succ].all())
+                    succ = engine.table(st.layer).successors(cell, u)
+                    assert bool(allowed[succ.bits].all())
             prior.union_update(gamma_down(stack, st.domain, 1))
 
 
