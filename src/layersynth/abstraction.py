@@ -2,16 +2,19 @@
 
 A transition table maps ``(cell, input)`` pairs to the set of grid cells
 intersected by the over-approximated one-period reach box of the cell.
-Entries are tri-state: unexplored, computed, or blocked (the reach box
-leaves the region of interest, so the pair can never satisfy a
+That set is always one box of cells, so a computed entry is stored as
+the box: its lower and upper corner cell indices.  Entries are
+tri-state: unexplored, computed, or blocked (the reach box leaves the
+region of interest, so the pair can never satisfy a
 controllable-predecessor containment).  Main tables live on their own
 layer's grid; auxiliary tables combine a layer's sampling period with
 the coarsest grid and are used only to over-approximate exploration
 frontiers.  A blocked auxiliary pair therefore keeps, for cooperative
-use only, the cells of its reach box that lie inside the region: a finer
-cell inside the coarse cell may still reach those cells without leaving
-the region.  Entries are computed one input at a time in vectorized
-batches and live in memory only, one compressed-row store per input.
+use only, its box clipped to the region: a finer cell inside the coarse
+cell may still reach those cells without leaving the region.  Entries
+are computed one input at a time in vectorized batches and live in
+memory only, one box store per input.  A hand-built entry whose
+successors are not a box is preloaded as one unit box per successor.
 """
 
 from __future__ import annotations
@@ -21,8 +24,20 @@ import numpy as np
 from .dynamics import ControlSystem, reach_boxes
 from .grid import CellSet, LayerMismatchError, LayerStack
 
-# Integer type of stored successor indices.
+# Integer type of stored cell indices.
 _INDEX = np.int32
+
+
+def _corner_dtype(dims: np.ndarray) -> np.dtype:
+    """Smallest signed integer type that holds every per-axis cell count.
+
+    Tables index at most ``_INDEX``'s largest value of cells, so
+    ``_INDEX`` always suffices.
+    """
+    for t in (np.int8, np.int16):
+        if int(dims.max()) <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(_INDEX)
 
 
 class _BlockedType:
@@ -37,7 +52,7 @@ class _BlockedType:
         return "BLOCKED"
 
 
-#: Sentinel stored for (cell, input) pairs whose reach box leaves the region.
+#: Sentinel that ``preload`` takes for a pair whose reach box leaves the region.
 BLOCKED = _BlockedType()
 
 
@@ -45,41 +60,15 @@ class UnexploredTransitionError(RuntimeError):
     """A solver read a transition that the frontier never computed."""
 
 
-def _block_cells(j_min: np.ndarray, j_max: np.ndarray, dims: np.ndarray, strides: np.ndarray):
-    """Enumerate the cell blocks ``[j_min[r], j_max[r]]`` of every row ``r``.
-
-    Rows with the same block shape are enumerated together.  Returns
-    ``(order, lengths, flat)``: the k-th segment of ``flat``, of length
-    ``lengths[k]``, holds the ascending linear indices of row
-    ``order[k]``.
-    """
-    extent = j_max - j_min + 1
-    base = (j_min @ strides).astype(_INDEX)
-    shape_key = np.ravel_multi_index(tuple((extent - 1).T), tuple(int(d) for d in dims))
-    keys, group = np.unique(shape_key, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(keys.size + 1))
-    lengths = np.empty(order.size, dtype=np.int64)
-    parts = []
-    for k in range(keys.size):
-        rows = order[bounds[k] : bounds[k + 1]]
-        # Offsets inside the block, dimension 0 varying fastest.
-        offs = np.zeros(1, dtype=_INDEX)
-        for d in range(len(dims) - 1, -1, -1):
-            step = np.arange(extent[rows[0], d], dtype=_INDEX) * _INDEX(strides[d])
-            offs = (offs[:, None] + step[None, :]).ravel()
-        lengths[bounds[k] : bounds[k + 1]] = offs.size
-        parts.append((base[rows, None] + offs[None, :]).ravel())
-    flat = np.concatenate(parts) if parts else np.empty(0, dtype=_INDEX)
-    return order, lengths, flat
-
-
 class TransitionTable:
     """Tri-state transition map for one abstraction layer.
 
     ``kind`` is ``"main"`` (grid and period of ``layer``) or ``"aux"``
-    (period of ``layer`` on the coarsest grid).  Computed successor sets
-    are immutable once stored; re-computation requests are no-ops.
+    (period of ``layer`` on the coarsest grid).  A computed entry is one
+    box of cells, stored as its inclusive corner indices in the
+    smallest signed integer type that holds the grid's largest axis; a
+    preloaded entry is one unit box per successor.  Stored entries are
+    immutable; re-computation requests are no-ops.
     """
 
     def __init__(
@@ -107,35 +96,40 @@ class TransitionTable:
             raise ValueError(f"{n_cells} cells do not fit {np.dtype(_INDEX).name} indices")
         n_inputs = sys.n_inputs
         self.n_cells = n_cells
-        self._blocked = np.zeros((n_inputs, n_cells), dtype=bool)
         self._explored = np.zeros((n_inputs, n_cells), dtype=bool)
-        # Rows with successors, per input, in the order they were stored;
-        # ``_pending`` holds the (cells, lengths, flat) batches not yet
-        # merged into ``_csr``.
-        self._pending: list[list[tuple]] = [[] for _ in range(n_inputs)]
+        # Boxes per input, in the order they were stored; ``_batches``
+        # holds the (cells, lo, hi, blocked) batches not yet merged into
+        # ``_boxes``.
+        self._corner = _corner_dtype(stack.dims(self.grid_layer))
+        self._batches: list[list[tuple]] = [[] for _ in range(n_inputs)]
         empty = (
-            np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
             np.empty(0, dtype=_INDEX),
+            np.empty((0, stack.dim), dtype=self._corner),
+            np.empty((0, stack.dim), dtype=self._corner),
             np.empty(0, dtype=bool),
         )
-        self._csr: list[tuple] = [empty] * n_inputs
+        self._boxes: list[tuple] = [empty] * n_inputs
         self.explored_count = 0
 
     # -- population ----------------------------------------------------
 
     def preload(self, cell: int, u_idx: int, succ) -> None:
-        """Insert an entry directly (hand-built games); no-op if explored."""
+        """Insert an entry directly (hand-built games); no-op if explored.
+
+        ``succ`` is BLOCKED or the successor cells, stored as one unit
+        box each.
+        """
         cell = int(cell)
         if self._explored[u_idx, cell]:
             return
-        if succ is BLOCKED:
-            self._blocked[u_idx, cell] = True
-        else:
-            arr = np.sort(np.asarray(succ, dtype=_INDEX))
+        if succ is not BLOCKED:
+            arr = np.unique(np.asarray(succ, dtype=_INDEX))
             if arr.size == 0:
                 raise ValueError("computed entries must have at least one successor")
-            self._pending[u_idx].append((np.asarray([cell]), np.asarray([arr.size]), arr))
+            idx = self.stack.unlinearize(self.grid_layer, arr).astype(self._corner)
+            self._batches[u_idx].append(
+                (np.full(arr.size, cell, dtype=_INDEX), idx, idx, np.zeros(arr.size, dtype=bool))
+            )
         self._explored[u_idx, cell] = True
         self.explored_count += 1
 
@@ -155,13 +149,14 @@ class TransitionTable:
         floor_hi = np.floor(q_hi).astype(np.int64)
         keep = inside
         if self.kind == "aux":
-            # Clipped successors of blocked pairs, for cooperative use.
+            # Clipped boxes of blocked pairs, for cooperative use.
             keep = inside | (np.all(floor_lo < dims, axis=1) & np.all(floor_hi >= 0, axis=1))
-        j_min = np.clip(floor_lo[keep], 0, dims - 1)
-        j_max = np.clip(floor_hi[keep], 0, dims - 1)
-        order, lengths, flat = _block_cells(j_min, j_max, dims, stack._strides[gl - 1])
-        self._pending[u_idx].append((cells[keep][order], lengths, flat))
-        self._blocked[u_idx, cells[~inside]] = True
+        self._batches[u_idx].append((
+            cells[keep].astype(_INDEX),
+            np.clip(floor_lo[keep], 0, dims - 1).astype(self._corner),
+            np.clip(floor_hi[keep], 0, dims - 1).astype(self._corner),
+            ~inside[keep],
+        ))
         self._explored[u_idx, cells] = True
         self.explored_count += cells.size
 
@@ -179,39 +174,26 @@ class TransitionTable:
 
     # -- access ---------------------------------------------------------
 
-    def successors(self, cell: int, u_idx: int):
-        """Stored successor set (as a :class:`CellSet`), BLOCKED, or None."""
-        if not self._explored[u_idx, cell]:
-            return None
-        if self._blocked[u_idx, cell]:
-            return BLOCKED
-        cells, indptr, flat, _ = self.csr(u_idx)
-        (row,) = np.flatnonzero(cells == cell)
-        succ = flat[indptr[row] : indptr[row + 1]]
-        return CellSet.from_indices(self.stack, self.grid_layer, succ)
-
     def explored_cells(self) -> CellSet:
         """Cells whose entries are explored for every input."""
         return CellSet(self.grid_layer, self._explored.all(axis=0))
 
     def csr(self, u_idx: int):
-        """Stored rows of one input as (cells, indptr, flat, blocked).
+        """Stored boxes of one input as (cells, lo, hi, blocked).
 
-        Rows are in storage order, not sorted by cell.  Row ``k`` lists the successors of ``cells[k]`` in
-        ``flat[indptr[k]:indptr[k + 1]]``.  Rows flagged ``blocked`` are
-        the clipped successors of auxiliary pairs: they serve the
-        cooperative predecessor only and never close a move.
+        Box ``k`` of ``cells[k]`` spans the cells from ``lo[k]`` to
+        ``hi[k]`` (inclusive, per axis).  Boxes are in storage order, not
+        sorted by cell; an explored pair with no unblocked box is
+        blocked.  Boxes flagged ``blocked`` are the clipped boxes of
+        auxiliary pairs: they serve the cooperative predecessor only and
+        never close a move.  The name is that of the compressed-row
+        successor store the boxes replaced, under which the benchmark
+        tracer times this accessor.
         """
-        pending = self._pending[u_idx]
-        if pending:
-            cells, indptr, flat, blocked = self._csr[u_idx]
-            new_cells = np.concatenate([p[0] for p in pending])
-            new_ends = indptr[-1] + np.cumsum(np.concatenate([p[1] for p in pending]))
-            self._csr[u_idx] = (
-                np.concatenate([cells, new_cells]),
-                np.concatenate([indptr, new_ends]),
-                np.concatenate([flat] + [p[2] for p in pending]),
-                np.concatenate([blocked, self._blocked[u_idx, new_cells]]),
+        batches = self._batches[u_idx]
+        if batches:
+            self._boxes[u_idx] = tuple(
+                np.concatenate(parts) for parts in zip(self._boxes[u_idx], *batches)
             )
-            pending.clear()
-        return self._csr[u_idx]
+            batches.clear()
+        return self._boxes[u_idx]

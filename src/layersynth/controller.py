@@ -310,6 +310,8 @@ def validate(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     if any(not 0 <= u < sys.n_inputs for st in mlc.stages for mv in st.moves.values() for u in mv):
         raise ValueError(f"a move names an input outside the system's {sys.n_inputs} inputs")
     cells = mlc.domain_projection().indices()

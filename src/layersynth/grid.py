@@ -8,6 +8,7 @@ varying fastest, which matches numpy's Fortran order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,9 @@ import numpy as np
 # floor/ceil arithmetic; keeps successor enumeration stable when ODE
 # endpoints land within rounding error of a cell boundary.
 _SNAP_REL = 1e-9
+
+# Rows formatted at a time by export_cellset_csv.
+_CSV_ROWS = 1 << 12
 
 # Most layer-1 cells a stack may have: the largest int32 cell index.
 _MAX_CELLS = 2**31 - 1
@@ -245,12 +249,21 @@ def _refine(stack: LayerStack, src: CellSet, target_layer: int) -> CellSet:
 
 
 def _coarsen(stack: LayerStack, src: CellSet, target_layer: int, require_all: bool) -> CellSet:
-    factor = 2 ** (target_layer - src.layer)
-    dims_tgt = stack.dims(target_layer)
-    blocks = src.bits.reshape(_block_shape(dims_tgt, factor), order="F")
-    axes = tuple(range(0, 2 * len(dims_tgt), 2))
-    agg = blocks.all(axis=axes) if require_all else blocks.any(axis=axes)
-    return CellSet(target_layer, agg.reshape(-1, order="F"))
+    # One doubling at a time: combine the 2^dim strided corner slices.
+    # Dimension 0 varies fastest, so the C-order view reverses the axes.
+    combine = np.logical_and if require_all else np.logical_or
+    bits = src.bits
+    for layer in range(src.layer + 1, target_layer + 1):
+        fine = bits.reshape([2 * int(d) for d in reversed(stack.dims(layer))])
+        corners = [
+            fine[tuple(slice(o, None, 2) for o in offsets)]
+            for offsets in itertools.product((0, 1), repeat=stack.dim)
+        ]
+        bits = corners[0].copy()
+        for corner in corners[1:]:
+            combine(bits, corner, out=bits)
+        bits = bits.ravel()
+    return CellSet(target_layer, bits)
 
 
 def gamma_down(stack: LayerStack, src: CellSet, target_layer: int) -> CellSet:
@@ -320,18 +333,19 @@ def cells_intersecting_box(stack: LayerStack, layer: int, lower, upper) -> CellS
 def export_cellset_csv(stack: LayerStack, cells: CellSet, path) -> None:
     """Write one row per set cell: layer, index components, cell center."""
     linear = cells.indices()
-    idx = stack.unlinearize(cells.layer, linear)
-    ctr = stack.centers(cells.layer, linear)
     n = stack.dim
     header = (
         ["layer"]
         + [f"idx{i}" for i in range(n)]
         + [f"center{i}" for i in range(n)]
     )
+    # Python ints and floats format as ``str`` and ``repr`` of each value.
+    row = ",".join([str(cells.layer)] + ["%d"] * n + ["%r"] * n) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in range(linear.size):
-            parts = [str(cells.layer)]
-            parts += [str(int(v)) for v in idx[row]]
-            parts += [repr(float(v)) for v in ctr[row]]
-            fh.write(",".join(parts) + "\n")
+        # In chunks, so the Python rows of a large set never all live at once.
+        for start in range(0, linear.size, _CSV_ROWS):
+            chunk = linear[start : start + _CSV_ROWS]
+            idx = stack.unlinearize(cells.layer, chunk).T.tolist()
+            ctr = stack.centers(cells.layer, chunk).T.tolist()
+            fh.write("".join([row % values for values in zip(*idx, *ctr)]))

@@ -15,6 +15,7 @@ on a one-level stack, the case the multi-layer protocols reduce to.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -88,19 +89,70 @@ def _check_table_set(table: TransitionTable, cells: CellSet) -> None:
         )
 
 
+class _SummedArea:
+    """Counts of set cells in boxes of one grid, from an n-D prefix sum.
+
+    The sums are zero-padded in front of every axis, so the count of a
+    box is the signed sum of the padded sums at its 2^dim corners (Crow,
+    SIGGRAPH 1984).
+    """
+
+    def __init__(self, stack: LayerStack, layer: int, bits: np.ndarray):
+        dims = [int(d) for d in stack.dims(layer)]
+        # Dimension 0 varies fastest, so the C-order view reverses the axes.
+        sums = np.zeros([d + 1 for d in reversed(dims)], dtype=np.int32)
+        sums[(slice(1, None),) * len(dims)] = bits.reshape(dims[::-1])
+        for axis in range(len(dims)):
+            np.cumsum(sums, axis=axis, out=sums)
+        self.flat = sums.ravel()
+        self.index_type = np.int32 if sums.size <= np.iinfo(np.int32).max else np.int64
+        self.strides = [math.prod(d + 1 for d in dims[:i]) for i in range(len(dims))]
+
+    def counts(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Set cells in each box ``[lo[k], hi[k]]`` (inclusive corners)."""
+        index = self.index_type
+        parts = []
+        for axis, stride in enumerate(self.strides):
+            low = lo[:, axis].astype(index)
+            low *= stride
+            high = hi[:, axis].astype(index)
+            high += 1
+            high *= stride
+            parts.append((high, low))
+        out = np.zeros(lo.shape[0], dtype=np.int32)
+        self._add_corners(parts, 0, None, True, out)
+        return out
+
+    def _add_corners(self, parts, axis, base, positive, out) -> None:
+        # Depth first over the axes, so at most one partial corner index
+        # per axis is alive at a time.
+        high, low = parts[axis]
+        for part, sign in ((high, positive), (low, not positive)):
+            corner = part if base is None else base + part
+            if axis + 1 < len(parts):
+                self._add_corners(parts, axis + 1, corner, sign, out)
+            elif sign:
+                out += self.flat.take(corner)
+            else:
+                out -= self.flat.take(corner)
+
+
 def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
     """``mask[u, c]``: input ``u`` keeps every successor of cell ``c`` in ``region``.
 
-    The one containment test behind ``cpre`` and every stage's moves.
-    The mask has shape ``(n_inputs, n_cells)`` and is never true for a
-    blocked or unexplored pair.
+    The one containment test behind ``cpre`` and every stage's moves: a
+    pair closes unless one of its boxes is blocked or holds a cell
+    outside ``region``.  The mask has shape ``(n_inputs, n_cells)`` and
+    is never true for a blocked or unexplored pair.
     """
     _check_table_set(table, region)
     mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
+    outside = _SummedArea(table.stack, table.grid_layer, ~region.bits)
     for u_idx in range(table.sys.n_inputs):
-        cells, indptr, flat, blocked = table.csr(u_idx)
+        cells, lo, hi, blocked = table.csr(u_idx)
         if cells.size:
-            mask[u_idx, cells] = np.minimum.reduceat(region.bits[flat], indptr[:-1]) & ~blocked
+            mask[u_idx, cells] = ~blocked
+            mask[u_idx, cells[outside.counts(lo, hi) > 0]] = False
     return mask
 
 
@@ -145,13 +197,11 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
     """
     _check_table_set(table, target)
     result = np.zeros(table.n_cells, dtype=bool)
-    tb = target.bits
+    inside = _SummedArea(table.stack, table.grid_layer, target.bits)
     for u_idx in range(table.sys.n_inputs):
-        cells, indptr, flat, _ = table.csr(u_idx)
-        if cells.size == 0:
-            continue
-        ok = np.maximum.reduceat(tb[flat], indptr[:-1])
-        result[cells[ok]] = True
+        cells, lo, hi, _ = table.csr(u_idx)
+        if cells.size:
+            result[cells[inside.counts(lo, hi) > 0]] = True
     return CellSet(target.layer, result)
 
 

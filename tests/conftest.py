@@ -113,6 +113,10 @@ def random_stack(rng: np.random.Generator, levels: int, dim: int = 2) -> LayerSt
     return LayerStack(levels, eta, 0.25, lower, lower + counts * eta)
 
 
+# (levels, seed) of the random problems swept for both kinds.
+SWEEP = [(levels, seed) for levels in (2, 3) for seed in range(40)]
+
+
 def random_problem(seed: int, kind: str = REACH_AVOID, levels: int = 2):
     """Random 2-D linear system with a random reach-avoid/safety layout.
 

@@ -9,24 +9,85 @@ from __future__ import annotations
 
 import numpy as np
 
-from layersynth import BLOCKED, TrajectoryLog, ValidationReport
+from layersynth import BLOCKED, CellSet, TrajectoryLog, ValidationReport
 from layersynth.controller import LogEntry, rank_budget
 from layersynth.dynamics import sample_disturbed_step
 from layersynth.problem import REACH_AVOID, SAFETY
 
 
+def successor_rows(table, u_idx):
+    """Every stored box of one input, enumerated as (cells, indptr, flat, blocked).
+
+    Row ``k`` lists the cells of box ``k`` of ``cells[k]`` in
+    ``flat[indptr[k]:indptr[k + 1]]``, dimension 0 varying fastest.
+    """
+    cells, lo, hi, blocked = table.csr(u_idx)
+    lo = lo.astype(np.int64)
+    extent = hi.astype(np.int64) - lo + 1
+    lengths = extent.prod(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    row = np.repeat(np.arange(cells.size), lengths)
+    offset = np.arange(indptr[-1]) - indptr[row]
+    coords = np.empty((row.size, lo.shape[1]), dtype=np.int64)
+    for d in range(lo.shape[1]):
+        coords[:, d] = lo[row, d] + offset % extent[row, d]
+        offset = offset // extent[row, d]
+    flat = table.stack.linearize(table.grid_layer, coords)
+    return cells, indptr, flat, blocked
+
+
+def successors(table, cell: int, u_idx: int):
+    """Stored successor set (as a :class:`CellSet`), BLOCKED, or None."""
+    if not table._explored[u_idx, cell]:
+        return None
+    cells, indptr, flat, blocked = successor_rows(table, u_idx)
+    rows = np.flatnonzero(cells == cell)
+    if rows.size == 0 or blocked[rows].any():
+        return BLOCKED
+    succ = np.concatenate([flat[indptr[k] : indptr[k + 1]] for k in rows])
+    return CellSet.from_indices(table.stack, table.grid_layer, succ)
+
+
 def table_as_dict(table):
     """Enumerate a transition table into {(cell, u): frozenset | BLOCKED}."""
     out = {}
-    for cell in range(table.n_cells):
-        for u in range(table.sys.n_inputs):
-            succ = table.successors(cell, u)
-            if succ is None:
-                continue
-            if succ is BLOCKED:
-                out[(cell, u)] = BLOCKED
-            else:
-                out[(cell, u)] = frozenset(int(c) for c in succ.indices())
+    for u in range(table.sys.n_inputs):
+        cells, indptr, flat, blocked = successor_rows(table, u)
+        open_rows: dict[int, set] = {}
+        for k, cell in enumerate(cells.tolist()):
+            if not blocked[k]:
+                open_rows.setdefault(cell, set()).update(flat[indptr[k] : indptr[k + 1]].tolist())
+        for cell in np.flatnonzero(table._explored[u]).tolist():
+            out[(cell, u)] = frozenset(open_rows[cell]) if cell in open_rows else BLOCKED
+    return out
+
+
+def closing_inputs_reference(table, region) -> np.ndarray:
+    """Closing mask from the region bit of every enumerated successor.
+
+    The reference for ``synthesis._closing_inputs``: a pair closes
+    unless one of its rows is blocked or leaves ``region``.
+    """
+    mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
+    for u in range(table.sys.n_inputs):
+        cells, indptr, flat, blocked = successor_rows(table, u)
+        if cells.size:
+            ok = np.minimum.reduceat(region.bits[flat], indptr[:-1]) & ~blocked
+            mask[u, cells] = True
+            mask[u, cells[~ok]] = False
+    return mask
+
+
+def upre_reference(table, target):
+    """Cooperative predecessor from the target bit of every enumerated successor.
+
+    The reference for ``synthesis.upre``; blocked clipped boxes take part.
+    """
+    out = CellSet.empty(table.stack, target.layer)
+    for u in range(table.sys.n_inputs):
+        cells, indptr, flat, _ = successor_rows(table, u)
+        if cells.size:
+            out.bits[cells[np.maximum.reduceat(target.bits[flat], indptr[:-1])]] = True
     return out
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from layersynth import (
     LayerMismatchError,
     LayerStack,
     TransitionTable,
+    build_spec_sets,
     cpre,
+    parse_config,
     upre,
 )
 from layersynth.benchmarks import dcdc
-from oracles import table_as_dict
+from oracles import successors, table_as_dict
 
 
 def line_stack(levels=1):
@@ -22,7 +26,7 @@ def line_stack(levels=1):
 def explore(table, cell, u_idx=0):
     """Explore one cell through ``compute_region``; its stored entry for ``u_idx``."""
     table.compute_region(CellSet.from_indices(table.stack, table.grid_layer, [cell]))
-    return table.successors(cell, u_idx)
+    return successors(table, cell, u_idx)
 
 
 class TestComputeTransition:
@@ -66,10 +70,10 @@ class TestComputeTransition:
         table = TransitionTable(drift_system(), line_stack(), 1)
         explore(table, 1)
         count = table.explored_count
-        before = table.successors(1, 0).indices().tolist()
+        before = successors(table, 1, 0).indices().tolist()
         explore(table, 1)
         assert table.explored_count == count
-        assert table.successors(1, 0).indices().tolist() == before
+        assert successors(table, 1, 0).indices().tolist() == before
 
 
 class TestComputeRegion:
@@ -105,11 +109,11 @@ class TestComputeRegion:
 class TestSuccessorsAccessor:
     def test_three_states(self):
         table = TransitionTable(drift_system(), line_stack(), 1)
-        assert table.successors(0, 0) is None
+        assert successors(table, 0, 0) is None
         explore(table, 0)
-        assert table.successors(0, 0).indices().tolist() == [1, 2]
+        assert successors(table, 0, 0).indices().tolist() == [1, 2]
         explore(table, 3)
-        assert table.successors(3, 0) is BLOCKED
+        assert successors(table, 3, 0) is BLOCKED
 
 
 class TestAuxiliaryTables:
@@ -136,7 +140,41 @@ class TestAuxiliaryTables:
         stack = LayerStack(2, [1.0], 1.0, [0.0], [4.0])
         aux = TransitionTable(drift_system(), stack, 1, "aux")
         aux.compute_region(CellSet.full(stack, 2))
-        assert aux.successors(1, 0) is BLOCKED
+        assert successors(aux, 1, 0) is BLOCKED
         right = CellSet.from_indices(stack, 2, [1])
         assert upre(aux, right).indices().tolist() == [0, 1]
         assert cpre(aux, CellSet.full(stack, 2)).indices().tolist() == [0]
+
+
+class TestStorage:
+    def test_main_table_stores_at_most_24_bytes_per_pair(self):
+        # The unicycle reach-avoid problem with a 0.45 s period on a
+        # 32x32x32 grid; its layer-1 safe set has about 300k pairs.
+        obstacle = {"lower": [2.2, 0.0, -3.2], "upper": [2.6, 2.75, 3.2]}
+        config = parse_config({
+            "benchmark": "unicycle",
+            "spec": "reach-avoid",
+            "layers": 3,
+            "eta1": [0.2, 0.2, 0.2],
+            "tau1": 0.45,
+            "y_lower": [0.0, 0.0, -3.2],
+            "y_upper": [6.4, 6.4, 3.2],
+            "obstacle_boxes": [obstacle, {**obstacle, "lower": [2.2, 3.45, -3.2],
+                                          "upper": [2.6, 6.4, 3.2]}],
+            "target_boxes": [{"lower": [4.8, 2.4, -3.2], "upper": [6.4, 4.0, 3.2]}],
+            "algorithm": "lazy-reach",
+        })
+        sys, stack = config.build_system(), config.build_stack()
+        safe = build_spec_sets(stack, config.build_spec()).safe_at(1)
+        table = TransitionTable(sys, stack, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table.compute_region(safe)
+            for u in range(sys.n_inputs):
+                table.csr(u)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table.explored_count == sys.n_inputs * safe.count() > 100_000
+        assert grown <= 24 * table.explored_count, grown / table.explored_count

@@ -223,6 +223,10 @@ def test_negative_horizon_is_rejected(kind, levels, seed):
     x0 = mlc.stack.centers(1, mlc.domain_projection().indices()[:1])[0]
     with pytest.raises(ValueError, match="horizon"):
         validate(mlc, sys_, spec, runs=5, horizon=-1, seed=0)
+    # an empty domain must not pass vacuously before the horizon is checked
+    empty = MultiLayeredController(mlc.kind, mlc.stack, [])
+    with pytest.raises(ValueError, match="horizon"):
+        validate(empty, sys_, spec, runs=5, horizon=-1, seed=0)
     with pytest.raises(ValueError, match="horizon"):
         simulate(mlc, sys_, spec, x0, -1, 0)
     assert validate(mlc, sys_, spec, runs=2, horizon=0, seed=0).executed == 2

@@ -189,3 +189,18 @@ def test_csv_export(tmp_path):
     assert lines[0] == "layer,idx0,idx1,center0,center1"
     assert lines[1] == "2,0,0,1.0,1.0"
     assert lines[2] == "2,1,1,3.0,3.0"
+
+
+def test_csv_export_matches_row_by_row_formatting(tmp_path):
+    # more rows than one formatting chunk, with centers whose repr is long
+    stack = LayerStack(1, [0.005, 0.005, 0.1], 0.5, [1.15, 5.45, -3.2], [1.55, 5.85, 3.2])
+    rng = np.random.default_rng(0)
+    cells = CellSet(1, rng.random(stack.cell_count(1)) < 0.1)
+    assert cells.count() > 40_000
+    path = tmp_path / "cells.csv"
+    export_cellset_csv(stack, cells, path)
+    linear = cells.indices()
+    rows = ["layer,idx0,idx1,idx2,center0,center1,center2"]
+    for i, c in zip(stack.unlinearize(1, linear), stack.centers(1, linear)):
+        rows.append(",".join(["1"] + [str(int(v)) for v in i] + [repr(float(v)) for v in c]))
+    assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"

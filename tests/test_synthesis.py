@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import chain_table, drift_system, random_problem, stationary_system
+from conftest import SWEEP, chain_table, drift_system, random_problem, stationary_system
 from oracles import (
     attractor_oracle,
     cpre_oracle,
     safe_gfp_oracle,
+    successors,
     table_as_dict,
     upre_m_oracle,
     upre_oracle,
@@ -212,7 +213,7 @@ class TestSafeFixpoint:
             assert set(w.indices().tolist()) == oracle
             for cell, mv in moves.items():
                 for u in mv:
-                    assert engine.table(1).successors(cell, u).is_subset(w)
+                    assert successors(engine.table(1), cell, u).is_subset(w)
 
 
 class TestReachM:
@@ -385,10 +386,6 @@ class TestContainmentLemma:
                         )
 
 
-# (levels, seed) of the random problems swept for both kinds.
-SWEEP = [(levels, seed) for levels in (2, 3) for seed in range(40)]
-
-
 @functools.lru_cache(maxsize=None)
 def swept(kind, levels, seed):
     """Problem and eager, lazy and single-layer results of one sweep instance."""
@@ -440,7 +437,7 @@ class TestStructuralInvariants:
             region = gamma_down(stack, psi, st.layer)
             for cell, moves in st.moves.items():
                 for u in moves:
-                    assert engine.table(st.layer).successors(cell, u).is_subset(region)
+                    assert successors(engine.table(st.layer), cell, u).is_subset(region)
 
     def test_reach_rank_progress_structure(self):
         sys, stack, spec = random_problem(505, kind=REACH_AVOID, levels=2)
@@ -459,7 +456,7 @@ class TestStructuralInvariants:
                     if r < rank:
                         allowed[other] = True
                 for u in moves:
-                    succ = engine.table(st.layer).successors(cell, u)
+                    succ = successors(engine.table(st.layer), cell, u)
                     assert bool(allowed[succ.bits].all())
             prior.union_update(gamma_down(stack, st.domain, 1))
 
