@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ControlSystem, reach_boxes
+from .dynamics import ControlSystem, radius_dynamics, reach_boxes
 from .grid import CellSet, LayerMismatchError, LayerStack
 
 # Integer type of stored cell indices.
@@ -109,6 +109,11 @@ class TransitionTable:
             np.empty(0, dtype=bool),
         )
         self._boxes: list[tuple] = [empty] * n_inputs
+        # Growth-bound radius of a grid cell, per input.
+        half_width = 0.5 * stack.eta(self.grid_layer)
+        self._radius = [
+            radius_dynamics(sys, u, half_width, self.tau, self.substeps) for u in sys.inputs
+        ]
         self.explored_count = 0
 
     # -- population ----------------------------------------------------
@@ -136,11 +141,10 @@ class TransitionTable:
     def _compute_batch(self, u_idx: int, cells: np.ndarray) -> None:
         stack = self.stack
         gl = self.grid_layer
-        eta = stack.eta(gl)
         dims = stack.dims(gl)
         centers = stack.centers(gl, cells)
         lo, hi = reach_boxes(
-            self.sys, centers, 0.5 * eta, self.sys.inputs[u_idx], self.tau, self.substeps
+            self.sys, centers, self._radius[u_idx], self.sys.inputs[u_idx], self.tau, self.substeps
         )
         q_lo = stack.grid_coords(gl, lo)
         q_hi = stack.grid_coords(gl, hi)

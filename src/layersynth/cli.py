@@ -44,7 +44,7 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
         dom = CellSet.empty(stack, l)
         for stage in result.controller.stages:
             if stage.layer == l:
-                dom.union_update(stage.domain)
+                dom.bits[stage.cells] = True
         export_cellset_csv(stack, dom, out_dir / f"domain_layer{l}.csv")
     ctrl.save(result.controller, out_dir / "controller.mlc")
 
@@ -52,7 +52,7 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
     stats["config"] = config.to_dict()
     stats["winning_layer1_cells"] = result.winning.count()
     stats["stages"] = [
-        {"layer": s.layer, "stage": s.stage, "cells": s.domain.count()}
+        {"layer": s.layer, "stage": s.stage, "cells": s.cells.size}
         for s in result.controller.stages
     ]
     with open(out_dir / "stats.json", "w", encoding="utf-8") as fh:

@@ -128,6 +128,8 @@ def parse_config(raw: dict) -> ProblemConfig:
         build_system(benchmark, raw.get("dynamics_params"))
     except KeyError as exc:
         raise ConfigError(f"benchmark: {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"dynamics_params: {exc}") from exc
     spec = _require(raw, "spec", str, f"'{SAFETY}' or '{REACH_AVOID}'")
     if spec not in (SAFETY, REACH_AVOID):
         raise ConfigError(f"spec: must be '{SAFETY}' or '{REACH_AVOID}', got {spec!r}")

@@ -29,22 +29,32 @@ class ControllerFormatError(ValueError):
 
 @dataclass
 class LayerController:
-    """One stage: domain cells of a single layer with their moves."""
+    """One stage: sorted domain cells of a single layer with their moves.
+
+    ``moves[k, u]`` says input ``u`` closes in cell ``cells[k]``; every
+    row allows at least one input.  ``ranks[k]`` is the reach-avoid rank
+    of ``cells[k]``; safety stages have none.
+    """
 
     layer: int
     stage: int
-    domain: CellSet
-    moves: dict[int, tuple[int, ...]]
-    ranks: dict[int, int] | None = None
+    cells: np.ndarray
+    moves: np.ndarray
+    ranks: np.ndarray | None = None
 
     def __post_init__(self):
-        dom = set(int(c) for c in self.domain.indices())
-        if set(self.moves) != dom:
-            raise ValueError("moves must be defined exactly on the stage domain")
-        if any(len(m) == 0 for m in self.moves.values()):
+        self.cells = np.asarray(self.cells, dtype=np.int64)
+        self.moves = np.asarray(self.moves, dtype=bool)
+        if self.ranks is not None:
+            self.ranks = np.asarray(self.ranks, dtype=np.int32)
+        if self.cells.ndim != 1 or np.any(self.cells[1:] <= self.cells[:-1]):
+            raise ValueError("stage cells must be sorted and distinct")
+        if self.moves.ndim != 2 or len(self.moves) != self.cells.size:
+            raise ValueError("moves must have one row per stage cell")
+        if self.ranks is not None and self.ranks.shape != self.cells.shape:
+            raise ValueError("ranks must have one entry per stage cell")
+        if not self.moves.any(axis=1).all():
             raise ValueError("every domain cell needs at least one move")
-        if self.ranks is not None and set(self.ranks) != dom:
-            raise ValueError("ranks must be defined exactly on the stage domain")
 
 
 @dataclass
@@ -58,6 +68,9 @@ class MultiLayeredController:
             raise ValueError(f"unknown controller kind {self.kind!r}")
         for p, st in enumerate(self.stages):
             self.stack._check_layer(st.layer)
+            n_layer = self.stack.cell_count(st.layer)
+            if st.cells.size and (st.cells[0] < 0 or st.cells[-1] >= n_layer):
+                raise ValueError(f"stage {p} has cells outside layer {st.layer}")
             if (st.ranks is not None) != (self.kind == REACH_AVOID):
                 raise ValueError("ranks are present exactly for reach-avoid stages")
             if st.stage != p:
@@ -65,19 +78,52 @@ class MultiLayeredController:
 
     @cached_property
     def _acting(self) -> np.ndarray:
-        """Acting stage of every layer-1 cell (-1: none).
+        """Acting row of every layer-1 cell (-1: none); see :attr:`_rows`.
 
         Built at first use, so decoding a controller file writes no
         memory per grid cell of its header.  Stages are written in
         ascending priority, so the winner is written last: safety prefers
         the coarsest layer, then the earliest stage; reach-avoid the
-        earliest stage.
+        earliest stage.  A layer-1 cell's grid index shifted right by
+        ``layer - 1`` is that of its cell on ``layer``: cell widths are
+        ``eta1`` times powers of two, so this is exact.
         """
+        stack = self.stack
         layers = [st.layer if self.kind == SAFETY else 0 for st in self.stages]
-        acting = np.full(self.stack.cell_count(1), -1, dtype=np.int32)
+        first_row = np.cumsum([0] + [st.cells.size for st in self.stages])
+        dtype = np.int32 if first_row[-1] <= np.iinfo(np.int32).max else np.int64
+        acting = np.full(stack.cell_count(1), -1, dtype=dtype)
         for p in sorted(range(len(layers)), key=lambda p: (layers[p], -p)):
-            acting[gamma_down(self.stack, self.stages[p].domain, 1).bits] = p
+            st = self.stages[p]
+            fine = gamma_down(stack, CellSet.from_indices(stack, st.layer, st.cells), 1).indices()
+            own = stack.linearize(st.layer, stack.unlinearize(1, fine) >> (st.layer - 1))
+            acting[fine] = first_row[p] + np.searchsorted(st.cells, own)
         return acting
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Stage, cell, layer, lowest move and rank (0 for safety) of
+        every stage cell, numbered in stage order; the last row, read
+        for row -1, has stage and cell -1."""
+        columns = [
+            (np.full(st.cells.size, p), st.cells, np.full(st.cells.size, st.layer),
+             st.moves.argmax(axis=1) if st.moves.size else np.zeros(0, dtype=np.int64),
+             np.zeros(st.cells.size, dtype=np.int64) if st.ranks is None else st.ranks)
+            for p, st in enumerate(self.stages)
+        ]
+        columns.append(([-1], [-1], [0], [0], [0]))
+        return tuple(np.concatenate(c) for c in zip(*columns))
+
+    def _acting_rows(self, x: np.ndarray) -> np.ndarray:
+        """Acting row of every state of ``x`` ``(N, n)``, -1 outside
+        every stage domain or not finite.  Cells are semi-open, as in
+        :meth:`LayerStack.quantize`."""
+        stack = self.stack
+        q = np.floor((x - stack.y_lower) / stack.eta(1))
+        inside = np.all((q >= 0) & (q < stack.dims(1)), axis=1)
+        # Only rows inside are cast, so a non-finite row raises no warning.
+        index = np.where(inside[:, None], q, 0).astype(np.int64)
+        return np.where(inside, self._acting[stack.linearize(1, index)], -1)
 
     def domain_projection(self) -> CellSet:
         """Layer-1 cell set covering the union of all stage domains."""
@@ -97,29 +143,10 @@ class MultiLayeredController:
 
         Returns the acting stage index and its linear cell per row, both
         -1 where no stage domain contains the row or the row is not
-        finite.  The cell on the stage's layer is the layer-1 index
-        shifted right by ``layer - 1``: cell widths are ``eta1`` times
-        powers of two, so this is exact.  Cells are semi-open, as in
-        :meth:`LayerStack.quantize`.
+        finite.
         """
-        stack = self.stack
-        q = np.floor((x - stack.y_lower) / stack.eta(1))
-        inside = np.all((q >= 0) & (q < stack.dims(1)), axis=1)
-        # Only rows inside are cast, so a non-finite row raises no warning.
-        index = np.where(inside[:, None], q, 0).astype(np.int64)
-        stage = np.full(len(x), -1, dtype=np.int64)
-        stage[inside] = self._acting[stack.linearize(1, index[inside])]
-        cell = np.full(len(x), -1, dtype=np.int64)
-        layer = self._stage_layers[stage]
-        for lay in np.unique(layer[stage >= 0]):
-            rows = (stage >= 0) & (layer == lay)
-            cell[rows] = stack.linearize(int(lay), index[rows] >> (lay - 1))
-        return stage, cell
-
-    @cached_property
-    def _stage_layers(self) -> np.ndarray:
-        """Layer of every stage; the last entry (read for stage -1) is 0."""
-        return np.array([st.layer for st in self.stages] + [0], dtype=np.int64)
+        row = self._acting_rows(x)
+        return self._rows[0][row], self._rows[1][row]
 
 
 @dataclass
@@ -145,10 +172,7 @@ class TrajectoryLog:
 
 def rank_budget(mlc: MultiLayeredController) -> int:
     """Worst-case step bound for reach-avoid runs, with slack factor 2."""
-    total = 0
-    for st in mlc.stages:
-        if st.ranks:
-            total += max(st.ranks.values())
+    total = sum(int(st.ranks.max()) for st in mlc.stages if st.ranks is not None and st.ranks.size)
     return max(2 * total, 10)
 
 
@@ -170,7 +194,8 @@ def _closed_loop(
     own generator from ``rngs``.  A run stops on a violation, on target
     entry (reach-avoid) or on leaving the controller domain; the
     specification is checked at sampling instants.  The input tie-break
-    within a stage is the lowest input index, so runs are reproducible.
+    within a stage is the lowest input index, so runs are reproducible;
+    each step reads the stage, move and rank of all its runs at once.
 
     Returns the status, final state and step count of every run, and
     whether its (stage, rank) measure strictly decreased at every step.
@@ -203,16 +228,12 @@ def _closed_loop(
             arrived = going & spec.in_target_region(xa)
             stop(active[arrived], "target-reached")
             going &= ~arrived
-        stage, cell = mlc.quantize_batch(xa)
-        stop(active[going & (stage < 0)], "left-domain")
-        going &= stage >= 0
-        active, stage, cell = active[going], stage[going], cell[going]
-
-        chosen = [mlc.stages[p] for p in stage.tolist()]
-        moves = np.array([min(st.moves[c]) for st, c in zip(chosen, cell.tolist())], dtype=np.int64)
-        ranks = [None if st.ranks is None else st.ranks[c] for st, c in zip(chosen, cell.tolist())]
-        layers = mlc._stage_layers[stage]
-        now = np.stack([stage, [r or 0 for r in ranks]], axis=1)
+        row = mlc._acting_rows(xa)
+        stop(active[going & (row < 0)], "left-domain")
+        going &= row >= 0
+        active = active[going]
+        stage, _, layers, moves, ranks = (column[row[going]] for column in mlc._rows)
+        now = np.stack([stage, ranks], axis=1)
         prev = measure[active]
         monotone[active] &= (now[:, 0] < prev[:, 0]) | (
             (now[:, 0] == prev[:, 0]) & (now[:, 1] < prev[:, 1])
@@ -222,7 +243,7 @@ def _closed_loop(
             for j, i in enumerate(active.tolist()):
                 entries[i].append(
                     LogEntry(float(t[i]), x[i].copy(), int(layers[j]), int(stage[j]),
-                             int(moves[j]), ranks[j])
+                             int(moves[j]), int(ranks[j]) if reach else None)
                 )
         for layer, u in sorted(set(zip(layers.tolist(), moves.tolist()))):
             rows = active[(layers == layer) & (moves == u)]
@@ -312,7 +333,7 @@ def validate(
         raise ValueError("runs must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if any(not 0 <= u < sys.n_inputs for st in mlc.stages for mv in st.moves.values() for u in mv):
+    if any(st.moves[:, sys.n_inputs :].any() for st in mlc.stages):
         raise ValueError(f"a move names an input outside the system's {sys.n_inputs} inputs")
     cells = mlc.domain_projection().indices()
     if cells.size == 0:
@@ -321,7 +342,7 @@ def validate(
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(runs)]
     eta1 = mlc.stack.eta(1)
     start = np.array([cells[rng.integers(cells.size)] for rng in rngs])
-    offset = np.array([rng.uniform(0.0, 1.0, size=mlc.stack.dim) for rng in rngs])
+    offset = np.array([rng.random(mlc.stack.dim) for rng in rngs])
     x0 = mlc.stack.centers(1, start) - 0.5 * eta1 + offset * eta1
     status, _, steps, monotone = _closed_loop(mlc, sys, spec, x0, horizon, rngs, substeps_base)
 
@@ -337,11 +358,43 @@ def validate(
 
 _MAGIC = b"LSMC"
 _VERSION = 1
+# One cell record: cell, rank (-1 for safety), move count; the moves
+# follow it as little-endian uint16 input indices, ascending.
+_RECORD = np.dtype([("cell", "<i8"), ("rank", "<i4"), ("n", "<u2")])
+_MAX_INPUTS = 0xFFFF
 
 
 def _grid_format(dim: int) -> str:
     """eta1, tau1, y_lower, y_upper and the stage count."""
     return f"<{dim}dd{dim}d{dim}dI"
+
+
+def _record_bytes(starts: np.ndarray, size: int) -> np.ndarray:
+    """Which of ``size`` stage-body bytes belong to a record header.
+
+    Headers start at ``starts``; every other byte is move data.
+    """
+    edge = np.zeros(size + 1, dtype=np.int8)
+    edge[starts + _RECORD.itemsize] = -1
+    edge[starts] += 1
+    return np.cumsum(edge[:-1], dtype=np.int8).astype(bool)
+
+
+def _encode_stage(stage: LayerController) -> bytes:
+    if stage.moves.shape[1] > _MAX_INPUTS:
+        raise ValueError(f"a stage names more than {_MAX_INPUTS} inputs")
+    rows, inputs = np.nonzero(stage.moves)
+    head = np.empty(stage.cells.size, dtype=_RECORD)
+    head["cell"] = stage.cells
+    head["rank"] = -1 if stage.ranks is None else stage.ranks
+    head["n"] = np.bincount(rows, minlength=stage.cells.size)
+    before = np.cumsum(head["n"], dtype=np.int64) - head["n"]
+    starts = _RECORD.itemsize * np.arange(stage.cells.size) + 2 * before
+    body = np.empty(head.nbytes + 2 * inputs.size, dtype=np.uint8)
+    is_head = _record_bytes(starts, body.size)
+    body[is_head] = head.view(np.uint8)
+    body[~is_head] = inputs.astype("<u2").view(np.uint8)
+    return struct.pack("<BIq", stage.layer, stage.stage, stage.cells.size) + body.tobytes()
 
 
 def serialize(mlc: MultiLayeredController) -> bytes:
@@ -353,13 +406,7 @@ def serialize(mlc: MultiLayeredController) -> bytes:
         _grid_format(st.dim), *st.eta1, st.tau1, *st.y_lower, *st.y_upper, len(mlc.stages)
     )
     for stage in mlc.stages:
-        cells = sorted(stage.moves)
-        out += struct.pack("<BIq", stage.layer, stage.stage, len(cells))
-        for cell in cells:
-            rank = -1 if stage.ranks is None else stage.ranks[cell]
-            moves = stage.moves[cell]
-            out += struct.pack("<qiH", cell, rank, len(moves))
-            out += struct.pack(f"<{len(moves)}H", *moves)
+        out += _encode_stage(stage)
     return bytes(out)
 
 
@@ -387,30 +434,44 @@ def _decode(data: bytes) -> MultiLayeredController:
     stack = LayerStack(
         levels, grid[:dim], grid[dim], grid[dim + 1 : 2 * dim + 1], grid[2 * dim + 1 : -1]
     )
-    kind = REACH_AVOID if kind_flag else SAFETY
-    stages = []
+    move_count = struct.Struct("<H").unpack_from
+    decoded = []
     for _ in range(grid[-1]):
         layer, stage_idx, n_cells = struct.unpack_from("<BIq", data, off)
         off += 13
-        if not 1 <= layer <= levels or n_cells < 0:
+        if not 1 <= layer <= levels or not 0 <= n_cells <= (len(data) - off) // _RECORD.itemsize:
             raise ControllerFormatError(f"stage layer {layer} not in [1;{levels}], {n_cells} cells")
-        n_layer = stack.cell_count(layer)
-        moves: dict[int, tuple[int, ...]] = {}
-        ranks: dict[int, int] = {}
+        # Each record's length is in its header, so only the walk to the
+        # next record is sequential; the fields are read all at once.
+        starts = []
+        begin = off
         for _ in range(n_cells):
-            cell, rank, n_moves = struct.unpack_from("<qiH", data, off)
-            off += 14
-            if not 0 <= cell < n_layer:
-                raise ControllerFormatError(f"cell {cell} outside layer {layer}'s {n_layer} cells")
-            moves[cell] = struct.unpack_from(f"<{n_moves}H", data, off)
-            off += 2 * n_moves
-            ranks[cell] = rank
-        domain = CellSet.from_indices(stack, layer, list(moves))
-        ranks = ranks if kind == REACH_AVOID else None
-        stages.append(LayerController(layer, stage_idx, domain, moves, ranks))
+            starts.append(off - begin)
+            off += _RECORD.itemsize + 2 * move_count(data, off + 12)[0]
+        if off > len(data):
+            raise ControllerFormatError("truncated cell record")
+        body = np.frombuffer(data, dtype=np.uint8, count=off - begin, offset=begin)
+        is_head = _record_bytes(np.array(starts, dtype=np.int64), body.size)
+        head = body[is_head].view(_RECORD)
+        inputs = body[~is_head].view("<u2").astype(np.int64)
+        cells = head["cell"]
+        n_layer = stack.cell_count(layer)
+        bad = cells[(cells < 0) | (cells >= n_layer)]
+        if bad.size:
+            raise ControllerFormatError(f"cell {bad[0]} outside layer {layer}'s {n_layer} cells")
+        rows = np.repeat(np.arange(cells.size), head["n"])
+        ranks = head["rank"] if kind_flag else None
+        decoded.append((layer, stage_idx, cells, rows, inputs, ranks))
     if off != len(data):
         raise ControllerFormatError(f"{len(data) - off} trailing bytes after the last stage")
-    return MultiLayeredController(kind, stack, stages)
+    # Moves are as wide as the largest input index in the file.
+    width = max((int(d[4].max()) + 1 for d in decoded if d[4].size), default=0)
+    stages = []
+    for layer, stage_idx, cells, rows, inputs, ranks in decoded:
+        moves = np.zeros((cells.size, width), dtype=bool)
+        moves[rows, inputs] = True
+        stages.append(LayerController(layer, stage_idx, cells, moves, ranks))
+    return MultiLayeredController(REACH_AVOID if kind_flag else SAFETY, stack, stages)
 
 
 def save(mlc: MultiLayeredController, path) -> None:

@@ -49,8 +49,8 @@ class ControlSystem:
         w = np.atleast_1d(np.asarray(self.disturbance, dtype=float))
         if w.shape != (self.dim,):
             raise ValueError(f"disturbance must have shape ({self.dim},)")
-        if np.any(w < 0.0):
-            raise ValueError("disturbance bound must be non-negative")
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+            raise ValueError("disturbance bound must be finite and non-negative")
         self.disturbance = w
         inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in self.inputs]
         if not inputs:
@@ -117,14 +117,15 @@ def radius_dynamics(sys: ControlSystem, u, r0, tau: float, substeps: int) -> np.
 def reach_boxes(
     sys: ControlSystem,
     centers: np.ndarray,
-    half_width: np.ndarray,
+    radius: np.ndarray,
     u,
     tau: float,
     substeps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched reach-box computation for identically sized cells.
 
-    ``centers`` has shape ``(N, n)``; all cells share ``half_width``.
+    ``centers`` has shape ``(N, n)``; all cells share ``radius``, the
+    :func:`radius_dynamics` endpoint from their half-width under ``u``.
     Returns lower and upper corners of the over-approximating boxes.
     """
     if tau <= 0.0:
@@ -134,8 +135,7 @@ def reach_boxes(
     c = _rk4(lambda y: sys.vector_field(y, u), centers, tau, substeps)
     if not np.all(np.isfinite(c)):
         raise IntegrationDivergenceError("non-finite state in batched reach computation")
-    r = radius_dynamics(sys, u, np.asarray(half_width, dtype=float), tau, substeps)
-    return c - r, c + r
+    return c - radius, c + radius
 
 
 def sample_disturbed_step(
@@ -152,9 +152,13 @@ def sample_disturbed_step(
     equal sub-intervals, each drawn uniformly from the disturbance box.
     A single state takes one generator (or seed) ``rng``; a batch takes
     one per row, and each row draws its own ``(DISTURBANCE_SEGMENTS, n)``
-    block from it, so a row steps exactly as it would alone.
-    Deterministic for fixed seeds.  With a zero disturbance bound this
-    is exactly ``integrate_nominal`` and draws nothing.
+    block from it, so its draws do not depend on the other rows.  The
+    blocks are drawn as unit doubles and mapped onto the box in one
+    affine step, ``low + (high - low) * v``, which is how
+    ``Generator.uniform`` maps them: each row's stream is bit for bit
+    that of per-segment ``rng.uniform(-w, w)`` draws.  Deterministic for
+    fixed seeds.  With a zero disturbance bound this is exactly
+    ``integrate_nominal`` and draws nothing.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -166,10 +170,10 @@ def sample_disturbed_step(
         raise ValueError("a batch of states needs one generator per row")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     shape = (DISTURBANCE_SEGMENTS, sys.dim)
-    w = np.stack(
-        [np.random.default_rng(r).uniform(-sys.disturbance, sys.disturbance, size=shape) for r in rngs],
-        axis=-2,
-    )
+    w = np.stack([np.random.default_rng(r).random(shape) for r in rngs], axis=-2)
+    low = -sys.disturbance
+    w *= sys.disturbance - low
+    w += low
     if x.ndim == 1:
         w = w[:, 0]
     seg_tau = tau / DISTURBANCE_SEGMENTS

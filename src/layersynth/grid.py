@@ -331,21 +331,27 @@ def cells_intersecting_box(stack: LayerStack, layer: int, lower, upper) -> CellS
 
 
 def export_cellset_csv(stack: LayerStack, cells: CellSet, path) -> None:
-    """Write one row per set cell: layer, index components, cell center."""
-    linear = cells.indices()
-    n = stack.dim
-    header = (
-        ["layer"]
-        + [f"idx{i}" for i in range(n)]
-        + [f"center{i}" for i in range(n)]
-    )
-    # Python ints and floats format as ``str`` and ``repr`` of each value.
-    row = ",".join([str(cells.layer)] + ["%d"] * n + ["%r"] * n) + "\n"
+    """Write one row per set cell: layer, index components, cell center.
+
+    A cell's index and center on one axis depend only on its index on
+    that axis, so each axis value is formatted once, as ``str`` of the
+    index and ``repr`` of the center, and rows join the looked-up text.
+    """
+    idx = stack.unlinearize(cells.layer, cells.indices())
+    eta = stack.eta(cells.layer)
+    index_text, center_text = [], []
+    for a, size in enumerate(stack.dims(cells.layer).tolist()):
+        values = np.flatnonzero(np.bincount(idx[:, a], minlength=size))
+        centers = stack.y_lower[a] + (values + 0.5) * eta[a]
+        index_text.append(dict(zip(values.tolist(), map(str, values.tolist()))))
+        center_text.append(dict(zip(values.tolist(), map(repr, centers.tolist()))))
+    tables = index_text + center_text
+    header = ["layer"] + [f"{name}{a}" for name in ("idx", "center") for a in range(stack.dim)]
+    lead = f"{cells.layer},"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         # In chunks, so the Python rows of a large set never all live at once.
-        for start in range(0, linear.size, _CSV_ROWS):
-            chunk = linear[start : start + _CSV_ROWS]
-            idx = stack.unlinearize(cells.layer, chunk).T.tolist()
-            ctr = stack.centers(cells.layer, chunk).T.tolist()
-            fh.write("".join([row % values for values in zip(*idx, *ctr)]))
+        for start in range(0, len(idx), _CSV_ROWS):
+            axes = idx[start : start + _CSV_ROWS].T.tolist()
+            columns = [list(map(t.__getitem__, col)) for t, col in zip(tables, axes + axes)]
+            fh.write("".join([lead + ",".join(row) + "\n" for row in zip(*columns)]))

@@ -156,11 +156,10 @@ def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
     return mask
 
 
-def _moves_into(mask: np.ndarray, cells: np.ndarray) -> dict[int, tuple[int, ...]]:
-    """For each cell, the inputs set in its column of a closing-input mask."""
-    columns = mask[:, cells].T.tolist()
-    moves = {int(c): tuple(u for u, ok in enumerate(col) if ok) for c, col in zip(cells, columns)}
-    if not all(moves.values()):
+def _moves_into(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Moves of ``cells``: row ``k`` is the column of ``cells[k]`` in a closing-input mask."""
+    moves = mask[:, cells].T
+    if not moves.any(axis=1).all():
         raise AssertionError("winning cell without a closing move")
     return moves
 
@@ -207,22 +206,33 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
 
 def upre_m(table: TransitionTable, target: CellSet, m: int) -> CellSet:
     """Cumulative m-fold application of the cooperative predecessor."""
+    return _upre_applied(table, target, m)[0]
+
+
+def _upre_applied(table: TransitionTable, target: CellSet, m: int) -> tuple[CellSet, int]:
+    """:func:`upre_m` and the number of ``upre`` applications it made;
+    it stops early once an application adds no cell."""
     if m < 1:
         raise ValueError("m must be >= 1")
     acc = upre(table, target)
+    applied = 1
     for _ in range(m - 1):
         nxt = acc.union(upre(table, acc))
+        applied += 1
         if nxt == acc:
             break
         acc = nxt
-    return acc
+    return acc, applied
 
 
 @dataclass
 class ReachOutcome:
+    """Won set and, for the newly won ``cells`` (sorted), their moves and ranks."""
+
     won: CellSet
-    ranks: dict[int, int]
-    moves: dict[int, tuple[int, ...]]
+    cells: np.ndarray
+    moves: np.ndarray
+    ranks: np.ndarray
     fixed_point: bool
     iterations: int
 
@@ -330,8 +340,8 @@ class SynthesisEngine:
         target = target.intersect(safe)
         candidates = safe.intersect(table.explored_cells())
         w = target.copy()
-        ranks: dict[int, int] = {}
-        moves: dict[int, tuple[int, ...]] = {}
+        ranks = np.zeros(table.n_cells, dtype=np.int32)  # 0: not newly won
+        won_by = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
         fixed = False
         iterations = 0
         while m is None or iterations < m:
@@ -343,11 +353,12 @@ class SynthesisEngine:
             if nxt == w:
                 fixed = True
                 break
-            new = _moves_into(mask, nxt.difference(w).indices())
-            moves.update(new)
-            ranks.update(dict.fromkeys(new, iterations))
+            new = nxt.difference(w).bits
+            ranks[new] = iterations
+            won_by[:, new] = mask[:, new]
             w = nxt
-        return ReachOutcome(w, ranks, moves, fixed, iterations)
+        cells = np.flatnonzero(ranks)
+        return ReachOutcome(w, cells, _moves_into(won_by, cells), ranks[cells], fixed, iterations)
 
     # -- frontier exploration ----------------------------------------------
 
@@ -364,8 +375,8 @@ class SynthesisEngine:
         m = self.m if m is None else m
         aux = self.ensure_aux(layer)
         L = self.stack.levels
-        coarse = upre_m(aux, gamma_up(self.stack, upsilon, L), m)
-        self.stats.upre_evals[layer] = self.stats.upre_evals.get(layer, 0) + m
+        coarse, applied = _upre_applied(aux, gamma_up(self.stack, upsilon, L), m)
+        self.stats.upre_evals[layer] = self.stats.upre_evals.get(layer, 0) + applied
         w1 = coarse.difference(gamma_down(self.stack, upsilon, L))
         w2 = gamma_down(self.stack, w1, layer)
         self.explore(layer, w2.intersect(self.spec_sets.safe_at(layer)))
@@ -413,8 +424,9 @@ class SynthesisEngine:
             if w.is_empty():
                 continue
             region = gamma_down(stack, psi, layer)
-            moves = _moves_into(_closing_inputs(self.table(layer), region), w.indices())
-            stages.append(LayerController(layer, len(stages), w, moves))
+            cells = w.indices()
+            moves = _moves_into(_closing_inputs(self.table(layer), region), cells)
+            stages.append(LayerController(layer, len(stages), cells, moves))
         return psi, stages
 
     def reach_iteration(self, lazy: bool) -> tuple[CellSet, list[LayerController]]:
@@ -466,13 +478,12 @@ class SynthesisEngine:
                     "layer": layer,
                     "iterations": outcome.iterations,
                     "fixed_point": outcome.fixed_point,
-                    "new_cells": len(outcome.ranks),
+                    "new_cells": outcome.cells.size,
                 }
             )
-            if outcome.ranks:
-                domain = CellSet.from_indices(stack, layer, list(outcome.moves))
+            if outcome.cells.size:
                 stages.append(
-                    LayerController(layer, len(stages), domain, outcome.moves, outcome.ranks)
+                    LayerController(layer, len(stages), outcome.cells, outcome.moves, outcome.ranks)
                 )
                 upsilon.union_update(gamma_down(stack, outcome.won, 1))
             if layer == L:
@@ -491,7 +502,7 @@ class SynthesisEngine:
         self.stats.transitions_per_layer = [t.explored_count for t in self.main]
         sizes = [0] * self.stack.levels
         for st in stages:
-            sizes[st.layer - 1] += st.domain.count()
+            sizes[st.layer - 1] += st.cells.size
         self.stats.winning_sizes = sizes
         self.stats.trace.append({"phase": "result", "layer1_winning": winning.count()})
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from layersynth import BLOCKED, CellSet, TrajectoryLog, ValidationReport
 from layersynth.controller import LogEntry, rank_budget
-from layersynth.dynamics import sample_disturbed_step
+from layersynth.dynamics import DISTURBANCE_SEGMENTS, sample_disturbed_step
 from layersynth.problem import REACH_AVOID, SAFETY
 
 
@@ -149,6 +149,16 @@ def attractor_oracle(table_dict, target: set[int], safe: set[int], m: int | None
     return w, ranks
 
 
+def stage_moves(cells, moves) -> dict[int, tuple[int, ...]]:
+    """A stage's move rows as ``{cell: allowed inputs}``."""
+    return {int(c): tuple(np.flatnonzero(row).tolist()) for c, row in zip(cells, moves)}
+
+
+def stage_ranks(cells, ranks) -> dict[int, int]:
+    """A stage's ranks as ``{cell: rank}``."""
+    return dict(zip(cells.tolist(), ranks.tolist()))
+
+
 def quantize_oracle(mlc, x):
     """Stage selection by quantizing ``x`` on every stage's own layer.
 
@@ -162,7 +172,7 @@ def quantize_oracle(mlc, x):
         if cid is None:
             continue
         cell = int(mlc.stack.linearize(st.layer, cid.index))
-        if cell in st.moves:
+        if np.any(st.cells == cell):
             hits.append((p, st.layer, cell))
     if not hits:
         return None
@@ -213,8 +223,9 @@ def simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base=5):
             return TrajectoryLog(entries, "left-domain", x)
         p, cell = sel
         st = mlc.stages[p]
-        u = min(st.moves[cell])
-        rank = None if st.ranks is None else st.ranks[cell]
+        row = int(np.flatnonzero(st.cells == cell)[0])
+        u = int(np.flatnonzero(st.moves[row])[0])
+        rank = None if st.ranks is None else int(st.ranks[row])
         entries.append(LogEntry(t, x.copy(), st.layer, p, u, rank))
         x = sample_disturbed_step(
             sys, x, sys.inputs[u], mlc.stack.tau(st.layer), rng,
@@ -238,25 +249,68 @@ def check_rank_progress(log: TrajectoryLog) -> bool:
     return all(b < a for a, b in zip(measure, measure[1:]))
 
 
+def start_states_oracle(mlc, runs, seed):
+    """Initial states of :func:`validate_oracle` and the generators after drawing them.
+
+    Run ``i`` draws its layer-1 cell, then its offset in the cell with
+    ``Generator.uniform``, from the ``i``-th generator spawned from ``seed``.
+    """
+    cells = mlc.domain_projection().indices()
+    eta1 = mlc.stack.eta(1)
+    states, rngs = [], []
+    for child in np.random.SeedSequence(seed).spawn(runs):
+        rng = np.random.default_rng(child)
+        cell = int(cells[rng.integers(cells.size)])
+        lo = mlc.stack.centers(1, np.asarray([cell]))[0] - 0.5 * eta1
+        states.append(lo + rng.uniform(0.0, 1.0, size=mlc.stack.dim) * eta1)
+        rngs.append(rng)
+    return states, rngs
+
+
+def sample_disturbed_step_reference(sys, x0, u, tau, rngs, substeps=5):
+    """Disturbed steps of the rows of ``x0``, drawn one segment at a time.
+
+    The reference for the draw stream of
+    :func:`layersynth.dynamics.sample_disturbed_step`: row ``i`` draws
+    each segment's disturbance with ``rngs[i].uniform(-w, w)``.  The
+    rows are integrated together with the same RK4 steps, because a
+    matrix-product vector field may round a lone state differently from
+    a batch row, so the results must agree bit for bit.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x = np.asarray(x0, dtype=float)
+    draws = [[rng.uniform(-sys.disturbance, sys.disturbance) for _ in range(DISTURBANCE_SEGMENTS)]
+             for rng in rngs]
+    seg_steps = max(1, -(-substeps // DISTURBANCE_SEGMENTS))
+    h = tau / DISTURBANCE_SEGMENTS / seg_steps
+    for k in range(DISTURBANCE_SEGMENTS):
+        w = np.array([row[k] for row in draws])
+
+        def f(y):
+            return sys.vector_field(y, u) + w
+
+        for _ in range(seg_steps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
 def validate_oracle(mlc, sys, spec, runs, horizon, seed, substeps_base=5):
     """Monte Carlo validation, one trajectory after another.
 
     The reference for :func:`layersynth.controller.validate`, with the
     same per-run generators and draw order.
     """
-    cells = mlc.domain_projection().indices()
-    if cells.size == 0:
+    if mlc.domain_projection().is_empty():
         return ValidationReport(runs, 0, 0, {}, horizon, seed, 0.0,
                                 None if mlc.kind == SAFETY else True)
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    eta1 = mlc.stack.eta(1)
-    logs = []
-    for i in range(runs):
-        rng = np.random.default_rng(seeds[i])
-        cell = int(cells[rng.integers(cells.size)])
-        lo = mlc.stack.centers(1, np.asarray([cell]))[0] - 0.5 * eta1
-        x0 = lo + rng.uniform(0.0, 1.0, size=mlc.stack.dim) * eta1
-        logs.append(simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base))
+    logs = [
+        simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base)
+        for x0, rng in zip(*start_states_oracle(mlc, runs, seed))
+    ]
     ok = {"safe-horizon-complete"} if mlc.kind == SAFETY else {"target-reached"}
     counts = {}
     for log in logs:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -121,3 +122,17 @@ def test_non_finite_tau1_is_a_config_error(tmp_path, capsys):
     config = write_config(tmp_path, doc)  # written as the JSON token NaN
     assert cli.main(["synthesize", "--config", config, "--out", str(tmp_path / "out")]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_disturbance_is_a_config_error(tmp_path, capsys, bad):
+    doc = {**DCDC_SAFE, "dynamics_params": {"disturbance": [bad, 0.001]}}
+    config = write_config(tmp_path, doc)  # written as the JSON token NaN or Infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["synthesize", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        args = ["--controller", str(tmp_path / "absent.mlc"), "--config", config]
+        assert cli.main(["validate", *args]) == 1
+    message = "configuration error: dynamics_params: disturbance bound must be finite"
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "out").exists()

@@ -13,9 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import drift_system, random_problem, stationary_system
-from oracles import quantize_oracle, simulate_oracle, validate_oracle
+from oracles import quantize_oracle, simulate_oracle, start_states_oracle, validate_oracle
+from layersynth import controller
 from layersynth import (
-    CellSet,
     ControllerFormatError,
     IntegrationDivergenceError,
     LayerController,
@@ -95,11 +95,9 @@ def test_domain_projection_is_the_union_of_stage_domains():
 def test_overlapping_stages_follow_the_priority_rule(square_stack):
     # Stage 0 on layer 1 and stages 1 and 2 on layer 2 all cover layer-1 cell 0.
     def stages(ranked):
-        ranks = {0: 1} if ranked else None
+        ranks = [1] if ranked else None
         return [
-            LayerController(layer, p, CellSet.from_indices(square_stack, layer, [0]),
-                            {0: (0,)}, ranks)
-            for p, layer in enumerate((1, 2, 2))
+            LayerController(layer, p, [0], [[True]], ranks) for p, layer in enumerate((1, 2, 2))
         ]
 
     safe = MultiLayeredController(SAFETY, square_stack, stages(False))
@@ -198,9 +196,10 @@ def test_malformed_controller_names_the_fault(edit, message):
 def test_validate_rejects_moves_outside_the_input_alphabet():
     sys_, spec, mlc = solved(REACH_AVOID, 3, 2)
     first = mlc.stages[0]
-    cell = next(iter(first.moves))
-    moves = {**first.moves, cell: (sys_.n_inputs,)}
-    bad = LayerController(first.layer, 0, first.domain, moves, first.ranks)
+    moves = np.pad(first.moves, ((0, 0), (0, 1)))
+    moves[0] = False
+    moves[0, sys_.n_inputs] = True
+    bad = LayerController(first.layer, 0, first.cells, moves, first.ranks)
     bad_mlc = MultiLayeredController(mlc.kind, mlc.stack, [bad, *mlc.stages[1:]])
     with pytest.raises(ValueError, match="outside the system"):
         validate(bad_mlc, sys_, spec, runs=2, horizon=5, seed=0)
@@ -215,6 +214,23 @@ def test_validate_matches_per_trajectory_oracle(kind, levels, seed, runs):
     sys_, spec, mlc = solved(kind, levels, seed)
     args = (mlc, sys_, spec, runs, 20, seed)
     assert validate(*args).to_dict() == validate_oracle(*args).to_dict()
+
+
+@pytest.mark.parametrize("kind, levels, seed", PROBLEMS[::3])
+def test_validate_start_states_match_oracle_draws(monkeypatch, kind, levels, seed):
+    # Stop validation where its closed loop would start, with its states.
+    class Started(Exception):
+        pass
+
+    def started(mlc, sys, spec, x0, *rest):
+        raise Started(x0)
+
+    sys_, spec, mlc = solved(kind, levels, seed)
+    monkeypatch.setattr(controller, "_closed_loop", started)
+    with pytest.raises(Started) as got:
+        validate(mlc, sys_, spec, 9, 5, seed)
+    states, _ = start_states_oracle(mlc, 9, seed)
+    assert np.array_equal(got.value.args[0], np.array(states))
 
 
 @pytest.mark.parametrize("kind, levels, seed", [(SAFETY, 2, 12), (REACH_AVOID, 3, 2)])
@@ -277,8 +293,8 @@ def test_hand_built_failures_match_oracle(square_stack, system, kind, status):
     # repeating its (stage, rank) until the step budget runs out; the
     # drifting one leaves the stage domain.
     spec = ProblemSpec(kind=kind, target_boxes=[([3.0, 3.0], [4.0, 4.0])] if kind == REACH_AVOID else [])
-    ranks = {0: 1} if kind == REACH_AVOID else None
-    stage = LayerController(1, 0, CellSet.from_indices(square_stack, 1, [0]), {0: (0,)}, ranks)
+    ranks = [1] if kind == REACH_AVOID else None
+    stage = LayerController(1, 0, [0], [[True]], ranks)
     mlc = MultiLayeredController(kind, square_stack, [stage])
     report = validate(mlc, system, spec, 3, 5, 0)
     assert report.to_dict() == validate_oracle(mlc, system, spec, 3, 5, 0).to_dict()

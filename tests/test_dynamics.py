@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import drift_system, linear_system, stationary_system
+from oracles import sample_disturbed_step_reference
 from layersynth import (
     ControlSystem,
     IntegrationDivergenceError,
     integrate_nominal,
     sample_disturbed_step,
 )
-from layersynth.dynamics import reach_boxes
+from layersynth.dynamics import radius_dynamics, reach_boxes
 from layersynth.benchmarks import dcdc, unicycle
 
 
@@ -18,7 +19,8 @@ def reach_box(sys, lower, upper, u, tau, substeps):
     """Reach box of the cell ``[lower, upper]``: a one-row ``reach_boxes`` batch."""
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     center, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-    lo, hi = reach_boxes(sys, center[None, :], half_width, u, tau, substeps)
+    radius = radius_dynamics(sys, u, half_width, tau, substeps)
+    lo, hi = reach_boxes(sys, center[None, :], radius, u, tau, substeps)
     return lo[0], hi[0]
 
 
@@ -33,6 +35,12 @@ class TestControlSystemValidation:
             stationary = stationary_system()
             ControlSystem(2, stationary.vector_field, [-0.1, 0.0],
                           stationary.inputs, stationary.growth_matrix)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_disturbance(self, bad):
+        s = stationary_system()
+        with pytest.raises(ValueError, match="finite"):
+            ControlSystem(2, s.vector_field, [bad, 0.0], s.inputs, s.growth_matrix)
 
     def test_rejects_duplicate_inputs(self):
         s = stationary_system()
@@ -155,6 +163,23 @@ class TestSampleDisturbedStep:
             assert np.array_equal(batch[i], alone)
         with pytest.raises(ValueError, match="one generator per row"):
             sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, list(range(8)))
+
+    @pytest.mark.parametrize("system", [dcdc, unicycle])
+    def test_draw_stream_matches_per_segment_uniform_reference(self, system):
+        # Rows on every layer's period and substep count, each with its
+        # own generator: bit-equal states and generators left in step.
+        sys = system()
+        x0 = np.random.default_rng(5).uniform(0.5, 1.5, size=(7, sys.dim))
+        for layer in (1, 2, 3):
+            tau, substeps = 0.25 * 2 ** (layer - 1), 5 * 2 ** (layer - 1)
+            for u in sys.inputs[::3]:
+                seeds = np.random.SeedSequence(layer).spawn(len(x0))
+                got_rngs = [np.random.default_rng(s) for s in seeds]
+                want_rngs = [np.random.default_rng(s) for s in seeds]
+                got = sample_disturbed_step(sys, x0, u, tau, got_rngs, substeps)
+                want = sample_disturbed_step_reference(sys, x0, u, tau, want_rngs, substeps)
+                assert np.array_equal(got, want)
+                assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs]
 
     def test_undisturbed_batch_draws_nothing(self):
         sys = decay_system(dim=2)

@@ -192,15 +192,22 @@ def test_csv_export(tmp_path):
 
 
 def test_csv_export_matches_row_by_row_formatting(tmp_path):
-    # more rows than one formatting chunk, with centers whose repr is long
-    stack = LayerStack(1, [0.005, 0.005, 0.1], 0.5, [1.15, 5.45, -3.2], [1.55, 5.85, 3.2])
-    rng = np.random.default_rng(0)
-    cells = CellSet(1, rng.random(stack.cell_count(1)) < 0.1)
-    assert cells.count() > 40_000
-    path = tmp_path / "cells.csv"
-    export_cellset_csv(stack, cells, path)
-    linear = cells.indices()
-    rows = ["layer,idx0,idx1,idx2,center0,center1,center2"]
-    for i, c in zip(stack.unlinearize(1, linear), stack.centers(1, linear)):
-        rows.append(",".join(["1"] + [str(int(v)) for v in i] + [repr(float(v)) for v in c]))
-    assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+    # more rows than one formatting chunk, with centers whose repr is
+    # long, on a 3-D grid and on layer 2 of a 2-D one
+    grids = [
+        (LayerStack(1, [0.005, 0.005, 0.1], 0.5, [1.15, 5.45, -3.2], [1.55, 5.85, 3.2]), 1, 0.1),
+        (LayerStack(3, [0.0005, 0.0005], 0.5, [1.15, 5.45], [1.55, 5.85]), 2, 0.3),
+    ]
+    for seed, (stack, layer, density) in enumerate(grids):
+        rng = np.random.default_rng(seed)
+        cells = CellSet(layer, rng.random(stack.cell_count(layer)) < density)
+        assert cells.count() > 40_000
+        path = tmp_path / "cells.csv"
+        export_cellset_csv(stack, cells, path)
+        linear = cells.indices()
+        rows = [",".join(["layer"] + [f"idx{a}" for a in range(stack.dim)]
+                         + [f"center{a}" for a in range(stack.dim)])]
+        for i, c in zip(stack.unlinearize(layer, linear), stack.centers(layer, linear)):
+            text = [str(layer)] + [str(int(v)) for v in i] + [repr(float(v)) for v in c]
+            rows.append(",".join(text))
+        assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"

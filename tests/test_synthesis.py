@@ -9,6 +9,8 @@ from oracles import (
     attractor_oracle,
     cpre_oracle,
     safe_gfp_oracle,
+    stage_moves,
+    stage_ranks,
     successors,
     table_as_dict,
     upre_m_oracle,
@@ -173,7 +175,7 @@ class TestSafeStep:
 def one_level_safety(engine):
     """The safety game of a 1-level engine: (winning set, moves)."""
     w, stages = engine.safe_iteration(lazy=False)
-    return w, stages[0].moves if stages else {}
+    return w, stage_moves(stages[0].cells, stages[0].moves) if stages else {}
 
 
 class TestSafeFixpoint:
@@ -226,7 +228,7 @@ class TestReachM:
         stack, engine = self_loop_engine(REACH_AVOID, n=4, targets=[([0.0], [2.0])])
         target = engine.spec_sets.target_at(1)
         out = engine.reach_m(1, target, engine.spec_sets.safe_at(1), None)
-        assert out.won == target and out.fixed_point and out.ranks == {}
+        assert out.won == target and out.fixed_point and out.cells.size == 0
 
     def test_chain_two_steps_adds_two_predecessors_with_decreasing_ranks(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [5.0])
@@ -236,7 +238,7 @@ class TestReachM:
             engine.table(1).preload(cell[0], cell[1], BLOCKED if succ is BLOCKED else sorted(succ))
         target = engine.spec_sets.target_at(1)
         out = engine.reach_m(1, target, engine.spec_sets.safe_at(1), 2)
-        assert out.ranks == {3: 1, 2: 2}
+        assert stage_ranks(out.cells, out.ranks) == {3: 1, 2: 2}
         assert not out.fixed_point
 
     def test_random_instances_match_attractor_oracle(self):
@@ -253,7 +255,7 @@ class TestReachM:
                 out = engine.reach_m(1, target, safe, m)
                 expect, expect_ranks = attractor_oracle(tdict, target_set, safe_set, m)
                 assert set(out.won.indices().tolist()) == expect
-                assert out.ranks == expect_ranks
+                assert stage_ranks(out.cells, out.ranks) == expect_ranks
 
 
 class TestSafeIteration:
@@ -266,7 +268,9 @@ class TestSafeIteration:
             safe = set(int(c) for c in engine.spec_sets.safe_at(1).indices())
             expect = safe_gfp_oracle(table_as_dict(engine.table(1)), safe)
             assert set(psi.indices().tolist()) == expect
-            assert [(st.layer, st.domain) for st in stages] == ([(1, psi)] if expect else [])
+            assert [(st.layer, st.cells.tolist()) for st in stages] == (
+                [(1, psi.indices().tolist())] if expect else []
+            )
 
     def test_all_safe_self_loops_terminate_first_round(self):
         sys = stationary_system(dim=2)
@@ -290,12 +294,12 @@ class TestSafeIteration:
                 (r, l) for r in range(1, rounds + 1) for l in (2, 1)
             ]
             assert rounds - 1 <= engine.spec_sets.safe_at(1).count() - psi.count()
-            assert [st.domain.count() for st in stages] == [
+            assert [st.cells.size for st in stages] == [
                 e["size"] for e in trace[-2:] if e["size"]
             ]
             covered = CellSet.empty(stack, 1)
             for st in stages:
-                covered.union_update(gamma_down(stack, st.domain, 1))
+                covered.union_update(gamma_down(stack, cells(stack, st.layer, st.cells), 1))
             assert covered == psi
 
 
@@ -329,6 +333,19 @@ class TestExpandAbstraction:
             w2 = engine.expand_abstraction(1, upsilon, m=m)
             sizes.append(w2.count())
         assert sizes == sorted(sizes)
+
+    def test_upre_evals_count_the_applications_made(self):
+        # upre_m stops once an application adds nothing; a large m must
+        # not be counted in full
+        engine = self._engine(seed=11)
+        upsilon = engine.spec_sets.target_at(1)
+        engine.expand_abstraction(1, upsilon, m=50)
+        aux, target = engine.aux[1], gamma_up(engine.stack, upsilon, engine.stack.levels)
+        stable = next(
+            i for i in range(2, 51) if upre_m(aux, target, i) == upre_m(aux, target, i - 1)
+        )
+        assert stable < 50
+        assert engine.stats.upre_evals == {1: stable}
 
 
 class TestProtocolEquivalence:
@@ -435,7 +452,7 @@ class TestStructuralInvariants:
         psi, stages = engine.safe_iteration(lazy=False)
         for st in stages:
             region = gamma_down(stack, psi, st.layer)
-            for cell, moves in st.moves.items():
+            for cell, moves in stage_moves(st.cells, st.moves).items():
                 for u in moves:
                     assert successors(engine.table(st.layer), cell, u).is_subset(region)
 
@@ -449,16 +466,17 @@ class TestStructuralInvariants:
             entry = gamma_down(stack, prior, st.layer).intersect(
                 engine.spec_sets.safe_at(st.layer)
             )
-            for cell, moves in st.moves.items():
-                rank = st.ranks[cell]
+            ranks = stage_ranks(st.cells, st.ranks)
+            for cell, moves in stage_moves(st.cells, st.moves).items():
+                rank = ranks[cell]
                 allowed = entry.bits.copy()
-                for other, r in st.ranks.items():
+                for other, r in ranks.items():
                     if r < rank:
                         allowed[other] = True
                 for u in moves:
                     succ = successors(engine.table(st.layer), cell, u)
                     assert bool(allowed[succ.bits].all())
-            prior.union_update(gamma_down(stack, st.domain, 1))
+            prior.union_update(gamma_down(stack, cells(stack, st.layer, st.cells), 1))
 
 
 class TestDegenerateInputs:
