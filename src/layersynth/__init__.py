@@ -26,7 +26,6 @@ from .dynamics import (
     sample_disturbed_step,
 )
 from .grid import (
-    CellId,
     CellSet,
     LayerMismatchError,
     LayerStack,
@@ -52,7 +51,6 @@ from .synthesis import (
 __all__ = [
     "ALGORITHMS",
     "BLOCKED",
-    "CellId",
     "CellSet",
     "ConfigError",
     "ControlSystem",

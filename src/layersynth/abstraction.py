@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import ControlSystem, radius_dynamics, reach_boxes
 from .grid import CellSet, LayerMismatchError, LayerStack
 
-# Integer type of stored cell indices.
+# Integer type of stored cell indices; LayerStack caps a grid's cell count at its maximum.
 _INDEX = np.int32
 
 
@@ -92,8 +92,6 @@ class TransitionTable:
         # identical across layers.
         self.substeps = substeps_base * (2 ** (layer - 1))
         n_cells = stack.cell_count(self.grid_layer)
-        if n_cells > np.iinfo(_INDEX).max:
-            raise ValueError(f"{n_cells} cells do not fit {np.dtype(_INDEX).name} indices")
         n_inputs = sys.n_inputs
         self.n_cells = n_cells
         self._explored = np.zeros((n_inputs, n_cells), dtype=bool)

@@ -149,7 +149,7 @@ _DCDC_DESK = {
     "spec": "safe",
     "layers": 3,
     "eta1": [0.005, 0.005],
-    "tau1": 0.0625,
+    "tau1": 0.5,
     "y_lower": [1.15, 5.45],
     "y_upper": [1.55, 5.85],
     "algorithm": "lazy-safe",
@@ -160,6 +160,7 @@ _DCDC_DESK = {
 _DCDC_PAPER = {
     **_DCDC_DESK,
     "eta1": [0.0005, 0.0005],
+    "tau1": 0.0625,
     "layers": 6,
 }
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import controller as ctrl
 from . import synthesis
-from .config import ALGORITHMS, ConfigError, ProblemConfig, load_config, parse_config, read_config
+from .config import ConfigError, ProblemConfig, load_config, parse_config, read_config
 from .grid import CellSet, export_cellset_csv
 
 
@@ -52,8 +52,8 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
     stats["config"] = config.to_dict()
     stats["winning_layer1_cells"] = result.winning.count()
     stats["stages"] = [
-        {"layer": s.layer, "stage": s.stage, "cells": s.cells.size}
-        for s in result.controller.stages
+        {"layer": s.layer, "stage": p, "cells": s.cells.size}
+        for p, s in enumerate(result.controller.stages)
     ]
     with open(out_dir / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synthesize", help="run controller synthesis from a config")
     p_syn.add_argument("--config", required=True)
-    p_syn.add_argument("--algorithm", choices=ALGORITHMS)
+    p_syn.add_argument("--algorithm", choices=synthesis.ALGORITHMS)
     p_syn.add_argument("--layers", type=int)
     p_syn.add_argument("--m", type=int)
     p_syn.add_argument("--out")

@@ -12,7 +12,7 @@ from .benchmarks import build_system
 from .dynamics import ControlSystem
 from .grid import LayerStack
 from .problem import ProblemSpec, REACH_AVOID, SAFETY
-from .synthesis import ALGORITHMS
+from .synthesis import check_algorithm
 
 
 class ConfigError(ValueError):
@@ -144,12 +144,10 @@ def parse_config(raw: dict) -> ProblemConfig:
     if len(y_lower) != dim or len(y_upper) != dim:
         raise ConfigError("y_lower/y_upper: dimension must match eta1")
     algorithm = raw.get("algorithm", "single-layer")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm: must be one of {ALGORITHMS}, got {algorithm!r}")
-    if algorithm.endswith("-safe") and spec != SAFETY:
-        raise ConfigError(f"algorithm: {algorithm} requires spec '{SAFETY}'")
-    if algorithm.endswith("-reach") and spec != REACH_AVOID:
-        raise ConfigError(f"algorithm: {algorithm} requires spec '{REACH_AVOID}'")
+    try:
+        check_algorithm(algorithm, spec)
+    except ValueError as exc:
+        raise ConfigError(f"algorithm: {exc}") from exc
     m = raw.get("m", 2)
     if not isinstance(m, int) or m < 1:
         raise ConfigError("m: must be a positive integer")

@@ -37,7 +37,6 @@ class LayerController:
     """
 
     layer: int
-    stage: int
     cells: np.ndarray
     moves: np.ndarray
     ranks: np.ndarray | None = None
@@ -73,8 +72,6 @@ class MultiLayeredController:
                 raise ValueError(f"stage {p} has cells outside layer {st.layer}")
             if (st.ranks is not None) != (self.kind == REACH_AVOID):
                 raise ValueError("ranks are present exactly for reach-avoid stages")
-            if st.stage != p:
-                raise ValueError("stages must be ordered by insertion index")
 
     @cached_property
     def _acting(self) -> np.ndarray:
@@ -116,14 +113,9 @@ class MultiLayeredController:
 
     def _acting_rows(self, x: np.ndarray) -> np.ndarray:
         """Acting row of every state of ``x`` ``(N, n)``, -1 outside
-        every stage domain or not finite.  Cells are semi-open, as in
-        :meth:`LayerStack.quantize`."""
-        stack = self.stack
-        q = np.floor((x - stack.y_lower) / stack.eta(1))
-        inside = np.all((q >= 0) & (q < stack.dims(1)), axis=1)
-        # Only rows inside are cast, so a non-finite row raises no warning.
-        index = np.where(inside[:, None], q, 0).astype(np.int64)
-        return np.where(inside, self._acting[stack.linearize(1, index)], -1)
+        every stage domain or not finite."""
+        cell = self.stack.quantize(x, 1)
+        return np.where(cell >= 0, self._acting[cell], -1)
 
     def domain_projection(self) -> CellSet:
         """Layer-1 cell set covering the union of all stage domains."""
@@ -380,7 +372,7 @@ def _record_bytes(starts: np.ndarray, size: int) -> np.ndarray:
     return np.cumsum(edge[:-1], dtype=np.int8).astype(bool)
 
 
-def _encode_stage(stage: LayerController) -> bytes:
+def _encode_stage(stage: LayerController, position: int) -> bytes:
     if stage.moves.shape[1] > _MAX_INPUTS:
         raise ValueError(f"a stage names more than {_MAX_INPUTS} inputs")
     rows, inputs = np.nonzero(stage.moves)
@@ -394,7 +386,7 @@ def _encode_stage(stage: LayerController) -> bytes:
     is_head = _record_bytes(starts, body.size)
     body[is_head] = head.view(np.uint8)
     body[~is_head] = inputs.astype("<u2").view(np.uint8)
-    return struct.pack("<BIq", stage.layer, stage.stage, stage.cells.size) + body.tobytes()
+    return struct.pack("<BIq", stage.layer, position, stage.cells.size) + body.tobytes()
 
 
 def serialize(mlc: MultiLayeredController) -> bytes:
@@ -405,8 +397,8 @@ def serialize(mlc: MultiLayeredController) -> bytes:
     out += struct.pack(
         _grid_format(st.dim), *st.eta1, st.tau1, *st.y_lower, *st.y_upper, len(mlc.stages)
     )
-    for stage in mlc.stages:
-        out += _encode_stage(stage)
+    for position, stage in enumerate(mlc.stages):
+        out += _encode_stage(stage, position)
     return bytes(out)
 
 
@@ -441,6 +433,8 @@ def _decode(data: bytes) -> MultiLayeredController:
         off += 13
         if not 1 <= layer <= levels or not 0 <= n_cells <= (len(data) - off) // _RECORD.itemsize:
             raise ControllerFormatError(f"stage layer {layer} not in [1;{levels}], {n_cells} cells")
+        if stage_idx != len(decoded):
+            raise ControllerFormatError(f"stage record {len(decoded)} has index {stage_idx}")
         # Each record's length is in its header, so only the walk to the
         # next record is sequential; the fields are read all at once.
         starts = []
@@ -461,16 +455,16 @@ def _decode(data: bytes) -> MultiLayeredController:
             raise ControllerFormatError(f"cell {bad[0]} outside layer {layer}'s {n_layer} cells")
         rows = np.repeat(np.arange(cells.size), head["n"])
         ranks = head["rank"] if kind_flag else None
-        decoded.append((layer, stage_idx, cells, rows, inputs, ranks))
+        decoded.append((layer, cells, rows, inputs, ranks))
     if off != len(data):
         raise ControllerFormatError(f"{len(data) - off} trailing bytes after the last stage")
     # Moves are as wide as the largest input index in the file.
-    width = max((int(d[4].max()) + 1 for d in decoded if d[4].size), default=0)
+    width = max((int(d[3].max()) + 1 for d in decoded if d[3].size), default=0)
     stages = []
-    for layer, stage_idx, cells, rows, inputs, ranks in decoded:
+    for layer, cells, rows, inputs, ranks in decoded:
         moves = np.zeros((cells.size, width), dtype=bool)
         moves[rows, inputs] = True
-        stages.append(LayerController(layer, stage_idx, cells, moves, ranks))
+        stages.append(LayerController(layer, cells, moves, ranks))
     return MultiLayeredController(REACH_AVOID if kind_flag else SAFETY, stack, stages)
 
 

@@ -128,13 +128,7 @@ def reach_boxes(
     :func:`radius_dynamics` endpoint from their half-width under ``u``.
     Returns lower and upper corners of the over-approximating boxes.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    centers = np.asarray(centers, dtype=float)
-    c = _rk4(lambda y: sys.vector_field(y, u), centers, tau, substeps)
-    if not np.all(np.isfinite(c)):
-        raise IntegrationDivergenceError("non-finite state in batched reach computation")
+    c = integrate_nominal(sys, centers, u, tau, substeps)
     return c - radius, c + radius
 
 

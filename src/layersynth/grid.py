@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +27,6 @@ _MAX_CELLS = 2**31 - 1
 
 class LayerMismatchError(ValueError):
     """Raised when a set operation mixes cell sets of different layers."""
-
-
-@dataclass(frozen=True)
-class CellId:
-    layer: int
-    index: tuple[int, ...]
 
 
 class LayerStack:
@@ -131,8 +124,9 @@ class LayerStack:
         eta = self.eta(layer)
         return self.y_lower + (idx + 0.5) * eta
 
-    def quantize(self, x, layer: int) -> CellId | None:
-        """Cell containing ``x``, or ``None`` outside the region.
+    def quantize(self, x, layer: int) -> np.ndarray:
+        """Linear index of the cell containing a point ``(n,)``, or of
+        each row of ``(N, n)``; -1 outside the region.
 
         Cells are semi-open, so a point on the upper boundary of the
         region is out of domain; so is a point with a non-finite
@@ -141,9 +135,10 @@ class LayerStack:
         self._check_layer(layer)
         # Compared as floats, so no non-finite value is cast to int.
         q = np.floor((np.asarray(x, dtype=float) - self.y_lower) / self.eta(layer))
-        if not np.all((q >= 0) & (q < self.dims(layer))):
-            return None
-        return CellId(layer, tuple(int(i) for i in q))
+        inside = np.all((q >= 0) & (q < self.dims(layer)), axis=-1)
+        # Only rows inside are cast, so a non-finite row raises no warning.
+        index = np.where(inside[..., None], q, 0).astype(np.int64)
+        return np.where(inside, self.linearize(layer, index), -1)
 
     def grid_coords(self, layer: int, coords) -> np.ndarray:
         """Coordinates in grid units, snapped onto near-exact grid lines."""
@@ -248,7 +243,16 @@ def _refine(stack: LayerStack, src: CellSet, target_layer: int) -> CellSet:
     return CellSet(target_layer, out)
 
 
-def _coarsen(stack: LayerStack, src: CellSet, target_layer: int, require_all: bool) -> CellSet:
+def _gamma(stack: LayerStack, src: CellSet, target_layer: int, require_all: bool) -> CellSet:
+    """Move ``src`` to ``target_layer``: refine toward finer layers;
+    toward coarser ones keep a cell if all (``require_all``) or any of
+    its sub-cells belong to ``src``."""
+    stack._check_layer(target_layer)
+    stack._check_layer(src.layer)
+    if target_layer == src.layer:
+        return src.copy()
+    if target_layer < src.layer:
+        return _refine(stack, src, target_layer)
     # One doubling at a time: combine the 2^dim strided corner slices.
     # Dimension 0 varies fastest, so the C-order view reverses the axes.
     combine = np.logical_and if require_all else np.logical_or
@@ -272,13 +276,7 @@ def gamma_down(stack: LayerStack, src: CellSet, target_layer: int) -> CellSet:
     Toward a finer layer this is the refinement image; toward a coarser
     layer only cells all of whose sub-cells belong to ``src`` survive.
     """
-    stack._check_layer(target_layer)
-    stack._check_layer(src.layer)
-    if target_layer == src.layer:
-        return src.copy()
-    if target_layer < src.layer:
-        return _refine(stack, src, target_layer)
-    return _coarsen(stack, src, target_layer, require_all=True)
+    return _gamma(stack, src, target_layer, require_all=True)
 
 
 def gamma_up(stack: LayerStack, src: CellSet, target_layer: int) -> CellSet:
@@ -287,13 +285,7 @@ def gamma_up(stack: LayerStack, src: CellSet, target_layer: int) -> CellSet:
     Identical to :func:`gamma_down` toward finer layers; toward coarser
     layers every cell intersecting ``src`` is kept.
     """
-    stack._check_layer(target_layer)
-    stack._check_layer(src.layer)
-    if target_layer == src.layer:
-        return src.copy()
-    if target_layer < src.layer:
-        return _refine(stack, src, target_layer)
-    return _coarsen(stack, src, target_layer, require_all=False)
+    return _gamma(stack, src, target_layer, require_all=False)
 
 
 def _slab(stack: LayerStack, layer: int, j_min: np.ndarray, j_max: np.ndarray) -> CellSet:

@@ -91,17 +91,11 @@ class SpecSets:
         return self.target[layer - 1]
 
 
-def _union_inside(stack: LayerStack, layer: int, boxes) -> CellSet:
+def _union(stack: LayerStack, layer: int, boxes, cells_of) -> CellSet:
+    """Union over ``boxes`` of ``cells_of(stack, layer, lo, hi)``."""
     acc = CellSet.empty(stack, layer)
     for lo, hi in boxes:
-        acc.union_update(cells_inside_box(stack, layer, lo, hi))
-    return acc
-
-
-def _union_intersecting(stack: LayerStack, layer: int, boxes) -> CellSet:
-    acc = CellSet.empty(stack, layer)
-    for lo, hi in boxes:
-        acc.union_update(cells_intersecting_box(stack, layer, lo, hi))
+        acc.union_update(cells_of(stack, layer, lo, hi))
     return acc
 
 
@@ -116,10 +110,10 @@ def build_spec_sets(stack: LayerStack, spec: ProblemSpec) -> SpecSets:
 
     def inside_safe(layer: int) -> CellSet:
         if spec.safe_boxes:
-            safe = _union_inside(stack, layer, spec.safe_boxes)
+            safe = _union(stack, layer, spec.safe_boxes, cells_inside_box)
         else:
             safe = CellSet.full(stack, layer)
-        return safe.difference(_union_intersecting(stack, layer, spec.obstacle_boxes))
+        return safe.difference(_union(stack, layer, spec.obstacle_boxes, cells_intersecting_box))
 
     safe_sets = [inside_safe(1)]
     for layer in range(2, L + 1):
@@ -128,10 +122,10 @@ def build_spec_sets(stack: LayerStack, spec: ProblemSpec) -> SpecSets:
 
     target_sets = None
     if spec.kind == REACH_AVOID:
-        t1 = _union_inside(stack, 1, spec.target_boxes).intersect(safe_sets[0])
+        t1 = _union(stack, 1, spec.target_boxes, cells_inside_box).intersect(safe_sets[0])
         target_sets = [t1]
         for layer in range(2, L + 1):
-            direct = _union_inside(stack, layer, spec.target_boxes)
+            direct = _union(stack, layer, spec.target_boxes, cells_inside_box)
             target_sets.append(
                 gamma_down(stack, t1, layer).intersect(direct).intersect(safe_sets[layer - 1])
             )

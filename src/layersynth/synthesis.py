@@ -15,6 +15,7 @@ on a one-level stack, the case the multi-layer protocols reduce to.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -81,14 +82,6 @@ class SynthesisResult:
     stats: SynthesisStats
 
 
-def _check_table_set(table: TransitionTable, cells: CellSet) -> None:
-    if cells.layer != table.grid_layer:
-        raise LayerMismatchError(
-            f"cell set lives on layer {cells.layer} but the table's grid is "
-            f"layer {table.grid_layer}"
-        )
-
-
 class _SummedArea:
     """Counts of set cells in boxes of one grid, from an n-D prefix sum.
 
@@ -120,21 +113,32 @@ class _SummedArea:
             high *= stride
             parts.append((high, low))
         out = np.zeros(lo.shape[0], dtype=np.int32)
-        self._add_corners(parts, 0, None, True, out)
+        # A corner takes the high or the low end on each axis; it counts
+        # negatively when it takes an odd number of low ends.
+        for lows in itertools.product((False, True), repeat=len(parts)):
+            ends = [part[low] for part, low in zip(parts, lows)]
+            corner = sum(ends[1:], ends[0])
+            if sum(lows) % 2:
+                out -= self.flat.take(corner)
+            else:
+                out += self.flat.take(corner)
         return out
 
-    def _add_corners(self, parts, axis, base, positive, out) -> None:
-        # Depth first over the axes, so at most one partial corner index
-        # per axis is alive at a time.
-        high, low = parts[axis]
-        for part, sign in ((high, positive), (low, not positive)):
-            corner = part if base is None else base + part
-            if axis + 1 < len(parts):
-                self._add_corners(parts, axis + 1, corner, sign, out)
-            elif sign:
-                out += self.flat.take(corner)
-            else:
-                out -= self.flat.take(corner)
+
+def _boxes_touching(table: TransitionTable, cells: CellSet):
+    """``(u, box_cells, blocked, touches)`` for every input ``u`` with
+    stored boxes, where ``touches`` marks the boxes holding a cell of
+    ``cells``."""
+    if cells.layer != table.grid_layer:
+        raise LayerMismatchError(
+            f"cell set lives on layer {cells.layer} but the table's grid is "
+            f"layer {table.grid_layer}"
+        )
+    sums = _SummedArea(table.stack, table.grid_layer, cells.bits)
+    for u_idx in range(table.sys.n_inputs):
+        box_cells, lo, hi, blocked = table.csr(u_idx)
+        if box_cells.size:
+            yield u_idx, box_cells, blocked, sums.counts(lo, hi) > 0
 
 
 def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
@@ -145,14 +149,10 @@ def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
     outside ``region``.  The mask has shape ``(n_inputs, n_cells)`` and
     is never true for a blocked or unexplored pair.
     """
-    _check_table_set(table, region)
     mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
-    outside = _SummedArea(table.stack, table.grid_layer, ~region.bits)
-    for u_idx in range(table.sys.n_inputs):
-        cells, lo, hi, blocked = table.csr(u_idx)
-        if cells.size:
-            mask[u_idx, cells] = ~blocked
-            mask[u_idx, cells[outside.counts(lo, hi) > 0]] = False
+    for u_idx, cells, blocked, leaves in _boxes_touching(table, region.complement()):
+        mask[u_idx, cells] = ~blocked
+        mask[u_idx, cells[leaves]] = False
     return mask
 
 
@@ -172,11 +172,10 @@ def cpre(table: TransitionTable, target: CellSet, candidates: CellSet | None = N
     never computed is a frontier bug and raises.
     """
     if candidates is not None:
-        _check_table_set(table, candidates)
-        missing = candidates.bits & ~table.explored_cells().bits
-        if missing.any():
+        missing = candidates.difference(table.explored_cells())
+        if not missing.is_empty():
             raise UnexploredTransitionError(
-                f"{int(missing.sum())} candidate cells of layer {table.layer} "
+                f"{missing.count()} candidate cells of layer {table.layer} "
                 f"({table.kind}) were never explored"
             )
     result = _closing_inputs(table, target).any(axis=0)
@@ -194,13 +193,9 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
     region, since a finer cell inside the coarse one may reach those
     cells without leaving the region.
     """
-    _check_table_set(table, target)
     result = np.zeros(table.n_cells, dtype=bool)
-    inside = _SummedArea(table.stack, table.grid_layer, target.bits)
-    for u_idx in range(table.sys.n_inputs):
-        cells, lo, hi, _ = table.csr(u_idx)
-        if cells.size:
-            result[cells[inside.counts(lo, hi) > 0]] = True
+    for _, cells, _, hits in _boxes_touching(table, target):
+        result[cells[hits]] = True
     return CellSet(target.layer, result)
 
 
@@ -426,7 +421,7 @@ class SynthesisEngine:
             region = gamma_down(stack, psi, layer)
             cells = w.indices()
             moves = _moves_into(_closing_inputs(self.table(layer), region), cells)
-            stages.append(LayerController(layer, len(stages), cells, moves))
+            stages.append(LayerController(layer, cells, moves))
         return psi, stages
 
     def reach_iteration(self, lazy: bool) -> tuple[CellSet, list[LayerController]]:
@@ -482,20 +477,15 @@ class SynthesisEngine:
                 }
             )
             if outcome.cells.size:
-                stages.append(
-                    LayerController(layer, len(stages), outcome.cells, outcome.moves, outcome.ranks)
-                )
+                stages.append(LayerController(layer, outcome.cells, outcome.moves, outcome.ranks))
                 upsilon.union_update(gamma_down(stack, outcome.won, 1))
-            if layer == L:
-                if L == 1:
-                    break
-                layer -= 1
-            elif outcome.fixed_point:
-                if layer == 1:
-                    break
-                layer -= 1
-            else:
+            # The coarsest layer always runs to its fixed point.
+            if not outcome.fixed_point:
                 layer += 1
+            elif layer == 1:
+                break
+            else:
+                layer -= 1
         return upsilon, stages
 
     def finalize_stats(self, winning: CellSet, stages: list[LayerController]) -> None:
@@ -508,6 +498,15 @@ class SynthesisEngine:
 
 
 # -- entry point ------------------------------------------------------------
+
+
+def check_algorithm(algorithm: str, kind: str) -> None:
+    """Raise ``ValueError`` unless ``algorithm`` is one of
+    :data:`ALGORITHMS` and solves ``kind`` problems."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm != "single-layer" and not algorithm.endswith(_SUFFIX[kind]):
+        raise ValueError(f"algorithm {algorithm} does not solve {kind!r} problems")
 
 
 def synthesize(
@@ -527,10 +526,7 @@ def synthesize(
     controller keeps the caller's level count.  Degenerate problems
     (empty safe or target set) warn and return an empty controller.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if algorithm != "single-layer" and not algorithm.endswith(_SUFFIX[spec.kind]):
-        raise ValueError(f"algorithm {algorithm} does not solve {spec.kind!r} problems")
+    check_algorithm(algorithm, spec.kind)
     if algorithm == "single-layer":
         game_stack = LayerStack(1, stack.eta1, stack.tau1, stack.y_lower, stack.y_upper)
     else:

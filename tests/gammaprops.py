@@ -91,11 +91,9 @@ def check_point_transfer(stack: LayerStack, rng: np.random.Generator) -> None:
     span = stack.y_upper - stack.y_lower
     for _ in range(32):
         x = stack.y_lower + rng.uniform(0.0, 1.0, size=stack.dim) * span * 0.999999
-        cid_f = stack.quantize(x, lo)
-        cid_c = stack.quantize(x, hi)
-        assert cid_f is not None and cid_c is not None
-        lin_f = int(stack.linearize(lo, cid_f.index))
-        lin_c = int(stack.linearize(hi, cid_c.index))
+        lin_f = int(stack.quantize(x, lo))
+        lin_c = int(stack.quantize(x, hi))
+        assert lin_f >= 0 and lin_c >= 0
         if a_fine.bits[lin_f]:
             assert a_fine_up.bits[lin_c], "over-approximation lost a covered point"
         if a_coarse_down.bits[lin_f]:

@@ -168,11 +168,8 @@ def quantize_oracle(mlc, x):
     """
     hits = []
     for p, st in enumerate(mlc.stages):
-        cid = mlc.stack.quantize(x, st.layer)
-        if cid is None:
-            continue
-        cell = int(mlc.stack.linearize(st.layer, cid.index))
-        if np.any(st.cells == cell):
+        cell = int(mlc.stack.quantize(x, st.layer))
+        if cell >= 0 and np.any(st.cells == cell):
             hits.append((p, st.layer, cell))
     if not hits:
         return None

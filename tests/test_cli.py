@@ -3,10 +3,11 @@ import warnings
 
 import pytest
 
-from conftest import DCDC_SAFE
-from layersynth import ALGORITHMS, MultiLayeredController, cli, default_config
+from conftest import DCDC_SAFE, random_problem
+from layersynth import ALGORITHMS, MultiLayeredController, cli, default_config, synthesize, validate
 from layersynth import controller as ctrl
 from layersynth.config import ConfigError, load_config, parse_config
+from layersynth.problem import REACH_AVOID, SAFETY
 
 UNICYCLE_REACH = {
     "benchmark": "unicycle",
@@ -71,6 +72,20 @@ def test_config_errors_exit_1_and_name_the_field(tmp_path, capsys, doc, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", [SAFETY, REACH_AVOID])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_config_rejects_an_algorithm_exactly_when_synthesis_does(algorithm, kind):
+    doc = {**(DCDC_SAFE if kind == SAFETY else UNICYCLE_REACH), "algorithm": algorithm}
+    sys_, stack, spec = random_problem(606, kind=kind, levels=2)
+    try:
+        synthesize(sys_, stack, spec, algorithm)
+    except ValueError:
+        with pytest.raises(ConfigError, match="^algorithm: "):
+            parse_config(doc)
+    else:
+        assert parse_config(doc).algorithm == algorithm
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     assert cli.main(["synthesize", "--config", str(tmp_path / "absent.json")]) == 1
     assert "config file not found" in capsys.readouterr().err
@@ -101,6 +116,16 @@ def test_zero_trajectory_validation_is_flagged(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert "warning: validation executed 0 trajectories" in capsys.readouterr().err
     assert json.loads(report.read_text(encoding="utf-8"))["executed"] == 0
+
+
+def test_shipped_dcdc_desk_wins_on_several_layers():
+    config = parse_config(default_config("dcdc-desk"))
+    sys_, stack, spec = config.build_system(), config.build_stack(), config.build_spec()
+    result = synthesize(sys_, stack, spec, config.algorithm, m=config.m, substeps=config.substeps)
+    assert result.winning.count() == 5393
+    assert len({st.layer for st in result.controller.stages}) >= 2
+    report = validate(result.controller, sys_, spec, 30, 100, 3, substeps_base=config.substeps)
+    assert report.executed == 30 and report.violations == 0
 
 
 def test_target_only_winning_set_is_flagged(tmp_path, capsys):

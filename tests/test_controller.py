@@ -97,7 +97,7 @@ def test_overlapping_stages_follow_the_priority_rule(square_stack):
     def stages(ranked):
         ranks = [1] if ranked else None
         return [
-            LayerController(layer, p, [0], [[True]], ranks) for p, layer in enumerate((1, 2, 2))
+            LayerController(layer, [0], [[True]], ranks) for layer in (1, 2, 2)
         ]
 
     safe = MultiLayeredController(SAFETY, square_stack, stages(False))
@@ -193,13 +193,23 @@ def test_malformed_controller_names_the_fault(edit, message):
         deserialize(edit(data))
 
 
+def test_stage_index_must_be_the_stage_position(square_stack):
+    stages = [LayerController(layer, [0], [[True]]) for layer in (1, 2)]
+    data = serialize(MultiLayeredController(SAFETY, square_stack, stages))
+    # The first stage holds one cell record with one move; skip its layer byte.
+    second_index = _STAGE + 13 + controller._RECORD.itemsize + 2 + 1
+    assert struct.unpack_from("<I", data, second_index) == (1,)
+    with pytest.raises(ControllerFormatError, match="index"):
+        deserialize(_with(data, second_index, "<I", 0))
+
+
 def test_validate_rejects_moves_outside_the_input_alphabet():
     sys_, spec, mlc = solved(REACH_AVOID, 3, 2)
     first = mlc.stages[0]
     moves = np.pad(first.moves, ((0, 0), (0, 1)))
     moves[0] = False
     moves[0, sys_.n_inputs] = True
-    bad = LayerController(first.layer, 0, first.cells, moves, first.ranks)
+    bad = LayerController(first.layer, first.cells, moves, first.ranks)
     bad_mlc = MultiLayeredController(mlc.kind, mlc.stack, [bad, *mlc.stages[1:]])
     with pytest.raises(ValueError, match="outside the system"):
         validate(bad_mlc, sys_, spec, runs=2, horizon=5, seed=0)
@@ -294,7 +304,7 @@ def test_hand_built_failures_match_oracle(square_stack, system, kind, status):
     # drifting one leaves the stage domain.
     spec = ProblemSpec(kind=kind, target_boxes=[([3.0, 3.0], [4.0, 4.0])] if kind == REACH_AVOID else [])
     ranks = [1] if kind == REACH_AVOID else None
-    stage = LayerController(1, 0, [0], [[True]], ranks)
+    stage = LayerController(1, [0], [[True]], ranks)
     mlc = MultiLayeredController(kind, square_stack, [stage])
     report = validate(mlc, system, spec, 3, 5, 0)
     assert report.to_dict() == validate_oracle(mlc, system, spec, 3, 5, 0).to_dict()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from layersynth import (
-    CellId,
     CellSet,
     LayerMismatchError,
     LayerStack,
@@ -65,29 +64,46 @@ class TestLayerStack:
             assert tuple(stack.unlinearize(1, expect)) == idx
 
 
+# Interior, upper boundary, below the region, NaN, +-inf and huge points.
+MIXED = [[0.5, 0.5], [4.0, 0.0], [-0.1, 1.0], [np.nan, 1.0], [1.0, np.inf],
+         [-np.inf, 1.0], [1e300, 1.0]]
+
+
+def quantize_alone_and_in_batch(x, layer: int) -> int:
+    """Cell of ``x`` on ``layer``, after checking that ``x`` as the last
+    row of a batch with the ``MIXED`` points gets the same cell, and
+    that neither call warns (as on casting a non-finite value to int)."""
+    stack = make_stack()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = stack.quantize(x, layer)
+        batch = stack.quantize(np.vstack([MIXED, x]), layer)
+    assert batch.shape == (len(MIXED) + 1,)
+    assert batch[-1] == alone
+    return int(alone)
+
+
 class TestQuantize:
     def test_interior_point(self):
-        assert make_stack().quantize([0.5, 0.5], 1) == CellId(1, (0, 0))
+        assert quantize_alone_and_in_batch([0.5, 0.5], 1) == 0
 
     def test_coarse_layer_point(self):
-        assert make_stack().quantize([2.0, 3.999], 2) == CellId(2, (1, 1))
+        cell = make_stack().linearize(2, (1, 1))
+        assert quantize_alone_and_in_batch([2.0, 3.999], 2) == cell
 
     def test_upper_boundary_is_out_of_domain(self):
-        assert make_stack().quantize([4.0, 0.0], 1) is None
+        assert quantize_alone_and_in_batch([4.0, 0.0], 1) == -1
 
     def test_below_domain(self):
-        assert make_stack().quantize([-0.1, 1.0], 1) is None
+        assert quantize_alone_and_in_batch([-0.1, 1.0], 1) == -1
 
     @pytest.mark.parametrize(
         "x", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [1e300, 1.0]],
         ids=["nan", "inf", "minus-inf", "huge"],
     )
     def test_non_finite_or_huge_point_is_out_of_domain(self, x):
-        # None, not a RuntimeWarning from casting the coordinate to int
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert make_stack().quantize(x, 1) is None
-            assert make_stack().quantize(x, 2) is None
+        assert quantize_alone_and_in_batch(x, 1) == -1
+        assert quantize_alone_and_in_batch(x, 2) == -1
 
 
 class TestCellBox:
@@ -111,9 +127,8 @@ class TestCellBox:
             layer = int(rng.integers(1, 3))
             dims = stack.dims(layer)
             idx = tuple(int(rng.integers(0, k)) for k in dims)
-            cid = CellId(layer, idx)
-            center = stack.centers(layer, stack.linearize(layer, idx))
-            assert stack.quantize(center, layer) == cid
+            cell = stack.linearize(layer, idx)
+            assert stack.quantize(stack.centers(layer, cell), layer) == cell
 
 
 class TestCellSetAlgebra:
