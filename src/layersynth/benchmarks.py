@@ -108,12 +108,10 @@ REGISTRY = {"dcdc": dcdc, "unicycle": unicycle}
 
 
 def build_system(name: str, params: dict | None = None) -> ControlSystem:
-    try:
-        return REGISTRY[name](params)
-    except KeyError:
-        raise KeyError(
-            f"unknown benchmark {name!r}; registered: {sorted(REGISTRY)}"
-        ) from None
+    """The registered system ``name``; ``KeyError`` only for an unknown name."""
+    if name not in REGISTRY:
+        raise KeyError(f"unknown benchmark {name!r}; registered: {sorted(REGISTRY)}")
+    return REGISTRY[name](params)
 
 
 # The unicycle obstacle layout: a wall split by a gap three fine cells

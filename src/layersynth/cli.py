@@ -138,7 +138,9 @@ def _cmd_stats(args) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             stats = json.load(fh)
-    except OSError as exc:
+        if not isinstance(stats, dict):
+            raise ValueError("not a JSON object")
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or not JSON
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return 1
     levels = stats.get("levels", 0)

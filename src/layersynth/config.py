@@ -1,18 +1,29 @@
-"""Problem configuration: JSON schema, validation, and materialization."""
+"""Problem configuration: a JSON document decoded into a :class:`ProblemConfig`.
+
+:func:`parse_config` checks the JSON type of each field and leaves the
+rules on values to the objects it builds from them, once, reporting their
+errors as :class:`ConfigError` under the field at fault: ``LayerStack``
+owns the grid (under ``layers``), ``as_boxes`` each box's shape and corner
+order (under its box field), ``ProblemSpec`` the spec kind and the
+reach-avoid target (under ``spec``), ``check_algorithm`` the algorithm,
+and ``build_system`` the benchmark and its ``dynamics_params``.  This
+module owns only that boxes have the grid's dimension and that ``m`` and
+``substeps``, which only synthesis reads, are positive integers.
+"""
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .benchmarks import build_system
 from .dynamics import ControlSystem
 from .grid import LayerStack
-from .problem import ProblemSpec, REACH_AVOID, SAFETY
+from .problem import ProblemSpec, as_boxes
 from .synthesis import check_algorithm
+
+_REQUIRED = object()
+_BOX_FIELDS = ("safe_boxes", "obstacle_boxes", "target_boxes")
 
 
 class ConfigError(ValueError):
@@ -41,36 +52,10 @@ class ProblemConfig:
         return build_system(self.benchmark, self.dynamics_params)
 
     def build_stack(self) -> LayerStack:
-        try:
-            return LayerStack(self.layers, self.eta1, self.tau1, self.y_lower, self.y_upper)
-        except ValueError as exc:
-            raise ConfigError(f"layers/eta1/tau1/y bounds: {exc}") from exc
+        return LayerStack(self.layers, self.eta1, self.tau1, self.y_lower, self.y_upper)
 
     def build_spec(self) -> ProblemSpec:
-        lo = np.asarray(self.y_lower, dtype=float)
-        hi = np.asarray(self.y_upper, dtype=float)
-
-        def clip(boxes, label):
-            out = []
-            for i, box in enumerate(boxes):
-                blo = np.asarray(box[0], dtype=float)
-                bhi = np.asarray(box[1], dtype=float)
-                clo = np.clip(blo, lo, hi)
-                chi = np.clip(bhi, lo, hi)
-                if np.any(clo > chi):
-                    warnings.warn(f"{label}[{i}] lies outside the region of interest; dropped")
-                    continue
-                if not (np.array_equal(clo, blo) and np.array_equal(chi, bhi)):
-                    warnings.warn(f"{label}[{i}] clipped to the region of interest")
-                out.append((clo, chi))
-            return out
-
-        return ProblemSpec(
-            kind=self.spec,
-            safe_boxes=clip(self.safe_boxes, "safe_boxes"),
-            obstacle_boxes=clip(self.obstacle_boxes, "obstacle_boxes"),
-            target_boxes=clip(self.target_boxes, "target_boxes"),
-        )
+        return ProblemSpec(self.spec, self.safe_boxes, self.obstacle_boxes, self.target_boxes)
 
     def to_dict(self) -> dict:
         return {
@@ -82,9 +67,8 @@ class ProblemConfig:
             "y_lower": list(map(float, self.y_lower)),
             "y_upper": list(map(float, self.y_upper)),
             "algorithm": self.algorithm,
-            "safe_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in self.safe_boxes],
-            "obstacle_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in self.obstacle_boxes],
-            "target_boxes": [[list(map(float, a)), list(map(float, b))] for a, b in self.target_boxes],
+            **{key: [[list(map(float, a)), list(map(float, b))] for a, b in getattr(self, key)]
+               for key in _BOX_FIELDS},
             "m": self.m,
             "substeps": self.substeps,
             "dynamics_params": self.dynamics_params,
@@ -92,89 +76,94 @@ class ProblemConfig:
         }
 
 
-def _require(raw: dict, key: str, kinds, what: str):
-    if key not in raw:
-        raise ConfigError(f"{key}: required field missing ({what})")
-    val = raw[key]
-    if not isinstance(val, kinds):
-        raise ConfigError(f"{key}: expected {what}, got {type(val).__name__}")
-    return val
+def _read(raw: dict, key: str, convert, default=_REQUIRED):
+    """``convert(raw[key])``, or ``default`` when the field is absent;
+    any error is a :class:`ConfigError` naming ``key``."""
+    if key not in raw and default is not _REQUIRED:
+        return default
+    try:
+        return convert(raw[key])
+    except KeyError as exc:
+        raise ConfigError(f"{key}: required field {exc} missing") from None
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _boxes(raw, key: str, dim: int):
-    out = []
-    for i, box in enumerate(raw.get(key, [])):
-        if isinstance(box, dict):
-            try:
-                lo, hi = box["lower"], box["upper"]
-            except KeyError as exc:
-                raise ConfigError(f"{key}[{i}]: box needs 'lower' and 'upper'") from exc
-        elif isinstance(box, (list, tuple)) and len(box) == 2:
-            lo, hi = box
-        else:
-            raise ConfigError(f"{key}[{i}]: box must be a lower/upper pair")
-        if len(lo) != dim or len(hi) != dim:
-            raise ConfigError(f"{key}[{i}]: box dimension must be {dim}")
-        if any(a > b for a, b in zip(lo, hi)):
-            raise ConfigError(f"{key}[{i}]: lower corner exceeds upper corner")
-        out.append(([float(v) for v in lo], [float(v) for v in hi]))
-    return out
+def _typed(kinds, what: str, cast=None):
+    """Converter taking values of ``kinds``, never a bool, through ``cast``."""
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"expected {what}, got {type(value).__name__}")
+        return cast(value) if cast else value
+
+    return convert
+
+
+_text = _typed(str, "a string")
+_integer = _typed(int, "an integer")
+_number = _typed((int, float), "a number", float)
+_list = _typed((list, tuple), "a list")
+_vector = _typed((list, tuple), "a list of numbers", lambda v: [_number(x) for x in v])
+_params = _typed((dict, type(None)), "an object")
+
+
+def _count(value) -> int:
+    if _integer(value) < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _boxes(dim: int):
+    """Converter for a list of ``[lower, upper]`` pairs or
+    ``{"lower": ..., "upper": ...}`` objects with ``dim`` coordinates."""
+
+    def convert(value):
+        pairs = []
+        for i, box in enumerate(_list(value)):
+            lower, upper = (box["lower"], box["upper"]) if isinstance(box, dict) else _list(box)
+            pairs.append((_vector(lower), _vector(upper)))
+            if not len(pairs[-1][0]) == len(pairs[-1][1]) == dim:
+                raise ValueError(f"box {i} must have dimension {dim}, like the grid")
+        as_boxes(pairs)  # the corner order is ProblemSpec's rule
+        return pairs
+
+    return convert
 
 
 def parse_config(raw: dict) -> ProblemConfig:
-    """Validate a configuration document field by field."""
-    benchmark = _require(raw, "benchmark", str, "a registered benchmark id")
+    """Decode a configuration document; see the module docstring."""
+    benchmark = _read(raw, "benchmark", _text)
+    params = _read(raw, "dynamics_params", _params, None)
     try:
-        build_system(benchmark, raw.get("dynamics_params"))
+        build_system(benchmark, params)
     except KeyError as exc:
-        raise ConfigError(f"benchmark: {exc.args[0]}") from exc
-    except ValueError as exc:
+        raise ConfigError(f"benchmark: {exc.args[0]}") from None
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"dynamics_params: {exc}") from exc
-    spec = _require(raw, "spec", str, f"'{SAFETY}' or '{REACH_AVOID}'")
-    if spec not in (SAFETY, REACH_AVOID):
-        raise ConfigError(f"spec: must be '{SAFETY}' or '{REACH_AVOID}', got {spec!r}")
-    layers = _require(raw, "layers", int, "a positive integer")
-    if layers < 1:
-        raise ConfigError("layers: must be >= 1")
-    eta1 = _require(raw, "eta1", (list, tuple), "a positive vector")
-    tau1 = _require(raw, "tau1", (int, float), "a positive number")
-    y_lower = _require(raw, "y_lower", (list, tuple), "a vector")
-    y_upper = _require(raw, "y_upper", (list, tuple), "a vector")
-    dim = len(eta1)
-    if len(y_lower) != dim or len(y_upper) != dim:
-        raise ConfigError("y_lower/y_upper: dimension must match eta1")
-    algorithm = raw.get("algorithm", "single-layer")
-    try:
-        check_algorithm(algorithm, spec)
-    except ValueError as exc:
-        raise ConfigError(f"algorithm: {exc}") from exc
-    m = raw.get("m", 2)
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError("m: must be a positive integer")
-    substeps = raw.get("substeps", 5)
-    if not isinstance(substeps, int) or substeps < 1:
-        raise ConfigError("substeps: must be a positive integer")
-    if spec == REACH_AVOID and not raw.get("target_boxes"):
-        raise ConfigError("target_boxes: reach-avoid configurations need at least one")
-    cfg = ProblemConfig(
+    eta1 = _read(raw, "eta1", _vector)
+    tau1 = _read(raw, "tau1", _number)
+    y_lower = _read(raw, "y_lower", _vector)
+    y_upper = _read(raw, "y_upper", _vector)
+    stack = _read(raw, "layers", lambda n: LayerStack(_integer(n), eta1, tau1, y_lower, y_upper))
+    boxes = {key: _read(raw, key, _boxes(stack.dim), []) for key in _BOX_FIELDS}
+    spec = _read(raw, "spec", lambda kind: ProblemSpec(_text(kind), **boxes))
+    algorithm = _read(raw, "algorithm", lambda a: check_algorithm(_text(a), spec.kind), "single-layer")
+    return ProblemConfig(
         benchmark=benchmark,
-        spec=spec,
-        layers=layers,
-        eta1=[float(v) for v in eta1],
-        tau1=float(tau1),
-        y_lower=[float(v) for v in y_lower],
-        y_upper=[float(v) for v in y_upper],
+        spec=spec.kind,
+        layers=stack.levels,
+        eta1=eta1,
+        tau1=tau1,
+        y_lower=y_lower,
+        y_upper=y_upper,
         algorithm=algorithm,
-        safe_boxes=_boxes(raw, "safe_boxes", dim),
-        obstacle_boxes=_boxes(raw, "obstacle_boxes", dim),
-        target_boxes=_boxes(raw, "target_boxes", dim),
-        m=m,
-        substeps=substeps,
-        dynamics_params=raw.get("dynamics_params"),
-        out_dir=str(raw.get("out_dir", "out")),
+        **boxes,
+        m=_read(raw, "m", _count, 2),
+        substeps=_read(raw, "substeps", _count, 5),
+        dynamics_params=params,
+        out_dir=_read(raw, "out_dir", _text, "out"),
     )
-    cfg.build_stack()  # surfaces grid divisibility errors early
-    return cfg
 
 
 def read_config(path) -> dict:
@@ -184,8 +173,8 @@ def read_config(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     return raw

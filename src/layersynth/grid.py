@@ -38,8 +38,8 @@ class LayerStack:
         eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
         y_lower = np.atleast_1d(np.asarray(y_lower, dtype=float))
         y_upper = np.atleast_1d(np.asarray(y_upper, dtype=float))
-        if eta1.shape != y_lower.shape or eta1.shape != y_upper.shape:
-            raise ValueError("eta1 and region bounds must have the same dimension")
+        if eta1.ndim != 1 or eta1.size == 0 or not eta1.shape == y_lower.shape == y_upper.shape:
+            raise ValueError("eta1 and region bounds must be non-empty vectors of one dimension")
         if not (np.all(np.isfinite(eta1)) and np.isfinite(tau1)
                 and np.all(np.isfinite(y_lower)) and np.all(np.isfinite(y_upper))):
             raise ValueError("eta1, tau1 and region bounds must be finite")
@@ -65,6 +65,9 @@ class LayerStack:
         if math.prod(int(c) for c in rounded) > _MAX_CELLS:
             raise ValueError(too_many)
         base = rounded.astype(np.int64)
+        # Before 2**(levels-1) is computed, so a huge level count fails at once.
+        if levels > int(base.min()).bit_length():
+            raise ValueError(f"levels = {levels} needs 2**(levels-1) layer-1 cells on every axis")
         factor = 2 ** (levels - 1)
         if np.any(base % factor != 0):
             raise ValueError(
@@ -300,10 +303,18 @@ def _slab(stack: LayerStack, layer: int, j_min: np.ndarray, j_max: np.ndarray) -
     return out
 
 
+def _box_coords(stack: LayerStack, layer: int, lower, upper):
+    """Grid coordinates of a box's corners.  A box may extend past the
+    region, to infinity too: its corners are clipped to the region
+    widened by one cell, which keeps the cells it meets and adds none."""
+    eta = stack.eta(layer)
+    lo, hi = stack.y_lower - eta, stack.y_upper + eta
+    return (stack.grid_coords(layer, np.clip(corner, lo, hi)) for corner in (lower, upper))
+
+
 def cells_inside_box(stack: LayerStack, layer: int, lower, upper) -> CellSet:
     """Cells whose closure lies inside the closed box ``[lower, upper]``."""
-    q_lo = stack.grid_coords(layer, lower)
-    q_hi = stack.grid_coords(layer, upper)
+    q_lo, q_hi = _box_coords(stack, layer, lower, upper)
     j_min = np.ceil(q_lo).astype(np.int64)
     j_max = np.floor(q_hi).astype(np.int64) - 1
     return _slab(stack, layer, j_min, j_max)
@@ -315,8 +326,7 @@ def cells_intersecting_box(stack: LayerStack, layer: int, lower, upper) -> CellS
     A box whose corner lands exactly on a grid line touches the cell on
     the far side of the line.
     """
-    q_lo = stack.grid_coords(layer, lower)
-    q_hi = stack.grid_coords(layer, upper)
+    q_lo, q_hi = _box_coords(stack, layer, lower, upper)
     j_min = np.floor(q_lo).astype(np.int64)
     j_max = np.floor(q_hi).astype(np.int64)
     return _slab(stack, layer, j_min, j_max)

@@ -20,13 +20,16 @@ SAFETY = "safe"
 REACH_AVOID = "reach-avoid"
 
 
-def _as_boxes(boxes) -> list[tuple[np.ndarray, np.ndarray]]:
+def as_boxes(boxes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(lower, upper)`` corner arrays; each box needs corners of one
+    shape with ``lower <= upper`` (so no NaN).  Corners may lie outside
+    the region of interest, and may be infinite."""
     out = []
-    for lo, hi in boxes:
+    for i, (lo, hi) in enumerate(boxes):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ValueError(f"malformed box ({lo}, {hi})")
+        if lo.shape != hi.shape or not np.all(lo <= hi):
+            raise ValueError(f"box {i} ({lo}, {hi}) needs lower <= upper corners of one shape")
         out.append((lo, hi))
     return out
 
@@ -43,9 +46,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in (SAFETY, REACH_AVOID):
             raise ValueError(f"kind must be '{SAFETY}' or '{REACH_AVOID}'")
-        self.safe_boxes = _as_boxes(self.safe_boxes)
-        self.obstacle_boxes = _as_boxes(self.obstacle_boxes)
-        self.target_boxes = _as_boxes(self.target_boxes)
+        self.safe_boxes = as_boxes(self.safe_boxes)
+        self.obstacle_boxes = as_boxes(self.obstacle_boxes)
+        self.target_boxes = as_boxes(self.target_boxes)
         if self.kind == REACH_AVOID and not self.target_boxes:
             raise ValueError("reach-avoid problems need at least one target box")
 

@@ -315,23 +315,18 @@ class SynthesisEngine:
         self.stats.fp_iterations[layer - 1] += 1
         return w
 
-    def reach_m(
-        self,
-        layer: int,
-        target: CellSet,
-        safe: CellSet,
-        m: int | None,
-    ) -> ReachOutcome:
+    def reach_m(self, layer: int, target: CellSet, m: int | None) -> ReachOutcome:
         """Run the reach-avoid fixed point for ``m`` steps (None: converge).
 
-        Iterates ``W <- (CPre(W) n safe) u target`` from ``W = target``
-        and records, for every newly won cell, the iteration at which it
-        entered and the inputs that drive it into ``W`` of that
-        iteration, read from the same closing-input mask that won it.
+        Iterates ``W <- (CPre(W) n safe) u target`` over the layer's safe
+        set from ``W = target n safe`` and records, for every newly won
+        cell, the iteration at which it entered and the inputs that drive
+        it into ``W`` of that iteration, read from the same closing-input
+        mask that won it.
         Reports whether a fixed point was reached.
         """
         table = self.table(layer)
-        safe = safe.intersect(self.spec_sets.safe_at(layer))
+        safe = self.spec_sets.safe_at(layer)
         target = target.intersect(safe)
         candidates = safe.intersect(table.explored_cells())
         w = target.copy()
@@ -453,12 +448,12 @@ class SynthesisEngine:
             if layer == L:
                 if lazy:
                     self.explore(layer, safe_l)
-                outcome = self.reach_m(layer, target_l, safe_l, None)
+                outcome = self.reach_m(layer, target_l, None)
             else:
                 expansion = None
                 if lazy:
                     expansion = self.expand_abstraction(layer, upsilon)
-                outcome = self.reach_m(layer, target_l, safe_l, self.m)
+                outcome = self.reach_m(layer, target_l, self.m)
                 if lazy:
                     fresh = outcome.won.difference(target_l.intersect(safe_l))
                     if not fresh.is_subset(expansion):
@@ -500,13 +495,14 @@ class SynthesisEngine:
 # -- entry point ------------------------------------------------------------
 
 
-def check_algorithm(algorithm: str, kind: str) -> None:
-    """Raise ``ValueError`` unless ``algorithm`` is one of
-    :data:`ALGORITHMS` and solves ``kind`` problems."""
+def check_algorithm(algorithm: str, kind: str) -> str:
+    """``algorithm``, if it is one of :data:`ALGORITHMS` and solves
+    ``kind`` problems; ``ValueError`` otherwise."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if algorithm != "single-layer" and not algorithm.endswith(_SUFFIX[kind]):
         raise ValueError(f"algorithm {algorithm} does not solve {kind!r} problems")
+    return algorithm
 
 
 def synthesize(

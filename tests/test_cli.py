@@ -6,7 +6,7 @@ import pytest
 from conftest import DCDC_SAFE, random_problem
 from layersynth import ALGORITHMS, MultiLayeredController, cli, default_config, synthesize, validate
 from layersynth import controller as ctrl
-from layersynth.config import ConfigError, load_config, parse_config
+from layersynth.config import ConfigError, load_config, parse_config, read_config
 from layersynth.problem import REACH_AVOID, SAFETY
 
 UNICYCLE_REACH = {
@@ -161,3 +161,39 @@ def test_non_finite_disturbance_is_a_config_error(tmp_path, capsys, bad):
     message = "configuration error: dynamics_params: disturbance bound must be finite"
     assert capsys.readouterr().err.count(message) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("layers", ["64", "100000000000"])
+def test_impossible_level_count_exits_1(tmp_path, capsys, layers):
+    config = write_config(tmp_path, DCDC_SAFE)
+    argv = ["synthesize", "--config", config, "--out", str(tmp_path / "out"), "--layers", layers]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: layers: levels = {layers} ")
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"levels": 3', b"[1, 2]", b'"stats"', b"\xff\xfe{}"],
+    ids=["not-json", "list", "string", "not-utf8"],
+)
+def test_unreadable_stats_file_exits_1(tmp_path, capsys, content):
+    (tmp_path / "stats.json").write_bytes(content)
+    assert cli.main(["stats", "--in", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot read {tmp_path / 'stats.json'}: ")
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"\xff\xfe{}", b"{\"layers\": 3", b"[" * 100_000],
+    ids=["directory", "not-utf8", "not-json", "nested-too-deep"],
+)
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match="^cannot read config file "):
+        read_config(path)
+    assert cli.main(["synthesize", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    args = ["--controller", str(tmp_path / "absent.mlc"), "--config", str(path)]
+    assert cli.main(["validate", *args]) == 1
+    assert capsys.readouterr().err.count("configuration error: cannot read config file ") == 2

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -34,6 +35,14 @@ class TestLayerStack:
         # 6 layer-1 cells per axis cannot be halved twice
         with pytest.raises(ValueError, match="divisible"):
             LayerStack(3, [1.0, 1.0], 0.1, [0.0, 0.0], [6.0, 6.0])
+
+    @pytest.mark.parametrize("levels", [4, 64, 100_000_000_000])
+    def test_rejects_more_levels_than_an_axis_can_halve_at_once(self, levels):
+        # 6 layer-1 cells on an axis: 2**(levels-1) cannot divide them
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"levels = {levels} needs"):
+            LayerStack(levels, [1.0, 1.0], 0.1, [0.0, 0.0], [6.0, 64.0])
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize(
         "eta1, tau1, y_upper, message",

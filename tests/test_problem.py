@@ -140,3 +140,31 @@ def test_non_finite_states_are_outside_every_region(stack, safe_boxes, bad):
             assert in_safe_oracle(spec, x, stack) is False
         assert spec.in_safe_region(rows, stack).tolist() == [False, False, False, True]
         assert spec.in_target_region(rows).tolist() == [False, False, False, True]
+
+
+def test_infinite_box_corners_act_as_the_region_bounds(stack):
+    inf = float("inf")
+
+    def spec(low, high):  # boxes reaching the region bounds, or past them
+        return ProblemSpec(
+            kind=REACH_AVOID,
+            safe_boxes=[([low, 0.0], [2.0, high]), ([1.0, low], [high, 3.0])],
+            obstacle_boxes=[([1.0, low], [1.5, 1.0]), ([3.5, 3.5], [high, high])],
+            target_boxes=[([3.0, low], [high, 2.5])],
+        )
+
+    bounded = build_spec_sets(stack, spec(0.0, 4.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no invalid-value or cast warning on inf
+        unbounded = build_spec_sets(stack, spec(-inf, inf))
+    for layer in (1, 2):
+        assert unbounded.safe_at(layer) == bounded.safe_at(layer)
+        assert unbounded.target_at(layer) == bounded.target_at(layer)
+    assert not bounded.target_at(1).is_empty()
+
+
+@pytest.mark.parametrize("lo, hi", [([0.0, float("nan")], [1.0, 1.0]), ([1.0, 0.0], [0.0, 1.0]),
+                                    ([0.0], [1.0, 1.0])])
+def test_box_needs_ordered_corners_of_one_shape(lo, hi):
+    with pytest.raises(ValueError, match="box 0 "):
+        ProblemSpec(kind=SAFETY, obstacle_boxes=[(lo, hi)])

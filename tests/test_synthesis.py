@@ -221,13 +221,13 @@ class TestSafeFixpoint:
 class TestReachM:
     def test_empty_target(self):
         _, engine = self_loop_engine(REACH_AVOID, targets=[([0.2], [0.4])])
-        out = engine.reach_m(1, CellSet.empty(engine.stack, 1), engine.spec_sets.safe_at(1), 3)
+        out = engine.reach_m(1, CellSet.empty(engine.stack, 1), 3)
         assert out.won.is_empty() and out.fixed_point
 
     def test_target_already_fixed(self):
         stack, engine = self_loop_engine(REACH_AVOID, n=4, targets=[([0.0], [2.0])])
         target = engine.spec_sets.target_at(1)
-        out = engine.reach_m(1, target, engine.spec_sets.safe_at(1), None)
+        out = engine.reach_m(1, target, None)
         assert out.won == target and out.fixed_point and out.cells.size == 0
 
     def test_chain_two_steps_adds_two_predecessors_with_decreasing_ranks(self):
@@ -237,7 +237,7 @@ class TestReachM:
         for cell, succ in table_as_dict(chain_table(stack)).items():
             engine.table(1).preload(cell[0], cell[1], BLOCKED if succ is BLOCKED else sorted(succ))
         target = engine.spec_sets.target_at(1)
-        out = engine.reach_m(1, target, engine.spec_sets.safe_at(1), 2)
+        out = engine.reach_m(1, target, 2)
         assert stage_ranks(out.cells, out.ranks) == {3: 1, 2: 2}
         assert not out.fixed_point
 
@@ -252,7 +252,7 @@ class TestReachM:
             safe_set = set(int(c) for c in safe.indices())
             target_set = set(int(c) for c in target.indices())
             for m in (1, 2, None):
-                out = engine.reach_m(1, target, safe, m)
+                out = engine.reach_m(1, target, m)
                 expect, expect_ranks = attractor_oracle(tdict, target_set, safe_set, m)
                 assert set(out.won.indices().tolist()) == expect
                 assert stage_ranks(out.cells, out.ranks) == expect_ranks
