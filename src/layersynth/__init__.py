@@ -14,9 +14,7 @@ from .controller import (
     ControllerFormatError,
     LayerController,
     MultiLayeredController,
-    TrajectoryLog,
     ValidationReport,
-    simulate,
     validate,
 )
 from .dynamics import (
@@ -67,7 +65,6 @@ __all__ = [
     "SynthesisEngine",
     "SynthesisResult",
     "SynthesisStats",
-    "TrajectoryLog",
     "TransitionTable",
     "UnexploredTransitionError",
     "ValidationReport",
@@ -85,7 +82,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "sample_disturbed_step",
-    "simulate",
     "synthesize",
     "unicycle",
     "upre",

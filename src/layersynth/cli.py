@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import controller as ctrl
@@ -133,30 +135,41 @@ def _cmd_validate(args) -> int:
     return 3 if report.violations else 0
 
 
+# Per-layer counters of ``stats.json``: printed name -> field.
+_PER_LAYER = {"transitions": "transitions_per_layer", "cpre_evals": "cpre_evals",
+              "fp_iterations": "fp_iterations"}
+
+
+def _stats_report(stats) -> Iterator[str]:
+    """The lines ``layersynth stats`` prints.  Raises ``TypeError`` or
+    ``KeyError`` on a field of the wrong type before a line is made."""
+    if not isinstance(stats, dict):
+        raise TypeError("not a JSON object")
+    levels = stats.get("levels", 0)
+    layers = range(1, levels + 1)
+    columns = {name: stats.get(key, []) for name, key in _PER_LAYER.items()}
+    if not all(isinstance(c, list) for c in columns.values()):
+        raise TypeError(f"{', '.join(_PER_LAYER.values())} must be lists")
+    stages = [f"  stage {s['stage']}: layer {s['layer']}, {s['cells']} cells"
+              for s in stats.get("stages", [])]
+    head = [f"layers: {levels}",
+            f"layer-1 winning cells: {stats.get('winning_layer1_cells')}"]
+    rows = (f"  layer {l}: " + " ".join(f"{n}={c[l - 1] if l <= len(c) else 0}"
+                                       for n, c in columns.items()) for l in layers)
+    return chain(head, rows, stages)
+
+
 def _cmd_stats(args) -> int:
     path = Path(args.indir) / "stats.json"
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            stats = json.load(fh)
-        if not isinstance(stats, dict):
-            raise ValueError("not a JSON object")
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or not JSON
+            lines = _stats_report(json.load(fh))
+    # unreadable, not UTF-8, not JSON or a field of the wrong type
+    except (OSError, ValueError, RecursionError, TypeError, KeyError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return 1
-    levels = stats.get("levels", 0)
-    print(f"layers: {levels}")
-    print(f"layer-1 winning cells: {stats.get('winning_layer1_cells')}")
-    trans = stats.get("transitions_per_layer", [])
-    cpre = stats.get("cpre_evals", [])
-    fp = stats.get("fp_iterations", [])
-    for l in range(1, levels + 1):
-        print(
-            f"  layer {l}: transitions={trans[l-1] if l <= len(trans) else 0} "
-            f"cpre_evals={cpre[l-1] if l <= len(cpre) else 0} "
-            f"fp_iterations={fp[l-1] if l <= len(fp) else 0}"
-        )
-    for stage in stats.get("stages", []):
-        print(f"  stage {stage['stage']}: layer {stage['layer']}, {stage['cells']} cells")
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -7,8 +7,10 @@ owns the grid (under ``layers``), ``as_boxes`` each box's shape and corner
 order (under its box field), ``ProblemSpec`` the spec kind and the
 reach-avoid target (under ``spec``), ``check_algorithm`` the algorithm,
 and ``build_system`` the benchmark and its ``dynamics_params``.  This
-module owns only that boxes have the grid's dimension and that ``m`` and
-``substeps``, which only synthesis reads, are positive integers.
+module owns only the rules no single object can check and the values no
+object owns: the grid has the benchmark's state dimension (under
+``layers``), boxes have the grid's (under their field), ``m`` is a
+positive integer and ``substeps`` one of at most :data:`MAX_SUBSTEPS`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .synthesis import check_algorithm
 
 _REQUIRED = object()
 _BOX_FIELDS = ("safe_boxes", "obstacle_boxes", "target_boxes")
+# RK4 steps per layer-1 period; layer l takes 2**(l-1) times as many.
+MAX_SUBSTEPS = 1000
 
 
 class ConfigError(ValueError):
@@ -114,6 +118,12 @@ def _count(value) -> int:
     return value
 
 
+def _substeps(value) -> int:
+    if _count(value) > MAX_SUBSTEPS:
+        raise ValueError(f"must be at most {MAX_SUBSTEPS}, got {value}")
+    return value
+
+
 def _boxes(dim: int):
     """Converter for a list of ``[lower, upper]`` pairs or
     ``{"lower": ..., "upper": ...}`` objects with ``dim`` coordinates."""
@@ -136,7 +146,7 @@ def parse_config(raw: dict) -> ProblemConfig:
     benchmark = _read(raw, "benchmark", _text)
     params = _read(raw, "dynamics_params", _params, None)
     try:
-        build_system(benchmark, params)
+        system = build_system(benchmark, params)
     except KeyError as exc:
         raise ConfigError(f"benchmark: {exc.args[0]}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -146,6 +156,8 @@ def parse_config(raw: dict) -> ProblemConfig:
     y_lower = _read(raw, "y_lower", _vector)
     y_upper = _read(raw, "y_upper", _vector)
     stack = _read(raw, "layers", lambda n: LayerStack(_integer(n), eta1, tau1, y_lower, y_upper))
+    if stack.dim != system.dim:
+        raise ConfigError(f"layers: grid dimension {stack.dim} is not {benchmark}'s {system.dim}")
     boxes = {key: _read(raw, key, _boxes(stack.dim), []) for key in _BOX_FIELDS}
     spec = _read(raw, "spec", lambda kind: ProblemSpec(_text(kind), **boxes))
     algorithm = _read(raw, "algorithm", lambda a: check_algorithm(_text(a), spec.kind), "single-layer")
@@ -160,7 +172,7 @@ def parse_config(raw: dict) -> ProblemConfig:
         algorithm=algorithm,
         **boxes,
         m=_read(raw, "m", _count, 2),
-        substeps=_read(raw, "substeps", _count, 5),
+        substeps=_read(raw, "substeps", _substeps, 5),
         dynamics_params=params,
         out_dir=_read(raw, "out_dir", _text, "out"),
     )

@@ -141,27 +141,6 @@ class MultiLayeredController:
         return self._rows[0][row], self._rows[1][row]
 
 
-@dataclass
-class LogEntry:
-    time: float
-    state: np.ndarray
-    layer: int
-    stage: int
-    input_index: int
-    rank: int | None
-
-
-@dataclass
-class TrajectoryLog:
-    entries: list[LogEntry]
-    status: str  # target-reached | safe-horizon-complete | left-domain | violation
-    final_state: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.entries)
-
-
 def rank_budget(mlc: MultiLayeredController) -> int:
     """Worst-case step bound for reach-avoid runs, with slack factor 2."""
     total = sum(int(st.ranks.max()) for st in mlc.stages if st.ranks is not None and st.ranks.size)
@@ -176,7 +155,6 @@ def _closed_loop(
     horizon: int,
     rngs: list,
     substeps_base: int,
-    entries: list[list[LogEntry]] | None = None,
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """Run the closed loops from the rows of ``x0`` ``(N, n)`` together.
 
@@ -191,17 +169,13 @@ def _closed_loop(
 
     Returns the status, final state and step count of every run, and
     whether its (stage, rank) measure strictly decreased at every step.
-    Given ``entries`` (one list per run), every step is logged there.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
     reach = mlc.kind == REACH_AVOID
     if reach:
         horizon = min(horizon, rank_budget(mlc)) if horizon else rank_budget(mlc)
     x = np.array(x0, dtype=float)
     status = [""] * len(x)
     steps = np.zeros(len(x), dtype=np.int64)
-    t = np.zeros(len(x))
     monotone = np.ones(len(x), dtype=bool)
     measure = np.full((len(x), 2), np.iinfo(np.int64).max)  # last (stage, rank)
     active = np.arange(len(x))
@@ -231,20 +205,12 @@ def _closed_loop(
             (now[:, 0] == prev[:, 0]) & (now[:, 1] < prev[:, 1])
         )
         measure[active] = now
-        if entries is not None:
-            for j, i in enumerate(active.tolist()):
-                entries[i].append(
-                    LogEntry(float(t[i]), x[i].copy(), int(layers[j]), int(stage[j]),
-                             int(moves[j]), int(ranks[j]) if reach else None)
-                )
         for layer, u in sorted(set(zip(layers.tolist(), moves.tolist()))):
             rows = active[(layers == layer) & (moves == u)]
-            tau = mlc.stack.tau(layer)
             x[rows] = sample_disturbed_step(
-                sys, x[rows], sys.inputs[u], tau,
+                sys, x[rows], sys.inputs[u], mlc.stack.tau(layer),
                 [rngs[i] for i in rows.tolist()], substeps=substeps_base * 2 ** (layer - 1),
             )
-            t[rows] += tau
         steps[active] += 1
 
     xa = x[active]
@@ -254,30 +220,6 @@ def _closed_loop(
     stop(active[ok], "target-reached" if reach else "safe-horizon-complete")
     stop(active[~ok], "violation")
     return status, x, steps, monotone
-
-
-def simulate(
-    mlc: MultiLayeredController,
-    sys: ControlSystem,
-    spec: ProblemSpec,
-    x0,
-    horizon: int,
-    rng,
-    substeps_base: int = 5,
-) -> TrajectoryLog:
-    """Run the closed loop from ``x0`` and classify the outcome.
-
-    Safety runs complete after ``horizon`` steps; reach-avoid runs stop
-    on target entry and count failing to arrive within the step budget
-    as a violation.  This is the step code of :func:`validate` with a
-    single run, every step logged.
-    """
-    entries: list[list[LogEntry]] = [[]]
-    status, x, _, _ = _closed_loop(
-        mlc, sys, spec, np.asarray(x0, dtype=float)[None, :], horizon,
-        [np.random.default_rng(rng)], substeps_base, entries,
-    )
-    return TrajectoryLog(entries[0], status[0], x[0])
 
 
 @dataclass

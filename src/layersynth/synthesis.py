@@ -199,14 +199,10 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
     return CellSet(target.layer, result)
 
 
-def upre_m(table: TransitionTable, target: CellSet, m: int) -> CellSet:
-    """Cumulative m-fold application of the cooperative predecessor."""
-    return _upre_applied(table, target, m)[0]
-
-
-def _upre_applied(table: TransitionTable, target: CellSet, m: int) -> tuple[CellSet, int]:
-    """:func:`upre_m` and the number of ``upre`` applications it made;
-    it stops early once an application adds no cell."""
+def upre_m(table: TransitionTable, target: CellSet, m: int) -> tuple[CellSet, int]:
+    """Cumulative m-fold application of the cooperative predecessor, and
+    the number of ``upre`` applications made; it stops early once an
+    application adds no cell."""
     if m < 1:
         raise ValueError("m must be >= 1")
     acc = upre(table, target)
@@ -365,7 +361,7 @@ class SynthesisEngine:
         m = self.m if m is None else m
         aux = self.ensure_aux(layer)
         L = self.stack.levels
-        coarse, applied = _upre_applied(aux, gamma_up(self.stack, upsilon, L), m)
+        coarse, applied = upre_m(aux, gamma_up(self.stack, upsilon, L), m)
         self.stats.upre_evals[layer] = self.stats.upre_evals.get(layer, 0) + applied
         w1 = coarse.difference(gamma_down(self.stack, upsilon, L))
         w2 = gamma_down(self.stack, w1, layer)

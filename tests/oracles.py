@@ -7,10 +7,12 @@ at a time.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from layersynth import BLOCKED, CellSet, TrajectoryLog, ValidationReport
-from layersynth.controller import LogEntry, rank_budget
+from layersynth import BLOCKED, CellSet, ValidationReport
+from layersynth.controller import rank_budget
 from layersynth.dynamics import DISTURBANCE_SEGMENTS, sample_disturbed_step
 from layersynth.problem import REACH_AVOID, SAFETY
 
@@ -196,13 +198,34 @@ def in_target_oracle(spec, x) -> bool:
     return any(all(a <= v <= b for a, v, b in zip(lo, x, hi)) for lo, hi in spec.target_boxes)
 
 
+@dataclass
+class LogEntry:
+    time: float
+    state: np.ndarray
+    layer: int
+    stage: int
+    input_index: int
+    rank: int | None
+
+
+@dataclass
+class TrajectoryLog:
+    entries: list[LogEntry]
+    status: str  # target-reached | safe-horizon-complete | left-domain | violation
+    final_state: np.ndarray
+
+    @property
+    def steps(self) -> int:
+        return len(self.entries)
+
+
 def simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base=5):
     """One closed-loop run, one state and one stage lookup at a time.
 
-    The reference for :func:`layersynth.controller.simulate`: it picks
-    the acting stage with :func:`quantize_oracle`, steps with the
-    lowest-index move of that stage and checks the specification with
-    the oracle point tests.
+    The reference for one run of :func:`layersynth.controller.validate`:
+    it picks the acting stage with :func:`quantize_oracle`, steps with
+    the lowest-index move of that stage and checks the specification
+    with the oracle point tests.  Every step is logged.
     """
     rng = np.random.default_rng(rng)
     x = np.asarray(x0, dtype=float)

@@ -171,9 +171,35 @@ def test_impossible_level_count_exits_1(tmp_path, capsys, layers):
     assert capsys.readouterr().err.startswith(f"configuration error: layers: levels = {layers} ")
 
 
+def test_substeps_beyond_the_bound_exit_1(tmp_path, capsys):
+    # a billion RK4 substeps per reach box would keep synthesis running on
+    doc = {**DCDC_SAFE, "substeps": 10**9}
+    with pytest.raises(ConfigError, match="^substeps: must be at most "):
+        parse_config(doc)
+    config = write_config(tmp_path, doc)
+    assert cli.main(["synthesize", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: substeps: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_of_another_dimension_than_the_state_exits_1(tmp_path, capsys):
+    doc = {**DCDC_SAFE, "eta1": [0.005] * 3, "y_lower": [1.15, 5.45, 0.0],
+           "y_upper": [1.55, 5.85, 0.4]}
+    config = write_config(tmp_path, doc)
+    assert cli.main(["synthesize", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    args = ["--controller", str(tmp_path / "absent.mlc"), "--config", config]
+    assert cli.main(["validate", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration error: layers: grid dimension 3 is not dcdc's 2") == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
-    "content", [b'{"levels": 3', b"[1, 2]", b'"stats"', b"\xff\xfe{}"],
-    ids=["not-json", "list", "string", "not-utf8"],
+    "content",
+    [b'{"levels": 3', b"[1, 2]", b'"stats"', b"\xff\xfe{}", b'{"levels": "x"}',
+     b'{"levels": 2, "transitions_per_layer": 5}', b'{"levels": 1, "stages": [1]}'],
+    ids=["not-json", "list", "string", "not-utf8", "string-levels", "number-counters",
+         "number-stage"],
 )
 def test_unreadable_stats_file_exits_1(tmp_path, capsys, content):
     (tmp_path / "stats.json").write_bytes(content)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import DCDC_SAFE
 from layersynth import build_spec_sets
-from layersynth.config import ConfigError, parse_config
+from layersynth.config import MAX_SUBSTEPS, ConfigError, parse_config
 
 NAN, INF = float("nan"), float("inf")
 ABSENT = object()  # substituting it deletes the field
@@ -22,7 +22,7 @@ FIELDS = sorted({*DCDC_SAFE, "safe_boxes", "obstacle_boxes", "target_boxes", "dy
 # Values substituted for whole fields: bools, huge ints, NaN/+-inf,
 # strings, nested lists, malformed boxes and dicts, next to valid ones.
 POOL = [
-    ABSENT, None, True, False, 0, 1, -1, 3, 64, 10**11, 10**400, 0.5, -0.5, 1e308, NAN, INF, -INF,
+    ABSENT, None, True, False, 0, 1, -1, 3, 64, 10**9, 10**11, 10**400, 0.5, -0.5, 1e308, NAN, INF, -INF,
     "", "x", "safe", "reach-avoid", "lazy-safe", "eager-reach", "dcdc", "unicycle",
     [], [1], [True, 0.1], ["a", 0.1], [0.005, 0.005], [[0.005], 0.005], [NAN, 1.0], [INF, 1.0],
     [10**400, 1.0], [1.0, 2.0, 3.0], [[[]]], [[[[1]]]],
@@ -80,6 +80,13 @@ def test_substituted_documents_decode_or_raise_config_error(edits):
 def test_wrong_json_types_are_rejected(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: expected "):
         parse_config({**DCDC_SAFE, key: value})
+
+
+@pytest.mark.parametrize("substeps", [MAX_SUBSTEPS + 1, 10**9])
+def test_substeps_beyond_the_bound_are_rejected(substeps):
+    with pytest.raises(ConfigError, match=f"^substeps: must be at most {MAX_SUBSTEPS}, "):
+        parse_config({**DCDC_SAFE, "substeps": substeps})
+    assert parse_config({**DCDC_SAFE, "substeps": MAX_SUBSTEPS}).substeps == MAX_SUBSTEPS
 
 
 @pytest.mark.parametrize("layers", [64, 100_000_000_000])

@@ -10,7 +10,8 @@ layer-1 counters. Digests are cut to their first 16 hex digits.
 of ``validate(...).to_dict()`` for a few short closed-loop runs at a
 fixed seed, and the sha256 of the (stage, layer, input, rank) sequence
 and status of closed-loop runs from fixed states spread over the
-controller domain, which covers the quantizer and the moves it picks.
+controller domain, stepped one state at a time by ``simulate_oracle``,
+which covers the stages and the moves that the controller picks.
 
 A refactor must leave every value unchanged. A change that is meant to
 alter a result prints the new table with
@@ -29,9 +30,10 @@ import numpy as np
 import pytest
 
 from conftest import DCDC_SAFE, random_problem
+from oracles import simulate_oracle
 from layersynth import synthesize
 from layersynth.config import parse_config
-from layersynth.controller import serialize, simulate, validate
+from layersynth.controller import serialize, validate
 from layersynth.problem import REACH_AVOID, SAFETY
 
 ALGORITHMS = {
@@ -118,7 +120,7 @@ def validation_digest(sys_, spec, result) -> tuple[str, str]:
     runs_seen = []
     for i, cell in enumerate(starts):
         x0 = mlc.stack.centers(1, np.asarray([cell]))[0] + 0.3 * eta1
-        log = simulate(mlc, sys_, spec, x0, horizon, seed + i)
+        log = simulate_oracle(mlc, sys_, spec, x0, horizon, seed + i)
         steps = [(e.stage, e.layer, e.input_index, e.rank) for e in log.entries]
         runs_seen.append([log.status, steps])
     return (

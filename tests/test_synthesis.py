@@ -126,15 +126,15 @@ class TestUpre:
         stack = LayerStack(1, [1.0], 1.0, [0.0], [5.0])
         table = chain_table(stack)
         target = cells(stack, 1, [4])
-        assert upre_m(table, target, 1) == upre(table, target)
+        assert upre_m(table, target, 1) == (upre(table, target), 1)
 
     def test_upre_m_monotone_in_m(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [5.0])
         table = chain_table(stack)
         target = cells(stack, 1, [4])
-        prev = upre_m(table, target, 1)
+        prev, _ = upre_m(table, target, 1)
         for m in range(2, 5):
-            cur = upre_m(table, target, m)
+            cur, _ = upre_m(table, target, m)
             assert prev.is_subset(cur)
             prev = cur
 
@@ -144,7 +144,7 @@ class TestUpre:
         tdict = table_as_dict(table)
         target = {4}
         for m in (1, 2, 3):
-            got = set(upre_m(table, cells(stack, 1, target), m).indices().tolist())
+            got = set(upre_m(table, cells(stack, 1, target), m)[0].indices().tolist())
             assert got == upre_m_oracle(tdict, target, m)
         # frozen values from the enumeration oracle on the i -> {i+1, i+2} chain
         assert upre_m_oracle(tdict, target, 1) == {2, 3}
@@ -342,9 +342,10 @@ class TestExpandAbstraction:
         engine.expand_abstraction(1, upsilon, m=50)
         aux, target = engine.aux[1], gamma_up(engine.stack, upsilon, engine.stack.levels)
         stable = next(
-            i for i in range(2, 51) if upre_m(aux, target, i) == upre_m(aux, target, i - 1)
+            i for i in range(2, 51) if upre_m(aux, target, i)[0] == upre_m(aux, target, i - 1)[0]
         )
         assert stable < 50
+        assert upre_m(aux, target, 50)[1] == stable
         assert engine.stats.upre_evals == {1: stable}
 
 
@@ -396,8 +397,8 @@ class TestContainmentLemma:
                     extra = CellSet(L, rng.random(stack.cell_count(L)) < 0.2)
                     ups_L = gamma_up(stack, ups_l, L).union(extra)
                     for m in (1, 2, 3):
-                        coarse = gamma_down(stack, upre_m(aux, ups_L, m), l)
-                        fine = upre_m(engine.table(l), ups_l, m)
+                        coarse = gamma_down(stack, upre_m(aux, ups_L, m)[0], l)
+                        fine, _ = upre_m(engine.table(l), ups_l, m)
                         assert fine.is_subset(coarse), (
                             f"containment failed: seed {seed}, layer {l}, m={m}"
                         )
