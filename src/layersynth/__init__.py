@@ -7,7 +7,7 @@ synthesis frontier), and refines winning strategies into sample-and-hold
 controllers validated by closed-loop simulation.
 """
 
-from .abstraction import BLOCKED, TransitionTable, UnexploredTransitionError
+from .abstraction import TransitionTable, UnexploredTransitionError
 from .benchmarks import build_system, dcdc, default_config, unicycle
 from .config import ConfigError, ProblemConfig, load_config, parse_config
 from .controller import (
@@ -48,7 +48,6 @@ from .synthesis import (
 
 __all__ = [
     "ALGORITHMS",
-    "BLOCKED",
     "CellSet",
     "ConfigError",
     "ControlSystem",

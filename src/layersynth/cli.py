@@ -141,15 +141,18 @@ _PER_LAYER = {"transitions": "transitions_per_layer", "cpre_evals": "cpre_evals"
 
 
 def _stats_report(stats) -> Iterator[str]:
-    """The lines ``layersynth stats`` prints.  Raises ``TypeError`` or
-    ``KeyError`` on a field of the wrong type before a line is made."""
+    """The lines ``layersynth stats`` prints.  Raises ``TypeError``,
+    ``ValueError`` or ``KeyError`` on a bad field before a line is made."""
     if not isinstance(stats, dict):
         raise TypeError("not a JSON object")
     levels = stats.get("levels", 0)
-    layers = range(1, levels + 1)
     columns = {name: stats.get(key, []) for name, key in _PER_LAYER.items()}
     if not all(isinstance(c, list) for c in columns.values()):
         raise TypeError(f"{', '.join(_PER_LAYER.values())} must be lists")
+    longest = max(len(c) for c in columns.values())
+    if type(levels) is not int or not 0 <= levels <= longest:
+        raise ValueError(f"levels must be an integer from 0 to {longest}")
+    layers = range(1, levels + 1)
     stages = [f"  stage {s['stage']}: layer {s['layer']}, {s['cells']} cells"
               for s in stats.get("stages", [])]
     head = [f"layers: {levels}",

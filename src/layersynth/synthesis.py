@@ -126,9 +126,8 @@ class _SummedArea:
 
 
 def _boxes_touching(table: TransitionTable, cells: CellSet):
-    """``(u, box_cells, blocked, touches)`` for every input ``u`` with
-    stored boxes, where ``touches`` marks the boxes holding a cell of
-    ``cells``."""
+    """``(u, box_cells, touches)`` for every input ``u`` with stored
+    boxes, where ``touches`` marks the boxes holding a cell of ``cells``."""
     if cells.layer != table.grid_layer:
         raise LayerMismatchError(
             f"cell set lives on layer {cells.layer} but the table's grid is "
@@ -136,22 +135,26 @@ def _boxes_touching(table: TransitionTable, cells: CellSet):
         )
     sums = _SummedArea(table.stack, table.grid_layer, cells.bits)
     for u_idx in range(table.sys.n_inputs):
-        box_cells, lo, hi, blocked = table.csr(u_idx)
+        box_cells, lo, hi = table.csr(u_idx)
         if box_cells.size:
-            yield u_idx, box_cells, blocked, sums.counts(lo, hi) > 0
+            yield u_idx, box_cells, sums.counts(lo, hi) > 0
 
 
 def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
     """``mask[u, c]``: input ``u`` keeps every successor of cell ``c`` in ``region``.
 
     The one containment test behind ``cpre`` and every stage's moves: a
-    pair closes unless one of its boxes is blocked or holds a cell
+    pair closes if it has a box and none of its boxes holds a cell
     outside ``region``.  The mask has shape ``(n_inputs, n_cells)`` and
-    is never true for a blocked or unexplored pair.
+    is never true for an unexplored pair or one that leaves the region
+    of interest.  Only a main table has closing masks: an auxiliary
+    table keeps the clipped boxes of pairs that leave it.
     """
+    if table.kind != "main":
+        raise ValueError("closing masks are defined on main tables only")
     mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
-    for u_idx, cells, blocked, leaves in _boxes_touching(table, region.complement()):
-        mask[u_idx, cells] = ~blocked
+    for u_idx, cells, leaves in _boxes_touching(table, region.complement()):
+        mask[u_idx, cells] = True
         mask[u_idx, cells[leaves]] = False
     return mask
 
@@ -167,9 +170,10 @@ def _moves_into(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def cpre(table: TransitionTable, target: CellSet, candidates: CellSet | None = None) -> CellSet:
     """Cells with an input whose every successor lies in ``target``.
 
-    Blocked pairs never qualify.  ``candidates`` restricts the cells
-    under consideration; reading a candidate whose transitions were
-    never computed is a frontier bug and raises.
+    Pairs that leave the region of interest never qualify.
+    ``candidates`` restricts the cells under consideration; reading a
+    candidate whose transitions were never computed is a frontier bug
+    and raises.
     """
     if candidates is not None:
         missing = candidates.difference(table.explored_cells())
@@ -188,13 +192,13 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
     """Cells with an input having some successor in ``target``.
 
     The cooperative predecessor: used only to over-approximate where
-    synthesis could make progress, never to decide winning.  Blocked
-    auxiliary pairs take part through their successors clipped to the
-    region, since a finer cell inside the coarse one may reach those
-    cells without leaving the region.
+    synthesis could make progress, never to decide winning.  Auxiliary
+    pairs that leave the region take part through their successors
+    clipped to it, since a finer cell inside the coarse one may reach
+    those cells without leaving the region.
     """
     result = np.zeros(table.n_cells, dtype=bool)
-    for _, cells, _, hits in _boxes_touching(table, target):
+    for _, cells, hits in _boxes_touching(table, target):
         result[cells[hits]] = True
     return CellSet(target.layer, result)
 
@@ -348,20 +352,20 @@ class SynthesisEngine:
 
     # -- frontier exploration ----------------------------------------------
 
-    def expand_abstraction(self, layer: int, upsilon: CellSet, m: int | None = None) -> CellSet:
+    def expand_abstraction(self, layer: int, upsilon: CellSet) -> CellSet:
         """Explore where reach synthesis at ``layer`` could make progress.
 
-        Over-approximates the m-step cooperative predecessors of the
-        winning region on the coarse auxiliary system, drops cells whose
-        region is already won, refines to ``layer``, and computes the
-        transitions of the safe part.  Returns the refined candidate set.
+        Over-approximates the ``self.m``-step cooperative predecessors
+        of the winning region on the coarse auxiliary system, drops cells
+        whose region is already won, refines to ``layer``, and computes
+        the transitions of the safe part.  Returns the refined candidate
+        set.
         """
         if layer >= self.stack.levels:
             raise ValueError("frontier expansion applies to layers below the coarsest")
-        m = self.m if m is None else m
         aux = self.ensure_aux(layer)
         L = self.stack.levels
-        coarse, applied = upre_m(aux, gamma_up(self.stack, upsilon, L), m)
+        coarse, applied = upre_m(aux, gamma_up(self.stack, upsilon, L), self.m)
         self.stats.upre_evals[layer] = self.stats.upre_evals.get(layer, 0) + applied
         w1 = coarse.difference(gamma_down(self.stack, upsilon, L))
         w2 = gamma_down(self.stack, w1, layer)

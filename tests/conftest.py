@@ -7,7 +7,6 @@ import pytest
 from hypothesis import settings
 
 from layersynth import (
-    BLOCKED,
     ControlSystem,
     LayerStack,
     ProblemSpec,
@@ -33,6 +32,23 @@ DCDC_SAFE = {
     "algorithm": "lazy-safe",
     "m": 2,
     "substeps": 5,
+}
+
+# The unicycle-lazy benchmark workload as a config document: a 32x32x32
+# layer-1 grid on 3 layers.
+_OBSTACLE = {"lower": [2.2, 0.0, -3.2], "upper": [2.6, 2.75, 3.2]}
+UNICYCLE_LAZY = {
+    "benchmark": "unicycle",
+    "spec": "reach-avoid",
+    "layers": 3,
+    "eta1": [0.2, 0.2, 0.2],
+    "tau1": 0.45,
+    "y_lower": [0.0, 0.0, -3.2],
+    "y_upper": [6.4, 6.4, 3.2],
+    "obstacle_boxes": [_OBSTACLE, {**_OBSTACLE, "lower": [2.2, 3.45, -3.2],
+                                   "upper": [2.6, 6.4, 3.2]}],
+    "target_boxes": [{"lower": [4.8, 2.4, -3.2], "upper": [6.4, 4.0, 3.2]}],
+    "algorithm": "lazy-reach",
 }
 
 
@@ -89,8 +105,8 @@ def chain_table(stack: LayerStack) -> TransitionTable:
     table = TransitionTable(sys, stack, 1)
     for cell in range(4):
         succ = [c for c in (cell + 1, cell + 2) if c < 5]
-        table.preload(cell, 0, np.asarray(succ, dtype=np.int64))
-    table.preload(4, 0, BLOCKED)
+        table.preload(cell, [np.asarray(succ, dtype=np.int64)])
+    table.preload(4, [None])
     return table
 
 

@@ -11,19 +11,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from layersynth import BLOCKED, CellSet, ValidationReport
+from layersynth import CellSet, ValidationReport
 from layersynth.controller import rank_budget
 from layersynth.dynamics import DISTURBANCE_SEGMENTS, sample_disturbed_step
 from layersynth.problem import REACH_AVOID, SAFETY
 
 
+class _Blocked:
+    def __repr__(self) -> str:
+        return "BLOCKED"
+
+
+#: An explored main-table pair with no stored box: its reach box leaves the region.
+BLOCKED = _Blocked()
+
+
 def successor_rows(table, u_idx):
-    """Every stored box of one input, enumerated as (cells, indptr, flat, blocked).
+    """Every stored box of one input, enumerated as (cells, indptr, flat).
 
     Row ``k`` lists the cells of box ``k`` of ``cells[k]`` in
     ``flat[indptr[k]:indptr[k + 1]]``, dimension 0 varying fastest.
     """
-    cells, lo, hi, blocked = table.csr(u_idx)
+    cells, lo, hi = table.csr(u_idx)
     lo = lo.astype(np.int64)
     extent = hi.astype(np.int64) - lo + 1
     lengths = extent.prod(axis=1)
@@ -35,16 +44,20 @@ def successor_rows(table, u_idx):
         coords[:, d] = lo[row, d] + offset % extent[row, d]
         offset = offset // extent[row, d]
     flat = table.stack.linearize(table.grid_layer, coords)
-    return cells, indptr, flat, blocked
+    return cells, indptr, flat
 
 
 def successors(table, cell: int, u_idx: int):
-    """Stored successor set (as a :class:`CellSet`), BLOCKED, or None."""
-    if not table._explored[u_idx, cell]:
+    """Stored successor set (as a :class:`CellSet`), BLOCKED, or None.
+
+    On an auxiliary table a pair that leaves the region reports its
+    clipped successors.
+    """
+    if not table._explored[cell]:
         return None
-    cells, indptr, flat, blocked = successor_rows(table, u_idx)
+    cells, indptr, flat = successor_rows(table, u_idx)
     rows = np.flatnonzero(cells == cell)
-    if rows.size == 0 or blocked[rows].any():
+    if rows.size == 0:
         return BLOCKED
     succ = np.concatenate([flat[indptr[k] : indptr[k + 1]] for k in rows])
     return CellSet.from_indices(table.stack, table.grid_layer, succ)
@@ -54,12 +67,11 @@ def table_as_dict(table):
     """Enumerate a transition table into {(cell, u): frozenset | BLOCKED}."""
     out = {}
     for u in range(table.sys.n_inputs):
-        cells, indptr, flat, blocked = successor_rows(table, u)
+        cells, indptr, flat = successor_rows(table, u)
         open_rows: dict[int, set] = {}
         for k, cell in enumerate(cells.tolist()):
-            if not blocked[k]:
-                open_rows.setdefault(cell, set()).update(flat[indptr[k] : indptr[k + 1]].tolist())
-        for cell in np.flatnonzero(table._explored[u]).tolist():
+            open_rows.setdefault(cell, set()).update(flat[indptr[k] : indptr[k + 1]].tolist())
+        for cell in np.flatnonzero(table._explored).tolist():
             out[(cell, u)] = frozenset(open_rows[cell]) if cell in open_rows else BLOCKED
     return out
 
@@ -67,14 +79,14 @@ def table_as_dict(table):
 def closing_inputs_reference(table, region) -> np.ndarray:
     """Closing mask from the region bit of every enumerated successor.
 
-    The reference for ``synthesis._closing_inputs``: a pair closes
-    unless one of its rows is blocked or leaves ``region``.
+    The reference for ``synthesis._closing_inputs`` on a main table: a
+    pair closes if it has rows and none of them leaves ``region``.
     """
     mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
     for u in range(table.sys.n_inputs):
-        cells, indptr, flat, blocked = successor_rows(table, u)
+        cells, indptr, flat = successor_rows(table, u)
         if cells.size:
-            ok = np.minimum.reduceat(region.bits[flat], indptr[:-1]) & ~blocked
+            ok = np.minimum.reduceat(region.bits[flat], indptr[:-1])
             mask[u, cells] = True
             mask[u, cells[~ok]] = False
     return mask
@@ -83,11 +95,11 @@ def closing_inputs_reference(table, region) -> np.ndarray:
 def upre_reference(table, target):
     """Cooperative predecessor from the target bit of every enumerated successor.
 
-    The reference for ``synthesis.upre``; blocked clipped boxes take part.
+    The reference for ``synthesis.upre``; clipped auxiliary boxes take part.
     """
     out = CellSet.empty(table.stack, target.layer)
     for u in range(table.sys.n_inputs):
-        cells, indptr, flat, _ = successor_rows(table, u)
+        cells, indptr, flat = successor_rows(table, u)
         if cells.size:
             out.bits[cells[np.maximum.reduceat(target.bits[flat], indptr[:-1])]] = True
     return out

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import drift_system, stationary_system
+from conftest import UNICYCLE_LAZY, drift_system, stationary_system
 from layersynth import (
-    BLOCKED,
     CellSet,
     LayerMismatchError,
     LayerStack,
@@ -16,7 +15,7 @@ from layersynth import (
     upre,
 )
 from layersynth.benchmarks import dcdc
-from oracles import successors, table_as_dict
+from oracles import BLOCKED, successors, table_as_dict
 
 
 def line_stack(levels=1):
@@ -106,6 +105,27 @@ class TestComputeRegion:
             table.compute_region(CellSet.empty(stack, 2))
 
 
+class TestPreload:
+    def test_takes_one_entry_per_input(self):
+        stack = line_stack()
+        table = TransitionTable(stationary_system(dim=1, n_inputs=2), stack, 1)
+        for succs in ([[0]], [[0], None, [1]], []):
+            with pytest.raises(ValueError, match="entries for 2 inputs"):
+                table.preload(0, succs)
+        assert table.explored_count == 0 and table.explored_cells().is_empty()
+        table.preload(0, [[0, 1], None])
+        assert table.explored_count == 2
+        assert successors(table, 0, 0).indices().tolist() == [0, 1]
+        assert successors(table, 0, 1) is BLOCKED
+        assert successors(table, 1, 0) is None
+
+    def test_empty_successor_set_is_rejected_before_storing(self):
+        table = TransitionTable(stationary_system(dim=1, n_inputs=2), line_stack(), 1)
+        with pytest.raises(ValueError, match="at least one successor"):
+            table.preload(0, [[1], []])
+        assert table.explored_count == 0 and table.csr(0)[0].size == 0
+
+
 class TestSuccessorsAccessor:
     def test_three_states(self):
         table = TransitionTable(drift_system(), line_stack(), 1)
@@ -125,7 +145,13 @@ class TestAuxiliaryTables:
         full = CellSet.full(stack, 2)
         main.compute_region(full)
         aux.compute_region(full)
-        assert table_as_dict(main) == table_as_dict(aux)
+        on_main, on_aux = table_as_dict(main), table_as_dict(aux)
+        assert on_main.keys() == on_aux.keys()
+        # the pairs that leave the region keep their clipped boxes on the
+        # auxiliary table only; every other entry is the same
+        leaving = {pair for pair, succ in on_main.items() if succ is BLOCKED}
+        assert leaving and any(on_aux[pair] is not BLOCKED for pair in leaving)
+        assert all(on_aux[pair] == succ for pair, succ in on_main.items() if pair not in leaving)
 
     def test_aux_lives_on_coarse_grid_with_fine_period(self):
         stack = LayerStack(2, [1.0], 1.0, [0.0], [4.0])
@@ -140,30 +166,20 @@ class TestAuxiliaryTables:
         stack = LayerStack(2, [1.0], 1.0, [0.0], [4.0])
         aux = TransitionTable(drift_system(), stack, 1, "aux")
         aux.compute_region(CellSet.full(stack, 2))
-        assert successors(aux, 1, 0) is BLOCKED
+        assert successors(aux, 1, 0).indices().tolist() == [1]
         right = CellSet.from_indices(stack, 2, [1])
         assert upre(aux, right).indices().tolist() == [0, 1]
-        assert cpre(aux, CellSet.full(stack, 2)).indices().tolist() == [0]
+        # a clipped box would close the pair, so an auxiliary table has no
+        # controllable predecessor
+        with pytest.raises(ValueError, match="main tables"):
+            cpre(aux, CellSet.full(stack, 2))
 
 
 class TestStorage:
     def test_main_table_stores_at_most_24_bytes_per_pair(self):
-        # The unicycle reach-avoid problem with a 0.45 s period on a
-        # 32x32x32 grid; its layer-1 safe set has about 300k pairs.
-        obstacle = {"lower": [2.2, 0.0, -3.2], "upper": [2.6, 2.75, 3.2]}
-        config = parse_config({
-            "benchmark": "unicycle",
-            "spec": "reach-avoid",
-            "layers": 3,
-            "eta1": [0.2, 0.2, 0.2],
-            "tau1": 0.45,
-            "y_lower": [0.0, 0.0, -3.2],
-            "y_upper": [6.4, 6.4, 3.2],
-            "obstacle_boxes": [obstacle, {**obstacle, "lower": [2.2, 3.45, -3.2],
-                                          "upper": [2.6, 6.4, 3.2]}],
-            "target_boxes": [{"lower": [4.8, 2.4, -3.2], "upper": [6.4, 4.0, 3.2]}],
-            "algorithm": "lazy-reach",
-        })
+        # The unicycle-lazy workload: a 0.45 s period on a 32x32x32 grid;
+        # its layer-1 safe set has about 300k pairs.
+        config = parse_config(UNICYCLE_LAZY)
         sys, stack = config.build_system(), config.build_stack()
         safe = build_spec_sets(stack, config.build_spec()).safe_at(1)
         table = TransitionTable(sys, stack, 1)

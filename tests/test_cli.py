@@ -197,11 +197,16 @@ def test_grid_of_another_dimension_than_the_state_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "content",
     [b'{"levels": 3', b"[1, 2]", b'"stats"', b"\xff\xfe{}", b'{"levels": "x"}',
-     b'{"levels": 2, "transitions_per_layer": 5}', b'{"levels": 1, "stages": [1]}'],
+     b'{"levels": 2, "transitions_per_layer": 5}', b'{"levels": 1, "stages": [1]}',
+     b'{"levels": 1000000000, "transitions_per_layer": [1, 2]}', b'{"levels": -1}',
+     b'{"levels": true, "cpre_evals": [1]}'],
     ids=["not-json", "list", "string", "not-utf8", "string-levels", "number-counters",
-         "number-stage"],
+         "number-stage", "levels-past-counters", "negative-levels", "bool-levels"],
 )
 def test_unreadable_stats_file_exits_1(tmp_path, capsys, content):
+    # rejected before a line is made, so the command below cannot print on
+    with pytest.raises((ValueError, TypeError, KeyError)):
+        cli._stats_report(json.loads(content.decode("utf-8")))
     (tmp_path / "stats.json").write_bytes(content)
     assert cli.main(["stats", "--in", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"cannot read {tmp_path / 'stats.json'}: ")

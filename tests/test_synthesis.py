@@ -11,13 +11,13 @@ from oracles import (
     safe_gfp_oracle,
     stage_moves,
     stage_ranks,
+    BLOCKED,
     successors,
     table_as_dict,
     upre_m_oracle,
     upre_oracle,
 )
 from layersynth import (
-    BLOCKED,
     CellSet,
     LayerStack,
     ProblemSpec,
@@ -40,8 +40,8 @@ def two_state_table():
     stack = LayerStack(1, [1.0], 1.0, [0.0], [2.0])
     sys = stationary_system(dim=1)
     table = TransitionTable(sys, stack, 1)
-    table.preload(0, 0, [0])
-    table.preload(1, 0, [0, 1])
+    table.preload(0, [[0]])
+    table.preload(1, [[0, 1]])
     return stack, table
 
 
@@ -60,7 +60,7 @@ def self_loop_engine(spec_kind=SAFETY, n=4, obstacles=(), targets=()):
     )
     engine = SynthesisEngine(sys, stack, spec)
     for c in range(n):
-        engine.table(1).preload(c, 0, [c])
+        engine.table(1).preload(c, [[c]])
     return stack, engine
 
 
@@ -77,9 +77,9 @@ class TestCpre:
     def test_full_grid_keeps_cells_with_a_usable_input(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [3.0])
         table = TransitionTable(stationary_system(dim=1), stack, 1)
-        table.preload(0, 0, [0, 1])
-        table.preload(1, 0, BLOCKED)
-        table.preload(2, 0, [2])
+        table.preload(0, [[0, 1]])
+        table.preload(1, [None])
+        table.preload(2, [[2]])
         got = cpre(table, CellSet.full(stack, 1))
         assert got.indices().tolist() == [0, 2]
 
@@ -89,12 +89,14 @@ class TestCpre:
         sys = stationary_system(dim=1, n_inputs=3)
         table = TransitionTable(sys, stack, 1)
         for c in range(12):
+            succs = []
             for u in range(3):
                 if rng.random() < 0.15:
-                    table.preload(c, u, BLOCKED)
+                    succs.append(None)
                 else:
                     k = int(rng.integers(1, 4))
-                    table.preload(c, u, np.unique(rng.integers(0, 12, size=k)))
+                    succs.append(np.unique(rng.integers(0, 12, size=k)))
+            table.preload(c, succs)
         tdict = table_as_dict(table)
         for _ in range(100):
             target = set(int(c) for c in np.flatnonzero(rng.random(12) < 0.4))
@@ -107,7 +109,7 @@ class TestCpre:
     def test_unexplored_candidate_raises(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [3.0])
         table = TransitionTable(stationary_system(dim=1), stack, 1)
-        table.preload(0, 0, [0])
+        table.preload(0, [[0]])
         with pytest.raises(UnexploredTransitionError):
             cpre(table, cells(stack, 1, [0]), candidates=CellSet.full(stack, 1))
 
@@ -166,8 +168,8 @@ class TestSafeStep:
         stack = LayerStack(1, [1.0], 1.0, [0.0], [2.0])
         sys = stationary_system(dim=1)
         engine = SynthesisEngine(sys, stack, ProblemSpec(kind=SAFETY))
-        engine.table(1).preload(0, 0, [0])
-        engine.table(1).preload(1, 0, [0, 1])
+        engine.table(1).preload(0, [[0]])
+        engine.table(1).preload(1, [[0, 1]])
         assert engine.safe_step(1, cells(stack, 1, [0, 1])) == cells(stack, 1, [0, 1])
         assert engine.safe_step(1, cells(stack, 1, [0])) == cells(stack, 1, [0])
 
@@ -184,7 +186,7 @@ class TestSafeFixpoint:
         sys = stationary_system(dim=1)
         engine = SynthesisEngine(sys, stack, ProblemSpec(kind=SAFETY))
         for c in range(3):
-            engine.table(1).preload(c, 0, BLOCKED)
+            engine.table(1).preload(c, [None])
         w, moves = one_level_safety(engine)
         assert w.is_empty() and moves == {}
 
@@ -234,8 +236,8 @@ class TestReachM:
         stack = LayerStack(1, [1.0], 1.0, [0.0], [5.0])
         spec = ProblemSpec(kind=REACH_AVOID, target_boxes=[([4.0], [5.0])])
         engine = SynthesisEngine(drift_system(), stack, spec)
-        for cell, succ in table_as_dict(chain_table(stack)).items():
-            engine.table(1).preload(cell[0], cell[1], BLOCKED if succ is BLOCKED else sorted(succ))
+        for (cell, _), succ in table_as_dict(chain_table(stack)).items():
+            engine.table(1).preload(cell, [None if succ is BLOCKED else sorted(succ)])
         target = engine.spec_sets.target_at(1)
         out = engine.reach_m(1, target, 2)
         assert stage_ranks(out.cells, out.ranks) == {3: 1, 2: 2}
@@ -329,8 +331,9 @@ class TestExpandAbstraction:
         sizes = []
         for m in (1, 2, 3):
             engine = self._engine(seed=11)
+            engine.m = m
             upsilon = engine.spec_sets.target_at(1)
-            w2 = engine.expand_abstraction(1, upsilon, m=m)
+            w2 = engine.expand_abstraction(1, upsilon)
             sizes.append(w2.count())
         assert sizes == sorted(sizes)
 
@@ -338,8 +341,9 @@ class TestExpandAbstraction:
         # upre_m stops once an application adds nothing; a large m must
         # not be counted in full
         engine = self._engine(seed=11)
+        engine.m = 50
         upsilon = engine.spec_sets.target_at(1)
-        engine.expand_abstraction(1, upsilon, m=50)
+        engine.expand_abstraction(1, upsilon)
         aux, target = engine.aux[1], gamma_up(engine.stack, upsilon, engine.stack.levels)
         stable = next(
             i for i in range(2, 51) if upre_m(aux, target, i)[0] == upre_m(aux, target, i - 1)[0]
@@ -443,6 +447,31 @@ class TestLazyFrontierSweep:
                 assert report.rank_monotone is (True if kind == REACH_AVOID else None), where
                 validated += 1
         assert validated > 0
+
+
+    @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
+    def test_exploration_bookkeeping_after_every_compute_region(self, kind, monkeypatch):
+        compute_region = TransitionTable.compute_region
+        checked = {"main": 0, "aux": 0}
+
+        def checked_compute_region(table, region):
+            compute_region(table, region)
+            checked[table.kind] += 1
+            explored = table.explored_cells()
+            assert table.explored_count == table.sys.n_inputs * explored.count()
+            for u in range(table.sys.n_inputs):
+                assert explored.bits[table.csr(u)[0]].all()
+
+        monkeypatch.setattr(TransitionTable, "compute_region", checked_compute_region)
+        suffix = "-reach" if kind == REACH_AVOID else "-safe"
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "target under-approximation is empty")
+            for levels, seed in SWEEP:
+                sys, stack, spec = random_problem(seed, kind=kind, levels=levels)
+                for algorithm in ("eager" + suffix, "lazy" + suffix):
+                    synthesize(sys, stack, spec, algorithm)
+        assert checked["main"] > 0
+        assert (checked["aux"] > 0) == (kind == REACH_AVOID)
 
 
 class TestStructuralInvariants:
