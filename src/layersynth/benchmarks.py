@@ -46,10 +46,24 @@ def dcdc(params: dict | None = None) -> ControlSystem:
     b = np.array([vs / xl, 0.0])
     # Keyed by the exact input values of ``inputs`` below.
     modes = {1.0: a1, 2.0: a2}
+    keys = np.array(list(modes))
+    # Column j of every mode's matrix, in the order of ``keys``.
+    col0, col1 = (np.stack([a[:, j] for a in modes.values()]) for j in (0, 1))
 
-    def field(x, u):
-        a = modes[u[0]]
-        return np.asarray(x) @ a.T + b
+    def field(u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 1:
+            at = modes[u[0]].T
+            return lambda x: np.asarray(x) @ at + b
+        # One input per row: each row is computed from itself alone, since
+        # a matrix product may round a batch row unlike the same row alone.
+        match = u[:, :1] == keys
+        known = match.any(axis=1)
+        if not known.all():
+            raise KeyError(f"unknown dcdc input {u[~known][0].tolist()}")
+        mode = match.argmax(axis=1)
+        k0, k1 = col0[mode], col1[mode]
+        return lambda x: x[:, :1] * k0 + x[:, 1:] * k1 + b
 
     def growth(u):
         a = modes[u[0]]
@@ -78,14 +92,20 @@ def unicycle(params: dict | None = None) -> ControlSystem:
     }
     p.update(params or {})
 
-    def field(x, u):
-        x = np.asarray(x, dtype=float)
-        theta = x[..., 2]
-        out = np.empty_like(x)
-        out[..., 0] = u[0] * np.cos(theta)
-        out[..., 1] = u[0] * np.sin(theta)
-        out[..., 2] = u[1]
-        return out
+    def field(u):
+        u = np.asarray(u, dtype=float)
+        speed, turn = u[..., 0], u[..., 1]
+
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            theta = x[..., 2]
+            out = np.empty_like(x)
+            out[..., 0] = speed * np.cos(theta)
+            out[..., 1] = speed * np.sin(theta)
+            out[..., 2] = turn
+            return out
+
+        return f
 
     def growth(u):
         s = abs(float(u[0]))

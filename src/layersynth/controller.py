@@ -13,6 +13,7 @@ layer, so trajectories have non-uniform sampling times.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -159,10 +160,10 @@ def _closed_loop(
     """Run the closed loops from the rows of ``x0`` ``(N, n)`` together.
 
     Each round applies one sample-and-hold step to every run still
-    going, with the period of its acting stage's layer; the runs that
-    share a layer and an input are integrated in one call, each with its
-    own generator from ``rngs``.  A run stops on a violation, on target
-    entry (reach-avoid) or on leaving the controller domain; the
+    going, in one :func:`sample_disturbed_step` call: each run holds the
+    input of its acting stage for that stage's layer's period and draws
+    from its own generator from ``rngs``.  A run stops on a violation, on
+    target entry (reach-avoid) or on leaving the controller domain; the
     specification is checked at sampling instants.  The input tie-break
     within a stage is the lowest input index, so runs are reproducible;
     each step reads the stage, move and rank of all its runs at once.
@@ -179,14 +180,15 @@ def _closed_loop(
     monotone = np.ones(len(x), dtype=bool)
     measure = np.full((len(x), 2), np.iinfo(np.int64).max)  # last (stage, rank)
     active = np.arange(len(x))
+    inputs = np.stack(sys.inputs)
+    # Indexed by layer.
+    periods = np.array([0.0] + [mlc.stack.tau(layer) for layer in range(1, mlc.stack.levels + 1)])
 
     def stop(rows, what: str) -> None:
         for i in rows.tolist():
             status[i] = what
 
     for _ in range(horizon):
-        if active.size == 0:
-            break
         xa = x[active]
         going = spec.in_safe_region(xa, mlc.stack)
         stop(active[~going], "violation")
@@ -198,6 +200,8 @@ def _closed_loop(
         stop(active[going & (row < 0)], "left-domain")
         going &= row >= 0
         active = active[going]
+        if active.size == 0:
+            break
         stage, _, layers, moves, ranks = (column[row[going]] for column in mlc._rows)
         now = np.stack([stage, ranks], axis=1)
         prev = measure[active]
@@ -205,12 +209,10 @@ def _closed_loop(
             (now[:, 0] == prev[:, 0]) & (now[:, 1] < prev[:, 1])
         )
         measure[active] = now
-        for layer, u in sorted(set(zip(layers.tolist(), moves.tolist()))):
-            rows = active[(layers == layer) & (moves == u)]
-            x[rows] = sample_disturbed_step(
-                sys, x[rows], sys.inputs[u], mlc.stack.tau(layer),
-                [rngs[i] for i in rows.tolist()], substeps=substeps_base * 2 ** (layer - 1),
-            )
+        x[active] = sample_disturbed_step(
+            sys, x[active], inputs[moves], periods[layers], [rngs[i] for i in active.tolist()],
+            substeps=substeps_base * 2 ** (layers - 1),
+        )
         steps[active] += 1
 
     xa = x[active]
@@ -314,6 +316,25 @@ def _record_bytes(starts: np.ndarray, size: int) -> np.ndarray:
     return np.cumsum(edge[:-1], dtype=np.int8).astype(bool)
 
 
+def _words(data: bytes, parity: int) -> memoryview:
+    """The little-endian ``uint16`` words of ``data`` from byte ``parity``."""
+    words = memoryview(data)[parity : len(data) - (len(data) - parity) % 2].cast("H")
+    if sys.byteorder == "big":
+        words = memoryview(np.frombuffer(words, "<u2").astype(np.uint16))
+    return words
+
+
+def _walk(words: memoryview, start: int, count: int):
+    """Word index of each of ``count`` cell records from word ``start``,
+    then of the word after the last.  A record is its header, which ends
+    in the move count, and one word per move."""
+    size, at = _RECORD.itemsize // 2, _RECORD.fields["n"][1] // 2
+    for _ in range(count):
+        yield start
+        start += size + words[start + at]
+    yield start
+
+
 def _encode_stage(stage: LayerController, position: int) -> bytes:
     if stage.moves.shape[1] > _MAX_INPUTS:
         raise ValueError(f"a stage names more than {_MAX_INPUTS} inputs")
@@ -368,7 +389,7 @@ def _decode(data: bytes) -> MultiLayeredController:
     stack = LayerStack(
         levels, grid[:dim], grid[dim], grid[dim + 1 : 2 * dim + 1], grid[2 * dim + 1 : -1]
     )
-    move_count = struct.Struct("<H").unpack_from
+    words = {}  # byte parity -> the file's words from that byte
     decoded = []
     for _ in range(grid[-1]):
         layer, stage_idx, n_cells = struct.unpack_from("<BIq", data, off)
@@ -379,15 +400,22 @@ def _decode(data: bytes) -> MultiLayeredController:
             raise ControllerFormatError(f"stage record {len(decoded)} has index {stage_idx}")
         # Each record's length is in its header, so only the walk to the
         # next record is sequential; the fields are read all at once.
-        starts = []
-        begin = off
-        for _ in range(n_cells):
-            starts.append(off - begin)
-            off += _RECORD.itemsize + 2 * move_count(data, off + 12)[0]
-        if off > len(data):
+        # Records start at even distances from the stage: walk the words
+        # of the stage's byte parity.
+        parity = off % 2
+        if parity not in words:
+            words[parity] = _words(data, parity)
+        first = off // 2
+        try:
+            starts = np.fromiter(_walk(words[parity], first, n_cells), np.int64, n_cells + 1)
+        except IndexError:
+            raise ControllerFormatError("truncated cell record") from None
+        end = parity + 2 * int(starts[-1])
+        if end > len(data):
             raise ControllerFormatError("truncated cell record")
-        body = np.frombuffer(data, dtype=np.uint8, count=off - begin, offset=begin)
-        is_head = _record_bytes(np.array(starts, dtype=np.int64), body.size)
+        body = np.frombuffer(data, dtype=np.uint8, count=end - off, offset=off)
+        is_head = _record_bytes(2 * (starts[:-1] - first), body.size)
+        off = end
         head = body[is_head].view(_RECORD)
         inputs = body[~is_head].view("<u2").astype(np.int64)
         cells = head["cell"]

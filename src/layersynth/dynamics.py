@@ -29,15 +29,21 @@ class IntegrationDivergenceError(RuntimeError):
 class ControlSystem:
     """Perturbed control system with a finite input alphabet.
 
-    ``vector_field(x, u)`` must accept states of shape ``(n,)`` or
-    ``(N, n)`` (broadcasting over the leading axis) and return the same
-    shape.  ``growth_matrix(u)`` returns an ``n x n`` matrix with
-    non-negative off-diagonal entries; it must bound the sensitivity of
-    the nominal dynamics on the region where the system is abstracted.
+    ``vector_field(u)`` binds a held input and returns the nominal field
+    ``f(x)`` under it: the input is held over the whole sampling period,
+    so integrators bind it once per integration, not at every RK4 stage.
+    ``u`` is one input ``(m,)``, for states ``(n,)`` or ``(N, n)``
+    (broadcasting over the leading axis), or one input per row
+    ``(N, m)``, for states ``(N, n)``; ``f`` returns the shape of its
+    states.  A per-row field must compute each row from that row alone,
+    so a run's result does not depend on its batch.
+    ``growth_matrix(u)`` returns an ``n x n`` matrix with non-negative
+    off-diagonal entries; it must bound the sensitivity of the nominal
+    dynamics on the region where the system is abstracted.
     """
 
     dim: int
-    vector_field: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    vector_field: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     disturbance: np.ndarray
     inputs: Sequence[np.ndarray]
     growth_matrix: Callable[[np.ndarray], np.ndarray]
@@ -75,17 +81,47 @@ class ControlSystem:
         return len(self.inputs)
 
 
-def _rk4(deriv, y0: np.ndarray, tau: float, steps: int) -> np.ndarray:
-    """Classic fixed-step Runge-Kutta-4 over ``[0, tau]``."""
-    h = tau / steps
-    y = np.asarray(y0, dtype=float).copy()
+def _rk4(deriv, y: np.ndarray, h, steps: int) -> np.ndarray:
+    """``steps`` classic Runge-Kutta-4 steps of length ``h`` from ``y``.
+
+    ``h`` is a number, or per-row lengths of the shape of ``y``.
+    """
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
         k1 = deriv(y)
-        k2 = deriv(y + 0.5 * h * k1)
-        k3 = deriv(y + 0.5 * h * k2)
+        k2 = deriv(y + half * k1)
+        k3 = deriv(y + half * k2)
         k4 = deriv(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.ndarray:
+    """RK4 of the states ``x`` under the held input(s) ``u``, in place.
+
+    There are ``len(w)`` segments, or one without ``w``; segment ``k``
+    adds ``w[k]`` to the field and takes ``steps`` steps of length ``h``.
+    Per-row ``steps`` ``(N,)`` must descend, with ``h`` ``(N, n)``: all
+    rows take the fewest steps together, and each larger step count runs
+    its extra steps on the prefix of rows that need them.  The field is
+    bound once per prefix.
+    """
+    if np.ndim(steps) == 0:
+        tiers = [(slice(None), int(steps))]
+    else:
+        counts = sorted(set(steps.tolist()))
+        tiers = [(slice(int(np.count_nonzero(steps >= c))), c) for c in counts]
+    fields = [sys.vector_field(u[rows] if np.ndim(u) == 2 else u) for rows, _ in tiers]
+    for k in range(1 if w is None else len(w)):
+        done = 0
+        for (rows, count), f in zip(tiers, fields):
+            deriv = f
+            if w is not None:
+                wk = w[k][rows]
+                deriv = lambda y, f=f, wk=wk: f(y) + wk
+            x[rows] = _rk4(deriv, x[rows], h[rows] if np.ndim(h) else h, count - done)
+            done = count
+    return x
 
 
 def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> np.ndarray:
@@ -95,7 +131,7 @@ def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> n
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = _rk4(lambda y: sys.vector_field(y, u), np.asarray(x0, dtype=float), tau, substeps)
+    x = _integrate(sys, np.array(x0, dtype=float), u, tau / substeps, substeps)
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergenceError(
             f"non-finite state while integrating from {np.asarray(x0)} with input {u}"
@@ -108,7 +144,7 @@ def radius_dynamics(sys: ControlSystem, u, r0, tau: float, substeps: int) -> np.
     u = np.atleast_1d(np.asarray(u, dtype=float))
     L = np.asarray(sys.growth_matrix(u), dtype=float)
     w = sys.disturbance
-    r = _rk4(lambda r: r @ L.T + w, np.asarray(r0, dtype=float), tau, substeps)
+    r = _rk4(lambda r: r @ L.T + w, np.asarray(r0, dtype=float), tau / substeps, substeps)
     if not np.all(np.isfinite(r)):
         raise IntegrationDivergenceError("non-finite radius while integrating growth dynamics")
     return r
@@ -136,45 +172,72 @@ def sample_disturbed_step(
     sys: ControlSystem,
     x0,
     u,
-    tau: float,
+    tau,
     rng,
-    substeps: int = 5,
+    substeps=5,
 ) -> np.ndarray:
     """One disturbed sample-and-hold step of a state ``(n,)`` or of states ``(N, n)``.
 
-    The disturbance is piecewise constant over ``DISTURBANCE_SEGMENTS``
-    equal sub-intervals, each drawn uniformly from the disturbance box.
-    A single state takes one generator (or seed) ``rng``; a batch takes
-    one per row, and each row draws its own ``(DISTURBANCE_SEGMENTS, n)``
-    block from it, so its draws do not depend on the other rows.  The
-    blocks are drawn as unit doubles and mapped onto the box in one
-    affine step, ``low + (high - low) * v``, which is how
-    ``Generator.uniform`` maps them: each row's stream is bit for bit
-    that of per-segment ``rng.uniform(-w, w)`` draws.  Deterministic for
-    fixed seeds.  With a zero disturbance bound this is exactly
-    ``integrate_nominal`` and draws nothing.
+    A single state takes one input ``u`` ``(m,)``, one period ``tau``,
+    one substep count and a generator (or seed) ``rng``.  A batch takes
+    one ``Generator`` per row; its input, period and substep count are
+    each shared or given per row (``(N, m)``, ``(N,)``, ``(N,)``), so
+    runs on different layers and inputs advance in one call.
+
+    The period is cut into ``DISTURBANCE_SEGMENTS`` equal segments of
+    ``ceil(substeps / DISTURBANCE_SEGMENTS)`` RK4 steps each, and the
+    disturbance is constant over a segment, drawn uniformly from the
+    disturbance box.  Rows are sorted by step count, longest first, and
+    extra steps run on a prefix of the rows, so every row takes the
+    steps it would take alone.  Each row draws its own
+    ``(DISTURBANCE_SEGMENTS, n)`` block from its generator, so its draws
+    do not depend on the other rows.  The blocks are drawn as unit
+    doubles and mapped onto the box in one affine step,
+    ``low + (high - low) * v``, which is how ``Generator.uniform`` maps
+    them: each row's stream is bit for bit that of per-segment
+    ``rng.uniform(-w, w)`` draws.  Deterministic for fixed seeds.  With a
+    zero disturbance bound each row takes exactly the steps of
+    ``integrate_nominal`` with its own period and substeps, and nothing
+    is drawn.
     """
-    if tau <= 0.0:
+    x = np.array(x0, dtype=float)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    tau, substeps = np.asarray(tau, dtype=float), np.asarray(substeps)
+    if np.any(tau <= 0.0):
         raise ValueError("tau must be positive")
-    if not np.any(sys.disturbance > 0.0):
-        return integrate_nominal(sys, x0, u, tau, substeps)
-    x = np.asarray(x0, dtype=float)
-    rngs = [rng] if x.ndim == 1 else rng
+    if np.any(substeps < 1):
+        raise ValueError("substeps must be >= 1")
+    rngs = [np.random.default_rng(rng)] if x.ndim == 1 else rng
     if len(rngs) != len(np.atleast_2d(x)):
         raise ValueError("a batch of states needs one generator per row")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    shape = (DISTURBANCE_SEGMENTS, sys.dim)
-    w = np.stack([np.random.default_rng(r).random(shape) for r in rngs], axis=-2)
-    low = -sys.disturbance
-    w *= sys.disturbance - low
-    w += low
-    if x.ndim == 1:
-        w = w[:, 0]
-    seg_tau = tau / DISTURBANCE_SEGMENTS
-    seg_steps = max(1, -(-substeps // DISTURBANCE_SEGMENTS))
-    for k in range(DISTURBANCE_SEGMENTS):
-        wk = w[k]
-        x = _rk4(lambda y: sys.vector_field(y, u) + wk, x, seg_tau, seg_steps)
+    disturbed = bool(np.any(sys.disturbance > 0.0))
+    segments = DISTURBANCE_SEGMENTS if disturbed else 1
+    steps = -(-substeps // segments)
+    h = tau / segments / steps
+    w = None
+    if disturbed:
+        w = np.empty((len(rngs), segments, sys.dim))
+        for r, block in zip(rngs, w):
+            r.random(out=block)
+        low = -sys.disturbance
+        w *= sys.disturbance - low
+        w += low
+    order = None
+    if steps.ndim or h.ndim:
+        n = len(x)
+        order = np.argsort(-np.broadcast_to(steps, n), kind="stable")
+        x, steps = x[order], np.broadcast_to(steps, n)[order]
+        # Full width: same-shape products are faster than column broadcasts.
+        h = np.repeat(np.broadcast_to(h, n)[order, None], x.shape[1], axis=1)
+        u = u[order] if u.ndim == 2 else u
+        w = None if w is None else w[order]
+    if w is not None:
+        w = w[0] if x.ndim == 1 else w.transpose(1, 0, 2)
+    x = _integrate(sys, x, u, h, steps, w)
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergenceError("non-finite state in disturbed simulation")
-    return x
+    if order is None:
+        return x
+    out = np.empty_like(x)
+    out[order] = x
+    return out

@@ -57,7 +57,7 @@ def stationary_system(dim: int = 2, n_inputs: int = 1) -> ControlSystem:
     zero = np.zeros((dim, dim))
     return ControlSystem(
         dim=dim,
-        vector_field=lambda x, u: np.zeros_like(np.asarray(x, dtype=float)),
+        vector_field=lambda u: lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         disturbance=np.zeros(dim),
         inputs=[np.array([float(k)]) for k in range(n_inputs)],
         growth_matrix=lambda u: zero,
@@ -71,7 +71,7 @@ def drift_system(velocity=1.0, dim: int = 1) -> ControlSystem:
     zero = np.zeros((dim, dim))
     return ControlSystem(
         dim=dim,
-        vector_field=lambda x, u: np.broadcast_to(v, np.asarray(x, dtype=float).shape).copy(),
+        vector_field=lambda u: lambda x: np.broadcast_to(v, np.asarray(x, dtype=float).shape).copy(),
         disturbance=np.zeros(dim),
         inputs=[np.array([0.0])],
         growth_matrix=lambda u: zero,
@@ -82,12 +82,13 @@ def drift_system(velocity=1.0, dim: int = 1) -> ControlSystem:
 def linear_system(a, offsets, disturbance, name="linear") -> ControlSystem:
     """x' = A x + b_u with the standard linear growth matrix."""
     a = np.asarray(a, dtype=float)
-    offsets = [np.asarray(b, dtype=float) for b in offsets]
+    offsets = np.array(offsets, dtype=float)
     growth = np.diag(np.diag(a)) + np.abs(a - np.diag(np.diag(a)))
 
-    def field(x, u):
-        b = offsets[int(round(u[0]))]
-        return np.asarray(x, dtype=float) @ a.T + b
+    def field(u):
+        # One offset, or one per row of a batch with an input per row.
+        b = offsets[np.rint(np.asarray(u)[..., 0]).astype(int)]
+        return lambda x: np.asarray(x, dtype=float) @ a.T + b
 
     return ControlSystem(
         dim=a.shape[0],

@@ -304,13 +304,15 @@ def sample_disturbed_step_reference(sys, x0, u, tau, rngs, substeps=5):
 
     The reference for the draw stream of
     :func:`layersynth.dynamics.sample_disturbed_step`: row ``i`` draws
-    each segment's disturbance with ``rngs[i].uniform(-w, w)``.  The
-    rows are integrated together with the same RK4 steps, because a
+    each segment's disturbance with ``rngs[i].uniform(-w, w)``.  ``u`` is
+    one input or one per row; the field is bound once.  The rows are
+    integrated together with the same RK4 steps, because a
     matrix-product vector field may round a lone state differently from
     a batch row, so the results must agree bit for bit.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x = np.asarray(x0, dtype=float)
+    field = sys.vector_field(u)
     draws = [[rng.uniform(-sys.disturbance, sys.disturbance) for _ in range(DISTURBANCE_SEGMENTS)]
              for rng in rngs]
     seg_steps = max(1, -(-substeps // DISTURBANCE_SEGMENTS))
@@ -319,7 +321,7 @@ def sample_disturbed_step_reference(sys, x0, u, tau, rngs, substeps=5):
         w = np.array([row[k] for row in draws])
 
         def f(y):
-            return sys.vector_field(y, u) + w
+            return field(y) + w
 
         for _ in range(seg_steps):
             k1 = f(x)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import drift_system, random_problem, stationary_system
+from conftest import DCDC_SAFE, UNICYCLE_LAZY, drift_system, random_problem, stationary_system
 from oracles import (
     check_rank_progress,
     quantize_oracle,
@@ -30,6 +30,7 @@ from layersynth import (
     synthesize,
     validate,
 )
+from layersynth.config import parse_config
 from layersynth.controller import deserialize, serialize
 from layersynth.problem import REACH_AVOID, SAFETY
 
@@ -208,6 +209,18 @@ def test_stage_index_must_be_the_stage_position(square_stack):
         deserialize(_with(data, second_index, "<I", 0))
 
 
+def test_move_count_past_the_end_is_truncated(square_stack):
+    # The second stage's records start at an odd byte, the first's at an even one.
+    stages = [LayerController(layer, [0], [[True]]) for layer in (1, 2)]
+    data = serialize(MultiLayeredController(SAFETY, square_stack, stages))
+    last_count = len(data) - 4  # one move of two bytes follows it
+    assert struct.unpack_from("<H", data, last_count) == (1,) and (last_count - 12) % 2 == 1
+    first_count = _STAGE + 13 + 12
+    for count, moves in ((last_count, 2), (first_count, 1000)):
+        with pytest.raises(ControllerFormatError, match="truncated cell record"):
+            deserialize(_with(data, count, "<H", moves))
+
+
 def test_validate_rejects_moves_outside_the_input_alphabet():
     sys_, spec, mlc = solved(REACH_AVOID, 3, 2)
     first = mlc.stages[0]
@@ -288,7 +301,7 @@ def test_undisturbed_validation_matches_oracle(kind, levels, seed):
 def test_diverging_closed_loop_raises_on_both_paths():
     sys_, spec, mlc = solved(SAFETY, 2, 12)
     blowup = dataclasses.replace(
-        sys_, vector_field=lambda x, u: np.full_like(np.asarray(x, dtype=float), np.inf)
+        sys_, vector_field=lambda u: lambda x: np.full_like(np.asarray(x, dtype=float), np.inf)
     )
     for check in (validate, validate_oracle):
         with pytest.raises(IntegrationDivergenceError):
@@ -312,3 +325,60 @@ def test_hand_built_failures_match_oracle(square_stack, system, kind, status):
     assert report.to_dict() == validate_oracle(mlc, system, spec, 3, 5, 0).to_dict()
     assert report.status_counts == {status: 3}
     assert report.rank_monotone is (False if kind == REACH_AVOID else None)
+
+
+# -- the benchmark workloads' closed loops ----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def workload(name):
+    """System, spec, controller and substep base of a workload document."""
+    config = parse_config({"dcdc-safe": DCDC_SAFE, "unicycle-lazy": UNICYCLE_LAZY}[name])
+    sys_, spec = config.build_system(), config.build_spec()
+    result = synthesize(sys_, config.build_stack(), spec, config.algorithm, config.m, config.substeps)
+    return sys_, spec, result.controller, config.substeps
+
+
+def workload_starts(name, runs, seed):
+    """Start states and generators of ``validate``'s first ``runs`` runs."""
+    _, _, mlc, _ = workload(name)
+    states, rngs = start_states_oracle(mlc, runs, seed)
+    return np.array(states), rngs
+
+
+def test_unicycle_workload_validates_like_the_oracle():
+    sys_, spec, mlc, substeps = workload("unicycle-lazy")
+    assert len({st.layer for st in mlc.stages}) > 1
+    args = (mlc, sys_, spec, 32, 200, 5, substeps)
+    assert validate(*args).to_dict() == validate_oracle(*args).to_dict()
+
+
+@pytest.mark.parametrize("name, runs, horizon", [("unicycle-lazy", 48, 200), ("dcdc-safe", 12, 40)])
+def test_closed_loop_rows_step_as_they_would_alone(name, runs, horizon):
+    sys_, spec, mlc, substeps = workload(name)
+    x0, rngs = workload_starts(name, runs, 3)
+    status, x, steps, monotone = controller._closed_loop(mlc, sys_, spec, x0, horizon, rngs, substeps)
+    x0, rngs = workload_starts(name, runs, 3)
+    for i in range(runs):
+        one = controller._closed_loop(mlc, sys_, spec, x0[i : i + 1], horizon, rngs[i : i + 1], substeps)
+        assert (one[0][0], one[1][0].tobytes(), int(one[2][0]), bool(one[3][0])) == (
+            status[i], x[i].tobytes(), int(steps[i]), bool(monotone[i])
+        )
+
+
+def test_closed_loop_steps_every_run_of_a_round_in_one_call(monkeypatch):
+    # Count the rounds by the longest run: every round steps every run
+    # still going once.  The rounds of this controller mix layers and inputs.
+    calls = []
+
+    def counted(sys, x, u, tau, rngs, substeps):
+        calls.append((len(np.unique(tau)), len(np.unique(u, axis=0))))
+        return step(sys, x, u, tau, rngs, substeps)
+
+    step = controller.sample_disturbed_step
+    monkeypatch.setattr(controller, "sample_disturbed_step", counted)
+    sys_, spec, mlc, substeps = workload("unicycle-lazy")
+    x0, rngs = workload_starts("unicycle-lazy", 64, 4)
+    _, _, steps, _ = controller._closed_loop(mlc, sys_, spec, x0, 200, rngs, substeps)
+    assert len(calls) == steps.max()
+    assert max(periods for periods, _ in calls) > 1 and max(inputs for _, inputs in calls) > 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -80,7 +81,7 @@ class TestIntegrateNominal:
     def test_divergence_raises(self):
         blow = ControlSystem(
             1,
-            lambda x, u: np.asarray(x, dtype=float) ** 3,
+            lambda u: lambda x: np.asarray(x, dtype=float) ** 3,
             [0.0],
             [np.array([0.0])],
             lambda u: np.zeros((1, 1)),
@@ -118,7 +119,7 @@ class TestOverApproxReach:
     def test_disturbance_grows_radius_linearly(self):
         sys = ControlSystem(
             1,
-            lambda x, u: np.zeros_like(np.asarray(x, dtype=float)),
+            lambda u: lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             [0.1],
             [np.array([0.0])],
             lambda u: np.zeros((1, 1)),
@@ -139,7 +140,7 @@ class TestSampleDisturbedStep:
     def test_displacement_bounded_by_disturbance(self):
         sys = ControlSystem(
             1,
-            lambda x, u: np.zeros_like(np.asarray(x, dtype=float)),
+            lambda u: lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             [0.1],
             [np.array([0.0])],
             lambda u: np.zeros((1, 1)),
@@ -157,7 +158,8 @@ class TestSampleDisturbedStep:
     def test_batch_rows_step_as_they_would_alone(self):
         sys = unicycle()
         x0 = np.random.default_rng(3).uniform(0.0, 3.0, size=(9, 3))
-        batch = sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, list(range(9)))
+        rngs = [np.random.default_rng(i) for i in range(9)]
+        batch = sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, rngs)
         for i in range(9):
             alone = sample_disturbed_step(sys, x0[i], sys.inputs[4], 0.225, i)
             assert np.array_equal(batch[i], alone)
@@ -181,6 +183,46 @@ class TestSampleDisturbedStep:
                 assert np.array_equal(got, want)
                 assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs]
 
+    @pytest.mark.parametrize("system", [dcdc, unicycle])
+    def test_mixed_rows_match_per_period_reference(self, system):
+        # One call with an input, a period and a substep count per row, as
+        # a closed-loop round makes it, against the reference stepping the
+        # rows of each period together: bit-equal states, generators in step.
+        sys = system()
+        rng = np.random.default_rng(11)
+        x0 = rng.uniform(0.5, 1.5, size=(24, sys.dim))
+        layer = rng.integers(1, 4, size=24)
+        u = np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=24)]
+        assert set(layer.tolist()) == {1, 2, 3} and len(np.unique(u, axis=0)) > 1
+        seeds = np.random.SeedSequence(11).spawn(24)
+        got_rngs = [np.random.default_rng(s) for s in seeds]
+        want_rngs = [np.random.default_rng(s) for s in seeds]
+        got = sample_disturbed_step(
+            sys, x0, u, 0.25 * 2.0 ** (layer - 1), got_rngs, 5 * 2 ** (layer - 1)
+        )
+        for lv in (1, 2, 3):
+            rows = np.flatnonzero(layer == lv)
+            want = sample_disturbed_step_reference(
+                sys, x0[rows], u[rows], 0.25 * 2 ** (lv - 1),
+                [want_rngs[i] for i in rows.tolist()], 5 * 2 ** (lv - 1),
+            )
+            assert np.array_equal(got[rows], want)
+        assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs]
+
+    def test_undisturbed_mixed_rows_draw_nothing(self):
+        sys = dataclasses.replace(unicycle(), disturbance=np.zeros(3))
+        rng = np.random.default_rng(12)
+        x0 = rng.uniform(0.0, 3.0, size=(9, 3))
+        layer = np.array([3, 1, 2, 1, 3, 2, 2, 1, 3])
+        u = np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=9)]
+        tau, substeps = 0.225 * 2.0 ** (layer - 1), 5 * 2 ** (layer - 1)
+        rngs = [np.random.default_rng(s) for s in range(9)]
+        out = sample_disturbed_step(sys, x0, u, tau, rngs, substeps)
+        for i in range(9):
+            alone = integrate_nominal(sys, x0[i], u[i], tau[i], int(substeps[i]))
+            assert np.array_equal(out[i], alone)
+        assert [r.random() for r in rngs] == [np.random.default_rng(s).random() for s in range(9)]
+
     def test_undisturbed_batch_draws_nothing(self):
         sys = decay_system(dim=2)
         rngs = [np.random.default_rng(s) for s in range(3)]
@@ -188,6 +230,43 @@ class TestSampleDisturbedStep:
         out = sample_disturbed_step(sys, x0, sys.inputs[0], 0.5, rngs, substeps=7)
         assert np.array_equal(out, integrate_nominal(sys, x0, sys.inputs[0], 0.5, 7))
         assert [r.random() for r in rngs] == [np.random.default_rng(s).random() for s in range(3)]
+
+
+class TestBoundFields:
+    """``vector_field(u)`` binds one held input, or one input per row."""
+
+    def test_dcdc_per_row_field_is_row_wise(self):
+        # A row's derivative does not depend on its batch, and it is the
+        # held-input field's up to rounding.
+        sys = dcdc()
+        rng = np.random.default_rng(2)
+        x = rng.uniform([1.15, 5.45], [1.55, 5.85], size=(64, 2))
+        u = np.stack(sys.inputs)[rng.integers(2, size=64)]
+        batch = sys.vector_field(u)(x)
+        for i in range(64):
+            assert np.array_equal(sys.vector_field(u[i : i + 1])(x[i : i + 1])[0], batch[i])
+            held = sys.vector_field(u[i])(x[i])
+            # a few ulps: every product term and sum is below 1 here
+            assert np.allclose(batch[i], held, rtol=0.0, atol=8 * np.finfo(float).eps)
+        for i in range(0, 63, 3):
+            assert np.array_equal(sys.vector_field(u[i : i + 3])(x[i : i + 3]), batch[i : i + 3])
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, 3.0, float("nan")])
+    def test_dcdc_rejects_unknown_inputs(self, bad):
+        sys = dcdc()
+        with pytest.raises(KeyError, match="unknown dcdc input"):
+            sys.vector_field(np.array([[1.0], [bad], [2.0]]))
+        with pytest.raises(KeyError):
+            sys.vector_field(np.array([bad]))
+
+    def test_unicycle_per_row_field_matches_held_inputs(self):
+        sys = unicycle()
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-3.0, 3.0, size=(20, 3))
+        u = np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=20)]
+        batch = sys.vector_field(u)(x)
+        for i in range(20):
+            assert np.array_equal(batch[i], sys.vector_field(u[i])(x[i]))
 
 
 def _containment_trial(sys, lower, upper, tau, seeds, points, rng):
