@@ -9,8 +9,13 @@ plus their ``total``).  Degenerate outcomes (an empty winning set, a
 winning set that is the target alone with no stages, a validation that
 ran no trajectory) are flagged on stderr.
 
-Exit codes: 0 success, 1 configuration error, 2 synthesis error,
-3 validation found violations.
+``validate`` rejects bad ``--runs``, ``--horizon`` and ``--seed`` values
+before it loads the controller, and a controller whose header (spec
+kind, levels, ``eta1``, ``tau1``, region bounds) is not the config's
+before it simulates; both are configuration errors.
+
+Exit codes: 0 success, 1 configuration error, 2 synthesis or validation
+error, 3 validation found violations.
 """
 
 from __future__ import annotations
@@ -76,10 +81,25 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
     return stats
 
 
+def _check_header(mlc: ctrl.MultiLayeredController, config: ProblemConfig) -> None:
+    """Raise :class:`ConfigError` naming every field of the controller's
+    header that differs from the config.  The header stores the config's
+    doubles, so floats are compared exactly."""
+    stack = mlc.stack
+    header = {"spec": mlc.kind, "layers": stack.levels, "eta1": stack.eta1.tolist(),
+              "tau1": stack.tau1, "y_lower": stack.y_lower.tolist(),
+              "y_upper": stack.y_upper.tolist()}
+    wrong = [f"{key}: the controller has {value}, the config {getattr(config, key)}"
+             for key, value in header.items() if value != getattr(config, key)]
+    if wrong:
+        raise ConfigError("; ".join(wrong))
+
+
 def run_validation(
     controller_path: Path, config: ProblemConfig, runs: int, horizon: int, seed: int, out: Path | None
 ) -> ctrl.ValidationReport:
     mlc = ctrl.load(controller_path)
+    _check_header(mlc, config)
     sys_ = config.build_system()
     spec = config.build_spec()
     report = ctrl.validate(mlc, sys_, spec, runs, horizon, seed, substeps_base=config.substeps)
@@ -117,7 +137,8 @@ def _cmd_synthesize(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
+        ctrl.check_run_arguments(args.runs, args.horizon, args.seed)
+    except ValueError as exc:  # a ConfigError, or an argument out of range
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -129,6 +150,9 @@ def _cmd_validate(args) -> int:
             args.seed,
             Path(args.out) if args.out else None,
         )
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -196,7 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--config", required=True)
     p_val.add_argument("--runs", type=int, default=100)
     p_val.add_argument("--horizon", type=int, default=200)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds every random draw; run i's start state and disturbances "
+             "depend on the seed and i alone",
+    )
     p_val.add_argument("--out")
     p_val.set_defaults(func=_cmd_validate)
 

@@ -8,6 +8,12 @@ inserted one, which makes the lexicographic (stage, rank) measure
 decrease along every closed-loop run until the target is entered.
 Execution is sample-and-hold with the period of the acting stage's
 layer, so trajectories have non-uniform sampling times.
+
+Monte Carlo validation keys every random draw by run index: each random
+stream is a child of ``SeedSequence(seed)`` that draws one block for all
+runs, row ``i`` for run ``i``, so a run's trajectory depends on the seed
+and its index alone, not on how many runs there are or how they are
+batched.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import ControlSystem, sample_disturbed_step
+from .dynamics import DISTURBANCE_SEGMENTS, ControlSystem, sample_disturbed_step
 from .grid import CellSet, LayerStack, gamma_down
 from .problem import ProblemSpec, REACH_AVOID, SAFETY
 
@@ -148,27 +154,38 @@ def rank_budget(mlc: MultiLayeredController) -> int:
     return max(2 * total, 10)
 
 
+def _stream(seed: int, k: int) -> np.random.Generator:
+    """Generator of child ``k`` of ``SeedSequence(seed)`` (see :func:`validate`)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
 def _closed_loop(
     mlc: MultiLayeredController,
     sys: ControlSystem,
     spec: ProblemSpec,
     x0: np.ndarray,
     horizon: int,
-    rngs: list,
+    seed: int,
+    runs: np.ndarray,
     substeps_base: int,
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Run the closed loops from the rows of ``x0`` ``(N, n)`` together.
+    """Run the closed loops of the validation runs ``runs`` together,
+    run ``runs[j]`` from row ``j`` of ``x0`` ``(N, n)``.
 
     Each round applies one sample-and-hold step to every run still
     going, in one :func:`sample_disturbed_step` call: each run holds the
-    input of its acting stage for that stage's layer's period and draws
-    from its own generator from ``rngs``.  A run stops on a violation, on
-    target entry (reach-avoid) or on leaving the controller domain; the
+    input of its acting stage for that stage's layer's period.  Round
+    ``k`` draws its unit disturbances from child ``k + 2`` of
+    ``SeedSequence(seed)`` as one block ``(last + 1,
+    DISTURBANCE_SEGMENTS, n)``, ``last`` the highest run index still
+    going; run ``i`` takes row ``i``.  So any subset of runs steps as it
+    would in the full batch.  A run stops on a violation, on target
+    entry (reach-avoid) or on leaving the controller domain; the
     specification is checked at sampling instants.  The input tie-break
     within a stage is the lowest input index, so runs are reproducible;
     each step reads the stage, move and rank of all its runs at once.
 
-    Returns the status, final state and step count of every run, and
+    Returns the status, final state and step count of every row, and
     whether its (stage, rank) measure strictly decreased at every step.
     """
     reach = mlc.kind == REACH_AVOID
@@ -188,7 +205,7 @@ def _closed_loop(
         for i in rows.tolist():
             status[i] = what
 
-    for _ in range(horizon):
+    for k in range(horizon):
         xa = x[active]
         going = spec.in_safe_region(xa, mlc.stack)
         stop(active[~going], "violation")
@@ -209,8 +226,10 @@ def _closed_loop(
             (now[:, 0] == prev[:, 0]) & (now[:, 1] < prev[:, 1])
         )
         measure[active] = now
+        ids = runs[active]
+        draws = _stream(seed, k + 2).random((ids.max() + 1, DISTURBANCE_SEGMENTS, sys.dim))
         x[active] = sample_disturbed_step(
-            sys, x[active], inputs[moves], periods[layers], [rngs[i] for i in active.tolist()],
+            sys, x[active], inputs[moves], periods[layers], draws[ids],
             substeps=substeps_base * 2 ** (layers - 1),
         )
         steps[active] += 1
@@ -248,6 +267,17 @@ class ValidationReport:
         }
 
 
+def check_run_arguments(runs: int, horizon: int, seed: int) -> None:
+    """Raise ``ValueError`` naming the first of ``runs``, ``horizon`` and
+    ``seed`` that :func:`validate` cannot take."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def validate(
     mlc: MultiLayeredController,
     sys: ControlSystem,
@@ -260,27 +290,29 @@ def validate(
     """Monte Carlo closed-loop check over the controller domain.
 
     Initial states are sampled uniformly from the layer-1 projection of
-    the domain; run ``i`` draws its initial cell, then its offset in the
-    cell, then its disturbances from the ``i``-th generator spawned from
-    ``seed``.  All runs are simulated together.  An empty domain yields
-    a vacuous pass with zero runs.
+    the domain.  Every draw is keyed by run index: child 0 of
+    ``SeedSequence(seed)`` draws the start cells of all runs in one call,
+    child 1 their offsets in the cell, and child ``k + 2`` round ``k``'s
+    disturbances (see :func:`_closed_loop`), each row-major, row ``i``
+    for run ``i``.  So run ``i`` depends on ``seed`` and ``i`` alone: the
+    first runs of a longer validation are those of a shorter one.  All
+    runs are simulated together.  An empty domain yields a vacuous pass
+    with zero runs.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    check_run_arguments(runs, horizon, seed)
     if any(st.moves[:, sys.n_inputs :].any() for st in mlc.stages):
         raise ValueError(f"a move names an input outside the system's {sys.n_inputs} inputs")
     cells = mlc.domain_projection().indices()
     if cells.size == 0:
         return ValidationReport(runs, 0, 0, {}, horizon, seed, 0.0,
                                 None if mlc.kind == SAFETY else True)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(runs)]
     eta1 = mlc.stack.eta(1)
-    start = np.array([cells[rng.integers(cells.size)] for rng in rngs])
-    offset = np.array([rng.random(mlc.stack.dim) for rng in rngs])
+    start = cells[_stream(seed, 0).integers(cells.size, size=runs)]
+    offset = _stream(seed, 1).random((runs, mlc.stack.dim))
     x0 = mlc.stack.centers(1, start) - 0.5 * eta1 + offset * eta1
-    status, _, steps, monotone = _closed_loop(mlc, sys, spec, x0, horizon, rngs, substeps_base)
+    status, _, steps, monotone = _closed_loop(
+        mlc, sys, spec, x0, horizon, seed, np.arange(runs), substeps_base
+    )
 
     ok = {"safe-horizon-complete"} if mlc.kind == SAFETY else {"target-reached"}
     counts: dict[str, int] = {}

@@ -173,32 +173,30 @@ def sample_disturbed_step(
     x0,
     u,
     tau,
-    rng,
+    draws,
     substeps=5,
 ) -> np.ndarray:
     """One disturbed sample-and-hold step of a state ``(n,)`` or of states ``(N, n)``.
 
-    A single state takes one input ``u`` ``(m,)``, one period ``tau``,
-    one substep count and a generator (or seed) ``rng``.  A batch takes
-    one ``Generator`` per row; its input, period and substep count are
-    each shared or given per row (``(N, m)``, ``(N,)``, ``(N,)``), so
-    runs on different layers and inputs advance in one call.
+    A single state takes one input ``u`` ``(m,)``, one period ``tau`` and
+    one substep count.  A batch takes each of them shared or given per
+    row (``(N, m)``, ``(N,)``, ``(N,)``), so runs on different layers and
+    inputs advance in one call.
 
     The period is cut into ``DISTURBANCE_SEGMENTS`` equal segments of
     ``ceil(substeps / DISTURBANCE_SEGMENTS)`` RK4 steps each, and the
-    disturbance is constant over a segment, drawn uniformly from the
-    disturbance box.  Rows are sorted by step count, longest first, and
-    extra steps run on a prefix of the rows, so every row takes the
-    steps it would take alone.  Each row draws its own
-    ``(DISTURBANCE_SEGMENTS, n)`` block from its generator, so its draws
-    do not depend on the other rows.  The blocks are drawn as unit
-    doubles and mapped onto the box in one affine step,
-    ``low + (high - low) * v``, which is how ``Generator.uniform`` maps
-    them: each row's stream is bit for bit that of per-segment
-    ``rng.uniform(-w, w)`` draws.  Deterministic for fixed seeds.  With a
-    zero disturbance bound each row takes exactly the steps of
-    ``integrate_nominal`` with its own period and substeps, and nothing
-    is drawn.
+    disturbance is constant over a segment.  ``draws`` holds unit doubles
+    in ``[0, 1)``, ``(DISTURBANCE_SEGMENTS, n)`` for a single state or
+    ``(N, DISTURBANCE_SEGMENTS, n)`` for a batch: segment ``k`` of row
+    ``i`` is disturbed by ``low + (high - low) * draws[i, k]`` on the
+    disturbance box, which is how ``Generator.uniform`` maps them, so
+    ``rng.random((DISTURBANCE_SEGMENTS, n))`` disturbs a state bit for bit
+    like per-segment ``rng.uniform(-w, w)`` draws.  Rows are sorted by
+    step count, longest first, and extra steps run on a prefix of the
+    rows, so every row takes the steps it would take alone.  With a zero
+    disturbance bound each row takes exactly the steps of
+    ``integrate_nominal`` with its own period and substeps, and ``draws``
+    is not read.
     """
     x = np.array(x0, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -207,20 +205,17 @@ def sample_disturbed_step(
         raise ValueError("tau must be positive")
     if np.any(substeps < 1):
         raise ValueError("substeps must be >= 1")
-    rngs = [np.random.default_rng(rng)] if x.ndim == 1 else rng
-    if len(rngs) != len(np.atleast_2d(x)):
-        raise ValueError("a batch of states needs one generator per row")
     disturbed = bool(np.any(sys.disturbance > 0.0))
     segments = DISTURBANCE_SEGMENTS if disturbed else 1
     steps = -(-substeps // segments)
     h = tau / segments / steps
     w = None
     if disturbed:
-        w = np.empty((len(rngs), segments, sys.dim))
-        for r, block in zip(rngs, w):
-            r.random(out=block)
+        shape = x.shape[:-1] + (segments, x.shape[-1])
+        if np.shape(draws) != shape:
+            raise ValueError(f"draws must have shape {shape}, one block per state")
         low = -sys.disturbance
-        w *= sys.disturbance - low
+        w = (sys.disturbance - low) * np.asarray(draws, dtype=float)
         w += low
     order = None
     if steps.ndim or h.ndim:
@@ -231,8 +226,8 @@ def sample_disturbed_step(
         h = np.repeat(np.broadcast_to(h, n)[order, None], x.shape[1], axis=1)
         u = u[order] if u.ndim == 2 else u
         w = None if w is None else w[order]
-    if w is not None:
-        w = w[0] if x.ndim == 1 else w.transpose(1, 0, 2)
+    if w is not None and x.ndim == 2:
+        w = w.transpose(1, 0, 2)
     x = _integrate(sys, x, u, h, steps, w)
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergenceError("non-finite state in disturbed simulation")

@@ -8,6 +8,7 @@ at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -231,15 +232,38 @@ class TrajectoryLog:
         return len(self.entries)
 
 
-def simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base=5):
+def child_rng(seed, k):
+    """Generator of the ``k``-th child spawned from ``SeedSequence(seed)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
+
+
+def seeded_draws(seed, dim):
+    """A disturbance stream of its own: one ``(DISTURBANCE_SEGMENTS, dim)``
+    block of unit doubles per step from ``default_rng(seed)``, which is
+    bit for bit per-segment ``uniform(-w, w)`` draws."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.random((DISTURBANCE_SEGMENTS, dim))
+
+
+def run_draws(seed, run, dim):
+    """The disturbance stream of validation run ``run``: step ``k`` is
+    row ``run`` of the row-major block that child ``k + 2`` of
+    ``SeedSequence(seed)`` draws for runs ``0`` to ``run``."""
+    for k in count():
+        yield child_rng(seed, k + 2).random((run + 1, DISTURBANCE_SEGMENTS, dim))[run]
+
+
+def simulate_oracle(mlc, sys, spec, x0, horizon, draws, substeps_base=5):
     """One closed-loop run, one state and one stage lookup at a time.
 
     The reference for one run of :func:`layersynth.controller.validate`:
     it picks the acting stage with :func:`quantize_oracle`, steps with
     the lowest-index move of that stage and checks the specification
-    with the oracle point tests.  Every step is logged.
+    with the oracle point tests.  Step ``k`` takes the ``k``-th unit
+    draws of the iterator ``draws`` (see :func:`seeded_draws` and
+    :func:`run_draws`).  Every step is logged.
     """
-    rng = np.random.default_rng(rng)
     x = np.asarray(x0, dtype=float)
     entries = []
     t = 0.0
@@ -260,7 +284,7 @@ def simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base=5):
         rank = None if st.ranks is None else int(st.ranks[row])
         entries.append(LogEntry(t, x.copy(), st.layer, p, u, rank))
         x = sample_disturbed_step(
-            sys, x, sys.inputs[u], mlc.stack.tau(st.layer), rng,
+            sys, x, sys.inputs[u], mlc.stack.tau(st.layer), next(draws),
             substeps=substeps_base * 2 ** (st.layer - 1),
         )
         t += mlc.stack.tau(st.layer)
@@ -282,29 +306,30 @@ def check_rank_progress(log: TrajectoryLog) -> bool:
 
 
 def start_states_oracle(mlc, runs, seed):
-    """Initial states of :func:`validate_oracle` and the generators after drawing them.
+    """Initial states of :func:`validate_oracle`, one run at a time.
 
-    Run ``i`` draws its layer-1 cell, then its offset in the cell with
-    ``Generator.uniform``, from the ``i``-th generator spawned from ``seed``.
+    Run ``i`` takes entry ``i`` of the layer-1 cell indices that child 0
+    of ``SeedSequence(seed)`` draws for runs ``0`` to ``i``, and row ``i``
+    of the unit offsets in the cell that child 1 draws for them.
     """
     cells = mlc.domain_projection().indices()
     eta1 = mlc.stack.eta(1)
-    states, rngs = [], []
-    for child in np.random.SeedSequence(seed).spawn(runs):
-        rng = np.random.default_rng(child)
-        cell = int(cells[rng.integers(cells.size)])
+    states = []
+    for i in range(runs):
+        cell = int(cells[child_rng(seed, 0).integers(cells.size, size=i + 1)[i]])
         lo = mlc.stack.centers(1, np.asarray([cell]))[0] - 0.5 * eta1
-        states.append(lo + rng.uniform(0.0, 1.0, size=mlc.stack.dim) * eta1)
-        rngs.append(rng)
-    return states, rngs
+        states.append(lo + child_rng(seed, 1).random((i + 1, mlc.stack.dim))[i] * eta1)
+    return states
 
 
 def sample_disturbed_step_reference(sys, x0, u, tau, rngs, substeps=5):
     """Disturbed steps of the rows of ``x0``, drawn one segment at a time.
 
-    The reference for the draw stream of
-    :func:`layersynth.dynamics.sample_disturbed_step`: row ``i`` draws
-    each segment's disturbance with ``rngs[i].uniform(-w, w)``.  ``u`` is
+    The reference for how
+    :func:`layersynth.dynamics.sample_disturbed_step` maps unit draws
+    onto the disturbance box: row ``i`` draws each segment's disturbance
+    with ``rngs[i].uniform(-w, w)``, which matches the unit draws
+    ``rngs[i].random((DISTURBANCE_SEGMENTS, n))``.  ``u`` is
     one input or one per row; the field is bound once.  The rows are
     integrated together with the same RK4 steps, because a
     matrix-product vector field may round a lone state differently from
@@ -335,15 +360,17 @@ def sample_disturbed_step_reference(sys, x0, u, tau, rngs, substeps=5):
 def validate_oracle(mlc, sys, spec, runs, horizon, seed, substeps_base=5):
     """Monte Carlo validation, one trajectory after another.
 
-    The reference for :func:`layersynth.controller.validate`, with the
-    same per-run generators and draw order.
+    The reference for :func:`layersynth.controller.validate`: run ``i``
+    starts from :func:`start_states_oracle` and takes :func:`run_draws`,
+    so it depends on ``seed`` and ``i`` alone.
     """
     if mlc.domain_projection().is_empty():
         return ValidationReport(runs, 0, 0, {}, horizon, seed, 0.0,
                                 None if mlc.kind == SAFETY else True)
+    dim = mlc.stack.dim
     logs = [
-        simulate_oracle(mlc, sys, spec, x0, horizon, rng, substeps_base)
-        for x0, rng in zip(*start_states_oracle(mlc, runs, seed))
+        simulate_oracle(mlc, sys, spec, x0, horizon, run_draws(seed, i, dim), substeps_base)
+        for i, x0 in enumerate(start_states_oracle(mlc, runs, seed))
     ]
     ok = {"safe-horizon-complete"} if mlc.kind == SAFETY else {"target-reached"}
     counts = {}

@@ -3,8 +3,16 @@ import warnings
 
 import pytest
 
-from conftest import DCDC_SAFE, random_problem
-from layersynth import ALGORITHMS, MultiLayeredController, cli, default_config, synthesize, validate
+from conftest import DCDC_SAFE, UNICYCLE_LAZY, random_problem
+from layersynth import (
+    ALGORITHMS,
+    LayerController,
+    MultiLayeredController,
+    cli,
+    default_config,
+    synthesize,
+    validate,
+)
 from layersynth import controller as ctrl
 from layersynth.config import ConfigError, load_config, parse_config, read_config
 from layersynth.problem import REACH_AVOID, SAFETY
@@ -22,6 +30,11 @@ UNICYCLE_REACH = {
 }
 
 
+# The dcdc-safe grid with a reach-avoid spec.
+DCDC_REACH = {**DCDC_SAFE, "spec": "reach-avoid", "algorithm": "lazy-reach",
+              "target_boxes": [{"lower": [1.3, 5.6], "upper": [1.4, 5.7]}]}
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -34,6 +47,9 @@ def test_synthesize_validate_stats_round_trip(tmp_path, capsys):
     assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
     args = ["--controller", str(out / "controller.mlc"), "--config", config]
     assert cli.main(["validate", *args, "--runs", "3", "--horizon", "5"]) == 0
+    reach = ["--controller", str(out / "controller.mlc"), "--config",
+             write_config(tmp_path, DCDC_REACH, "reach.json")]
+    assert cli.main(["validate", *reach]) == 1
     assert cli.main(["stats", "--in", str(out)]) == 0
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats["winning_layer1_cells"] == 5393
@@ -97,13 +113,51 @@ def test_algorithm_choices_are_the_synthesis_algorithms(capsys):
     assert "{" + ",".join(ALGORITHMS) + "}" in capsys.readouterr().out
 
 
-def test_negative_horizon_is_a_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--runs", "0"], "runs must be >= 1"), (["--horizon", "-1"], "horizon must be >= 0"),
+     (["--seed", "-1"], "seed must be >= 0")],
+    ids=["runs", "horizon", "seed"],
+)
+def test_bad_validation_arguments_exit_1_and_name_them(tmp_path, capsys, extra, message):
+    # checked before the controller is loaded: there is none to load
     config = write_config(tmp_path, DCDC_SAFE)
-    out = tmp_path / "out"
-    assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
-    args = ["--controller", str(out / "controller.mlc"), "--config", config]
-    assert cli.main(["validate", *args, "--runs", "5", "--horizon", "-1"]) == 2
-    assert "validation error: horizon must be >= 0" in capsys.readouterr().err
+    args = ["--controller", str(tmp_path / "absent.mlc"), "--config", config]
+    assert cli.main(["validate", *args, *extra]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def hand_built_controller(tmp_path, doc, kind):
+    """A one-cell controller on the grid of the config ``doc``, saved."""
+    stack = parse_config(doc).build_stack()
+    stage = LayerController(1, [0], [[True]], [1] if kind == REACH_AVOID else None)
+    path = tmp_path / "hand.mlc"
+    ctrl.save(MultiLayeredController(kind, stack, [stage]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "source, config, fields",
+    [
+        ((UNICYCLE_LAZY, REACH_AVOID), {**UNICYCLE_LAZY, "eta1": [0.4] * 3, "tau1": 0.9},
+         ["eta1", "tau1"]),
+        ((DCDC_SAFE, SAFETY), DCDC_REACH, ["spec"]),
+        ((DCDC_SAFE, SAFETY), {**DCDC_SAFE, "layers": 2, "y_upper": [1.55, 5.86]},
+         ["layers", "y_upper"]),
+    ],
+    ids=["unicycle-grid", "dcdc-spec", "dcdc-layers-and-region"],
+)
+def test_controller_of_another_problem_is_a_config_error(tmp_path, capsys, source, config, fields):
+    controller = hand_built_controller(tmp_path, *source)
+    report = tmp_path / "report.json"
+    argv = ["validate", "--controller", controller, "--config", write_config(tmp_path, config),
+            "--out", str(report)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    named = [part.split(":")[0] for part in err.removeprefix("configuration error: ").split("; ")]
+    assert named == fields
+    assert not report.exists()
 
 
 def test_zero_trajectory_validation_is_flagged(tmp_path, capsys):

@@ -16,6 +16,7 @@ from conftest import DCDC_SAFE, UNICYCLE_LAZY, drift_system, random_problem, sta
 from oracles import (
     check_rank_progress,
     quantize_oracle,
+    run_draws,
     simulate_oracle,
     start_states_oracle,
     validate_oracle,
@@ -257,8 +258,20 @@ def test_validate_start_states_match_oracle_draws(monkeypatch, kind, levels, see
     monkeypatch.setattr(controller, "_closed_loop", started)
     with pytest.raises(Started) as got:
         validate(mlc, sys_, spec, 9, 5, seed)
-    states, _ = start_states_oracle(mlc, 9, seed)
+    states = start_states_oracle(mlc, 9, seed)
     assert np.array_equal(got.value.args[0], np.array(states))
+
+
+@pytest.mark.parametrize("kind, levels, seed", [(SAFETY, 2, 12), (REACH_AVOID, 3, 2)])
+def test_negative_seed_is_rejected_before_anything_is_drawn(monkeypatch, kind, levels, seed):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    sys_, spec, mlc = solved(kind, levels, seed)
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    for bad in (mlc, MultiLayeredController(mlc.kind, mlc.stack, [])):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            validate(bad, sys_, spec, runs=5, horizon=5, seed=-1)
 
 
 @pytest.mark.parametrize("kind, levels, seed", [(SAFETY, 2, 12), (REACH_AVOID, 3, 2)])
@@ -275,15 +288,14 @@ def test_negative_horizon_is_rejected(kind, levels, seed):
 
 @pytest.mark.parametrize("kind, levels, seed", PROBLEMS[::3])
 def test_simulate_matches_per_trajectory_oracle(kind, levels, seed):
-    # One row per call: a matrix-product field may round a row of a
-    # larger batch differently from a lone state.
+    # One row per call, as run 3 * i of a validation at the problem's seed.
     sys_, spec, mlc = solved(kind, levels, seed)
     cells = mlc.domain_projection().indices()
     for i, x0 in enumerate(mlc.stack.centers(1, cells[:: max(1, cells.size // 5)])):
         status, x, steps, monotone = controller._closed_loop(
-            mlc, sys_, spec, x0[None, :], 30, [np.random.default_rng(i)], 5
+            mlc, sys_, spec, x0[None, :], 30, seed, np.array([3 * i]), 5
         )
-        log = simulate_oracle(mlc, sys_, spec, x0, 30, i)
+        log = simulate_oracle(mlc, sys_, spec, x0, 30, run_draws(seed, 3 * i, mlc.stack.dim))
         assert (status[0], x[0].tobytes(), int(steps[0]), bool(monotone[0])) == (
             log.status, log.final_state.tobytes(), log.steps, check_rank_progress(log)
         )
@@ -340,10 +352,9 @@ def workload(name):
 
 
 def workload_starts(name, runs, seed):
-    """Start states and generators of ``validate``'s first ``runs`` runs."""
+    """Start states of ``validate``'s first ``runs`` runs."""
     _, _, mlc, _ = workload(name)
-    states, rngs = start_states_oracle(mlc, runs, seed)
-    return np.array(states), rngs
+    return np.array(start_states_oracle(mlc, runs, seed))
 
 
 def test_unicycle_workload_validates_like_the_oracle():
@@ -355,15 +366,37 @@ def test_unicycle_workload_validates_like_the_oracle():
 
 @pytest.mark.parametrize("name, runs, horizon", [("unicycle-lazy", 48, 200), ("dcdc-safe", 12, 40)])
 def test_closed_loop_rows_step_as_they_would_alone(name, runs, horizon):
+    # Any subset of runs, in any row order, steps as it does in the
+    # full batch: each run draws from its own row of every round's block.
     sys_, spec, mlc, substeps = workload(name)
-    x0, rngs = workload_starts(name, runs, 3)
-    status, x, steps, monotone = controller._closed_loop(mlc, sys_, spec, x0, horizon, rngs, substeps)
-    x0, rngs = workload_starts(name, runs, 3)
-    for i in range(runs):
-        one = controller._closed_loop(mlc, sys_, spec, x0[i : i + 1], horizon, rngs[i : i + 1], substeps)
-        assert (one[0][0], one[1][0].tobytes(), int(one[2][0]), bool(one[3][0])) == (
-            status[i], x[i].tobytes(), int(steps[i]), bool(monotone[i])
-        )
+    x0, ids = workload_starts(name, runs, 3), np.arange(runs)
+    status, x, steps, monotone = controller._closed_loop(mlc, sys_, spec, x0, horizon, 3, ids, substeps)
+    for rows in [ids[i : i + 1] for i in range(runs)] + [ids[1::3], ids[::-5]]:
+        part = controller._closed_loop(mlc, sys_, spec, x0[rows], horizon, 3, rows, substeps)
+        assert part[0] == [status[i] for i in rows.tolist()]
+        assert part[1].tobytes() == x[rows].tobytes()
+        assert np.array_equal(part[2], steps[rows]) and np.array_equal(part[3], monotone[rows])
+
+
+@pytest.mark.parametrize("name, runs, horizon", [("unicycle-lazy", (100, 400), 200),
+                                                 ("dcdc-safe", (12, 30), 40)])
+def test_first_runs_do_not_depend_on_the_run_count(monkeypatch, name, runs, horizon):
+    loops = []
+
+    def kept(*args):
+        loops.append(loop(*args))
+        return loops[-1]
+
+    loop = controller._closed_loop
+    monkeypatch.setattr(controller, "_closed_loop", kept)
+    sys_, spec, mlc, substeps = workload(name)
+    for count in runs:
+        validate(mlc, sys_, spec, count, horizon, 3, substeps)
+    (status, x, steps, monotone), longer = loops
+    n = len(status)
+    assert longer[0][:n] == status
+    assert longer[1][:n].tobytes() == x.tobytes()
+    assert np.array_equal(longer[2][:n], steps) and np.array_equal(longer[3][:n], monotone)
 
 
 def test_closed_loop_steps_every_run_of_a_round_in_one_call(monkeypatch):
@@ -371,14 +404,36 @@ def test_closed_loop_steps_every_run_of_a_round_in_one_call(monkeypatch):
     # still going once.  The rounds of this controller mix layers and inputs.
     calls = []
 
-    def counted(sys, x, u, tau, rngs, substeps):
+    def counted(sys, x, u, tau, draws, substeps):
         calls.append((len(np.unique(tau)), len(np.unique(u, axis=0))))
-        return step(sys, x, u, tau, rngs, substeps)
+        return step(sys, x, u, tau, draws, substeps)
 
     step = controller.sample_disturbed_step
     monkeypatch.setattr(controller, "sample_disturbed_step", counted)
     sys_, spec, mlc, substeps = workload("unicycle-lazy")
-    x0, rngs = workload_starts("unicycle-lazy", 64, 4)
-    _, _, steps, _ = controller._closed_loop(mlc, sys_, spec, x0, 200, rngs, substeps)
+    x0 = workload_starts("unicycle-lazy", 64, 4)
+    _, _, steps, _ = controller._closed_loop(mlc, sys_, spec, x0, 200, 4, np.arange(64), substeps)
     assert len(calls) == steps.max()
     assert max(periods for periods, _ in calls) > 1 and max(inputs for _, inputs in calls) > 1
+
+
+def test_validation_builds_one_generator_per_stream_not_per_run(monkeypatch):
+    # The start cells, the offsets and each round's disturbances are
+    # one stream each, drawn for all runs at once.
+    built, rounds = [], []
+
+    def building(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    def stepping(*args, **kwargs):
+        rounds.append(len(args[1]))
+        return step(*args, **kwargs)
+
+    make, step = np.random.default_rng, controller.sample_disturbed_step
+    monkeypatch.setattr(np.random, "default_rng", building)
+    monkeypatch.setattr(controller, "sample_disturbed_step", stepping)
+    sys_, spec, mlc, substeps = workload("unicycle-lazy")
+    report = validate(mlc, sys_, spec, 1600, 200, 7, substeps)
+    assert report.executed == 1600 and rounds[0] > 1000
+    assert len(built) <= len(rounds) + 2

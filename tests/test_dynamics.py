@@ -12,7 +12,7 @@ from layersynth import (
     integrate_nominal,
     sample_disturbed_step,
 )
-from layersynth.dynamics import radius_dynamics, reach_boxes
+from layersynth.dynamics import DISTURBANCE_SEGMENTS, radius_dynamics, reach_boxes
 from layersynth.benchmarks import dcdc, unicycle
 
 
@@ -129,12 +129,19 @@ class TestOverApproxReach:
         assert np.allclose(hi, [1.2], atol=1e-9)
 
 
+def unit_draws(seed, *shape):
+    """Unit draws for :func:`sample_disturbed_step`: ``shape`` blocks of
+    ``(DISTURBANCE_SEGMENTS, dim)`` from ``default_rng(seed)``."""
+    return np.random.default_rng(seed).random(shape[:-1] + (DISTURBANCE_SEGMENTS, shape[-1]))
+
+
 class TestSampleDisturbedStep:
     def test_zero_disturbance_equals_nominal(self):
+        # a zero bound reads no draws
         sys = decay_system(dim=2)
-        for seed in range(5):
-            a = sample_disturbed_step(sys, [1.0, -1.0], sys.inputs[0], 0.5, seed, substeps=7)
-            b = integrate_nominal(sys, [1.0, -1.0], sys.inputs[0], 0.5, 7)
+        for substeps in (1, 7, 23):
+            a = sample_disturbed_step(sys, [1.0, -1.0], sys.inputs[0], 0.5, None, substeps)
+            b = integrate_nominal(sys, [1.0, -1.0], sys.inputs[0], 0.5, substeps)
             assert np.array_equal(a, b)
 
     def test_displacement_bounded_by_disturbance(self):
@@ -145,31 +152,34 @@ class TestSampleDisturbedStep:
             [np.array([0.0])],
             lambda u: np.zeros((1, 1)),
         )
-        for seed in range(50):
-            out = sample_disturbed_step(sys, [2.0], sys.inputs[0], 1.0, seed)
+        extremes = [np.full((DISTURBANCE_SEGMENTS, 1), v) for v in (0.0, 1.0 - 2.0**-53)]
+        for draws in [unit_draws(seed, 1) for seed in range(50)] + extremes:
+            out = sample_disturbed_step(sys, [2.0], sys.inputs[0], 1.0, draws)
             assert 1.9 - 1e-12 <= out[0] <= 2.1 + 1e-12
 
     def test_same_seed_same_result(self):
         sys = dcdc()
-        a = sample_disturbed_step(sys, [1.2, 5.6], sys.inputs[1], 0.0625, 42)
-        b = sample_disturbed_step(sys, [1.2, 5.6], sys.inputs[1], 0.0625, 42)
+        a = sample_disturbed_step(sys, [1.2, 5.6], sys.inputs[1], 0.0625, unit_draws(42, 2))
+        b = sample_disturbed_step(sys, [1.2, 5.6], sys.inputs[1], 0.0625, unit_draws(42, 2))
         assert np.array_equal(a, b)
 
     def test_batch_rows_step_as_they_would_alone(self):
         sys = unicycle()
         x0 = np.random.default_rng(3).uniform(0.0, 3.0, size=(9, 3))
-        rngs = [np.random.default_rng(i) for i in range(9)]
-        batch = sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, rngs)
+        draws = unit_draws(4, 9, 3)
+        batch = sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, draws)
         for i in range(9):
-            alone = sample_disturbed_step(sys, x0[i], sys.inputs[4], 0.225, i)
+            alone = sample_disturbed_step(sys, x0[i], sys.inputs[4], 0.225, draws[i])
             assert np.array_equal(batch[i], alone)
-        with pytest.raises(ValueError, match="one generator per row"):
-            sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, list(range(8)))
+        for bad in (draws[:8], draws[:, :, :2], draws[0]):
+            with pytest.raises(ValueError, match="one block per state"):
+                sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, bad)
 
     @pytest.mark.parametrize("system", [dcdc, unicycle])
     def test_draw_stream_matches_per_segment_uniform_reference(self, system):
-        # Rows on every layer's period and substep count, each with its
-        # own generator: bit-equal states and generators left in step.
+        # Rows on every layer's period and substep count, each with unit
+        # draws from its own generator: bit-equal to per-segment uniform
+        # draws, and the reference's generators left in step.
         sys = system()
         x0 = np.random.default_rng(5).uniform(0.5, 1.5, size=(7, sys.dim))
         for layer in (1, 2, 3):
@@ -178,7 +188,8 @@ class TestSampleDisturbedStep:
                 seeds = np.random.SeedSequence(layer).spawn(len(x0))
                 got_rngs = [np.random.default_rng(s) for s in seeds]
                 want_rngs = [np.random.default_rng(s) for s in seeds]
-                got = sample_disturbed_step(sys, x0, u, tau, got_rngs, substeps)
+                draws = np.stack([r.random((DISTURBANCE_SEGMENTS, sys.dim)) for r in got_rngs])
+                got = sample_disturbed_step(sys, x0, u, tau, draws, substeps)
                 want = sample_disturbed_step_reference(sys, x0, u, tau, want_rngs, substeps)
                 assert np.array_equal(got, want)
                 assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs]
@@ -187,7 +198,7 @@ class TestSampleDisturbedStep:
     def test_mixed_rows_match_per_period_reference(self, system):
         # One call with an input, a period and a substep count per row, as
         # a closed-loop round makes it, against the reference stepping the
-        # rows of each period together: bit-equal states, generators in step.
+        # rows of each period together: bit-equal states.
         sys = system()
         rng = np.random.default_rng(11)
         x0 = rng.uniform(0.5, 1.5, size=(24, sys.dim))
@@ -195,19 +206,19 @@ class TestSampleDisturbedStep:
         u = np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=24)]
         assert set(layer.tolist()) == {1, 2, 3} and len(np.unique(u, axis=0)) > 1
         seeds = np.random.SeedSequence(11).spawn(24)
-        got_rngs = [np.random.default_rng(s) for s in seeds]
-        want_rngs = [np.random.default_rng(s) for s in seeds]
+        draws = np.stack(
+            [np.random.default_rng(s).random((DISTURBANCE_SEGMENTS, sys.dim)) for s in seeds]
+        )
         got = sample_disturbed_step(
-            sys, x0, u, 0.25 * 2.0 ** (layer - 1), got_rngs, 5 * 2 ** (layer - 1)
+            sys, x0, u, 0.25 * 2.0 ** (layer - 1), draws, 5 * 2 ** (layer - 1)
         )
         for lv in (1, 2, 3):
             rows = np.flatnonzero(layer == lv)
             want = sample_disturbed_step_reference(
                 sys, x0[rows], u[rows], 0.25 * 2 ** (lv - 1),
-                [want_rngs[i] for i in rows.tolist()], 5 * 2 ** (lv - 1),
+                [np.random.default_rng(seeds[i]) for i in rows.tolist()], 5 * 2 ** (lv - 1),
             )
             assert np.array_equal(got[rows], want)
-        assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs]
 
     def test_undisturbed_mixed_rows_draw_nothing(self):
         sys = dataclasses.replace(unicycle(), disturbance=np.zeros(3))
@@ -216,20 +227,19 @@ class TestSampleDisturbedStep:
         layer = np.array([3, 1, 2, 1, 3, 2, 2, 1, 3])
         u = np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=9)]
         tau, substeps = 0.225 * 2.0 ** (layer - 1), 5 * 2 ** (layer - 1)
-        rngs = [np.random.default_rng(s) for s in range(9)]
-        out = sample_disturbed_step(sys, x0, u, tau, rngs, substeps)
+        out = sample_disturbed_step(sys, x0, u, tau, None, substeps)
         for i in range(9):
             alone = integrate_nominal(sys, x0[i], u[i], tau[i], int(substeps[i]))
             assert np.array_equal(out[i], alone)
-        assert [r.random() for r in rngs] == [np.random.default_rng(s).random() for s in range(9)]
 
     def test_undisturbed_batch_draws_nothing(self):
+        # draws of any shape and value are not read
         sys = decay_system(dim=2)
-        rngs = [np.random.default_rng(s) for s in range(3)]
         x0 = np.array([[1.0, -1.0], [0.5, 0.0], [2.0, 3.0]])
-        out = sample_disturbed_step(sys, x0, sys.inputs[0], 0.5, rngs, substeps=7)
-        assert np.array_equal(out, integrate_nominal(sys, x0, sys.inputs[0], 0.5, 7))
-        assert [r.random() for r in rngs] == [np.random.default_rng(s).random() for s in range(3)]
+        want = integrate_nominal(sys, x0, sys.inputs[0], 0.5, 7)
+        for draws in (None, np.full((1, 1), np.nan)):
+            out = sample_disturbed_step(sys, x0, sys.inputs[0], 0.5, draws, substeps=7)
+            assert np.array_equal(out, want)
 
 
 class TestBoundFields:
@@ -275,7 +285,8 @@ def _containment_trial(sys, lower, upper, tau, seeds, points, rng):
         for s in range(seeds):
             for _ in range(points):
                 x0 = rng.uniform(lower, upper)
-                x1 = sample_disturbed_step(sys, x0, u, tau, int(rng.integers(2**31)), substeps=10)
+                draws = unit_draws(int(rng.integers(2**31)), sys.dim)
+                x1 = sample_disturbed_step(sys, x0, u, tau, draws, substeps=10)
                 assert np.all((x1 >= lo - 1e-9) & (x1 <= hi + 1e-9)), (
                     f"sampled endpoint {x1} escapes reach box for input {u}"
                 )

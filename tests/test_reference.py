@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from conftest import DCDC_SAFE, random_problem
-from oracles import simulate_oracle
+from oracles import seeded_draws, simulate_oracle
 from layersynth import synthesize
 from layersynth.config import parse_config
 from layersynth.controller import serialize, validate
@@ -120,7 +120,7 @@ def validation_digest(sys_, spec, result) -> tuple[str, str]:
     runs_seen = []
     for i, cell in enumerate(starts):
         x0 = mlc.stack.centers(1, np.asarray([cell]))[0] + 0.3 * eta1
-        log = simulate_oracle(mlc, sys_, spec, x0, horizon, seed + i)
+        log = simulate_oracle(mlc, sys_, spec, x0, horizon, seeded_draws(seed + i, mlc.stack.dim))
         steps = [(e.stage, e.layer, e.input_index, e.rank) for e in log.entries]
         runs_seen.append([log.status, steps])
     return (
@@ -180,24 +180,24 @@ GOLDEN = {
     ('dcdc-safe', 'single-layer'): ('c1cbf790a1390cef', '67eefbeadd989ebc', 5262, (12800, 32, 32, 5262)),
 }
 VALIDATION = {
-    ('random-reach-avoid-L2-s2', 'eager-reach'): ('37740f029e2e9714', '6264a3d8aec12880'),
-    ('random-reach-avoid-L2-s2', 'lazy-reach'): ('37740f029e2e9714', '6264a3d8aec12880'),
-    ('random-reach-avoid-L2-s2', 'single-layer'): ('37740f029e2e9714', '6264a3d8aec12880'),
-    ('random-reach-avoid-L2-s4', 'eager-reach'): ('37740f029e2e9714', 'c070ae58871dbbdd'),
-    ('random-reach-avoid-L2-s4', 'lazy-reach'): ('37740f029e2e9714', 'c070ae58871dbbdd'),
-    ('random-reach-avoid-L2-s4', 'single-layer'): ('37740f029e2e9714', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s2', 'eager-reach'): ('e31841b7c162ba4b', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s2', 'lazy-reach'): ('e31841b7c162ba4b', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s2', 'single-layer'): ('e31841b7c162ba4b', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s4', 'eager-reach'): ('673322c9da4f6014', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s4', 'lazy-reach'): ('673322c9da4f6014', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s4', 'single-layer'): ('673322c9da4f6014', 'c070ae58871dbbdd'),
     ('random-reach-avoid-L2-s8', 'eager-reach'): ('528ad388c2f88198', 'd084a6085ab16310'),
     ('random-reach-avoid-L2-s8', 'lazy-reach'): ('528ad388c2f88198', 'd084a6085ab16310'),
     ('random-reach-avoid-L2-s8', 'single-layer'): ('528ad388c2f88198', 'b7caf1ce651fe112'),
-    ('random-reach-avoid-L3-s2', 'eager-reach'): ('a14820eee484a44c', '254d0f81280a9546'),
-    ('random-reach-avoid-L3-s2', 'lazy-reach'): ('a14820eee484a44c', '254d0f81280a9546'),
-    ('random-reach-avoid-L3-s2', 'single-layer'): ('a14820eee484a44c', 'dacd70d328e04cfd'),
-    ('random-reach-avoid-L3-s4', 'eager-reach'): ('311b0a6b6c695961', '74581fb6134d83c0'),
-    ('random-reach-avoid-L3-s4', 'lazy-reach'): ('311b0a6b6c695961', '74581fb6134d83c0'),
+    ('random-reach-avoid-L3-s2', 'eager-reach'): ('c7861d0f7563451d', '254d0f81280a9546'),
+    ('random-reach-avoid-L3-s2', 'lazy-reach'): ('c7861d0f7563451d', '254d0f81280a9546'),
+    ('random-reach-avoid-L3-s2', 'single-layer'): ('4cac7709caedce75', 'dacd70d328e04cfd'),
+    ('random-reach-avoid-L3-s4', 'eager-reach'): ('1599344af7f60436', '74581fb6134d83c0'),
+    ('random-reach-avoid-L3-s4', 'lazy-reach'): ('1599344af7f60436', '74581fb6134d83c0'),
     ('random-reach-avoid-L3-s4', 'single-layer'): ('4cac7709caedce75', '17860a0302f39551'),
-    ('random-reach-avoid-L3-s8', 'eager-reach'): ('311b0a6b6c695961', 'd91f07338c3b12f5'),
-    ('random-reach-avoid-L3-s8', 'lazy-reach'): ('311b0a6b6c695961', 'd91f07338c3b12f5'),
-    ('random-reach-avoid-L3-s8', 'single-layer'): ('311b0a6b6c695961', 'c8acd74da763d675'),
+    ('random-reach-avoid-L3-s8', 'eager-reach'): ('a14820eee484a44c', 'd91f07338c3b12f5'),
+    ('random-reach-avoid-L3-s8', 'lazy-reach'): ('a14820eee484a44c', 'd91f07338c3b12f5'),
+    ('random-reach-avoid-L3-s8', 'single-layer'): ('c7861d0f7563451d', 'c8acd74da763d675'),
     ('dcdc-safe', 'eager-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
     ('dcdc-safe', 'lazy-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
     ('dcdc-safe', 'single-layer'): ('9717401fbb4c46de', 'de34699bddc5c5a9'),
