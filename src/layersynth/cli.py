@@ -10,12 +10,14 @@ winning set that is the target alone with no stages, a validation that
 ran no trajectory) are flagged on stderr.
 
 ``validate`` rejects bad ``--runs``, ``--horizon`` and ``--seed`` values
-before it loads the controller, and a controller whose header (spec
-kind, levels, ``eta1``, ``tau1``, region bounds) is not the config's
-before it simulates; both are configuration errors.
+before it loads the controller; a controller file that is missing,
+unreadable or malformed; and a controller whose header (spec kind,
+levels, ``eta1``, ``tau1``, region bounds) is not the config's before it
+simulates.  All of these are configuration errors.
 
-Exit codes: 0 success, 1 configuration error, 2 synthesis or validation
-error, 3 validation found violations.
+Exit codes: 0 success, 1 configuration error (including a bad
+controller file), 2 synthesis or validation error, 3 validation found
+violations.
 """
 
 from __future__ import annotations
@@ -98,7 +100,10 @@ def _check_header(mlc: ctrl.MultiLayeredController, config: ProblemConfig) -> No
 def run_validation(
     controller_path: Path, config: ProblemConfig, runs: int, horizon: int, seed: int, out: Path | None
 ) -> ctrl.ValidationReport:
-    mlc = ctrl.load(controller_path)
+    try:
+        mlc = ctrl.load(controller_path)
+    except (OSError, ctrl.ControllerFormatError) as exc:
+        raise ConfigError(f"cannot read controller file {controller_path}: {exc}") from exc
     _check_header(mlc, config)
     sys_ = config.build_system()
     spec = config.build_spec()

@@ -3,10 +3,12 @@
 Safety is a greatest fixed point of the controllable-predecessor
 operator, reach-avoid a least one.  The multi-resolution protocols run
 those fixed points one layer at a time, saving intermediate winning
-sets to the finest layer and re-loading them when switching layers.  In
-lazy mode abstract transitions are computed only for frontier cells:
-directly for safety, and through a cooperative-predecessor
-over-approximation on coarse auxiliary systems for reach-avoid.
+sets to the finest layer and re-loading them when switching layers.
+Both modes run the same protocols and explore the cells each step
+reads; exploring an explored cell is a no-op.  Eager mode pre-fills
+every main table over its safe set first.  Only lazy reach-avoid
+expands its frontier through a cooperative-predecessor
+over-approximation on coarse auxiliary systems.
 
 :func:`synthesize` is the one entry point for every algorithm.  The
 single-layer baseline is not a separate solver: it is the eager protocol
@@ -290,30 +292,24 @@ class SynthesisEngine:
 
     # -- single-layer fixed points ----------------------------------------
 
-    def safe_step(self, layer: int, current: CellSet, covered: CellSet | None = None) -> CellSet:
+    def safe_step(
+        self, layer: int, current: CellSet, covered: CellSet | None = None
+    ) -> tuple[CellSet, np.ndarray]:
         """One contraction step of the safety fixed point.
 
-        Result is the subset of ``current`` (within the layer's safe
-        set) that can stay inside ``current`` for one period.  In lazy
-        runs ``covered`` names the cells allowed to be unexplored
-        because a coarser layer already won them this round.
+        The candidates are the cells of ``current`` (within the layer's
+        safe set) that no coarser layer won this round, ``covered``;
+        they are explored first.  Returns the candidates that can stay
+        inside ``current`` for one period, and the closing-input mask
+        of ``current`` that their moves come from.
         """
-        safe = self.spec_sets.safe_at(layer)
-        current = current.intersect(safe)
-        candidates = current
-        if covered is not None:
-            explored = self.table(layer).explored_cells()
-            missing = current.difference(explored)
-            if not missing.is_subset(covered):
-                raise UnexploredTransitionError(
-                    f"{missing.difference(covered).count()} frontier cells at "
-                    f"layer {layer} were never explored"
-                )
-            candidates = current.intersect(explored)
+        current = current.intersect(self.spec_sets.safe_at(layer))
+        candidates = current if covered is None else current.difference(covered)
+        self.explore(layer, candidates)
         self.stats.cpre_evals[layer - 1] += 1
-        w = cpre(self.table(layer), current, candidates)
+        mask = _closing_inputs(self.table(layer), current)
         self.stats.fp_iterations[layer - 1] += 1
-        return w
+        return CellSet(layer, mask.any(axis=0) & candidates.bits), mask
 
     def reach_m(self, layer: int, target: CellSet, m: int | None) -> ReachOutcome:
         """Run the reach-avoid fixed point for ``m`` steps (None: converge).
@@ -374,13 +370,15 @@ class SynthesisEngine:
 
     # -- multi-resolution protocols -----------------------------------------
 
-    def safe_iteration(self, lazy: bool) -> tuple[CellSet, list[LayerController]]:
+    def safe_iteration(self) -> tuple[CellSet, list[LayerController]]:
         """Round-robin safety protocol over all layers.
 
         Each round performs one fixed-point step per layer from coarse
         to fine, accumulating results on layer 1; it terminates when a
-        round adds no change.  Controller domains come from the final
-        round; their moves are filled in afterwards.
+        round adds no change.  A layer's step reads only the cells that
+        no coarser layer won this round, so every stage cell acts.
+        Controller stages are the final round's domains, with their
+        moves read from that round's closing-input masks.
         """
         stack = self.stack
         L = stack.levels
@@ -391,15 +389,11 @@ class SynthesisEngine:
             if rounds > _MAX_SWITCHES:
                 raise NonterminationError(f"safety protocol exceeded {_MAX_SWITCHES} rounds")
             upsilon = CellSet.empty(stack, 1)
-            round_domains: list[tuple[int, CellSet]] = []
+            round_domains: list[tuple[int, CellSet, np.ndarray]] = []
             for layer in range(L, 0, -1):
                 cur = gamma_down(stack, psi, layer)
-                covered = gamma_down(stack, upsilon, layer)
-                if lazy:
-                    frontier = cur.intersect(self.spec_sets.safe_at(layer)).difference(covered)
-                    self.explore(layer, frontier)
-                w = self.safe_step(layer, cur, covered)
-                round_domains.append((layer, w))
+                w, mask = self.safe_step(layer, cur, gamma_down(stack, upsilon, layer))
+                round_domains.append((layer, w, mask))
                 upsilon.union_update(gamma_down(stack, w, 1))
                 self.stats.trace.append(
                     {"phase": "safe", "round": rounds, "layer": layer, "size": w.count()}
@@ -410,13 +404,10 @@ class SynthesisEngine:
                 break
             psi = upsilon
         stages: list[LayerController] = []
-        for layer, w in round_domains:
-            if w.is_empty():
-                continue
-            region = gamma_down(stack, psi, layer)
-            cells = w.indices()
-            moves = _moves_into(_closing_inputs(self.table(layer), region), cells)
-            stages.append(LayerController(layer, cells, moves))
+        for layer, w, mask in round_domains:
+            if not w.is_empty():
+                cells = w.indices()
+                stages.append(LayerController(layer, cells, _moves_into(mask, cells)))
         return psi, stages
 
     def reach_iteration(self, lazy: bool) -> tuple[CellSet, list[LayerController]]:
@@ -425,15 +416,14 @@ class SynthesisEngine:
         The coarsest layer runs its fixed point to convergence; lower
         layers run ``m`` steps and switch coarser whenever they keep
         making progress, finer once they stall.  Terminates when the
-        finest layer reaches a fixed point.
+        finest layer reaches a fixed point.  The coarsest layer explores
+        its whole safe set; in ``lazy`` runs a lower layer first expands
+        its frontier through the auxiliary tables.
         """
         stack = self.stack
         L = stack.levels
         upsilon = self.spec_sets.target_at(1).copy()
         stages: list[LayerController] = []
-        if upsilon.is_empty():
-            warnings.warn("target under-approximation is empty; nothing to synthesize")
-            return upsilon, stages
         layer = L
         switches = 0
         while True:
@@ -446,13 +436,10 @@ class SynthesisEngine:
             safe_l = self.spec_sets.safe_at(layer)
             target_l = gamma_down(stack, upsilon, layer)
             if layer == L:
-                if lazy:
-                    self.explore(layer, safe_l)
+                self.explore(layer, safe_l)
                 outcome = self.reach_m(layer, target_l, None)
             else:
-                expansion = None
-                if lazy:
-                    expansion = self.expand_abstraction(layer, upsilon)
+                expansion = self.expand_abstraction(layer, upsilon) if lazy else None
                 outcome = self.reach_m(layer, target_l, self.m)
                 if lazy:
                     fresh = outcome.won.difference(target_l.intersect(safe_l))
@@ -515,12 +502,14 @@ def synthesize(
 ) -> SynthesisResult:
     """Solve ``spec`` over ``stack`` with one of :data:`ALGORITHMS`.
 
-    ``eager-*`` pre-computes every main table over its safe set,
-    ``lazy-*`` explores along the frontier.  ``single-layer`` is the
-    eager protocol on the one-level stack with the same finest grid and
-    period; its stages are returned on the caller's ``stack``, so the
-    controller keeps the caller's level count.  Degenerate problems
-    (empty safe or target set) warn and return an empty controller.
+    ``eager-*`` pre-computes every main table over its safe set before
+    the protocol runs, ``lazy-*`` explores only along the frontier; both
+    give the same winning set, and on safety the same controller.
+    ``single-layer`` is the eager protocol on the one-level stack with
+    the same finest grid and period; its stages are returned on the
+    caller's ``stack``, so the controller keeps the caller's level
+    count.  Degenerate problems (empty safe or target set) warn and
+    return an empty controller.
     """
     check_algorithm(algorithm, spec.kind)
     if algorithm == "single-layer":
@@ -541,8 +530,10 @@ def synthesize(
     else:
         if not lazy:
             engine.populate_eager()
-        protocol = engine.safe_iteration if spec.kind == SAFETY else engine.reach_iteration
-        winning, stages = protocol(lazy)
+        if spec.kind == SAFETY:
+            winning, stages = engine.safe_iteration()
+        else:
+            winning, stages = engine.reach_iteration(lazy)
     # Exploration is timed on its own; keep the ledger keys disjoint.
     explored = timings.get("abstraction", 0.0) + timings.get("aux_abstraction", 0.0)
     timings["synthesis"] = time.perf_counter() - t0 - explored

@@ -127,6 +127,17 @@ def test_bad_validation_arguments_exit_1_and_name_them(tmp_path, capsys, extra, 
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("content", [None, b"LSMCjunk"], ids=["missing", "malformed"])
+def test_bad_controller_file_exits_1_and_names_it(tmp_path, capsys, content):
+    config = write_config(tmp_path, DCDC_SAFE)
+    path = tmp_path / "absent.mlc"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["validate", "--controller", str(path), "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read controller file {path}: ")
+
+
 def hand_built_controller(tmp_path, doc, kind):
     """A one-cell controller on the grid of the config ``doc``, saved."""
     stack = parse_config(doc).build_stack()

@@ -7,7 +7,8 @@ bit.  They must agree on computed tables, on preloaded entries that are
 not boxes, on clipped auxiliary boxes at every face of the grid, and on
 grids whose corner indices need 32-bit integers.  Neither the order in
 which a table stores its boxes nor the batches it explored them in may
-change what they return.
+change what they return, and a cell explored alone stores the boxes it
+stores in a batch.
 """
 
 from __future__ import annotations
@@ -219,6 +220,31 @@ def test_storage_order_and_batch_split_have_no_meaning_on_workloads(doc, layer):
     assert_storage_has_no_meaning(
         config.build_system(), config.build_stack(), config.build_spec(), layer, rng, 4
     )
+
+
+def sorted_boxes(table, u):
+    """The stored ``(cell, lo, hi)`` rows of input ``u``, sorted."""
+    cells, lo, hi = table.csr(u)
+    rows = np.column_stack([cells, lo, hi]).astype(np.int64)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("doc", [DCDC_SAFE, UNICYCLE_LAZY], ids=["dcdc-safe", "unicycle-lazy"])
+@pytest.mark.parametrize("layer", [1, 2])
+def test_stored_boxes_do_not_depend_on_the_batch(doc, layer):
+    # an eager run explores a layer in one batch and a lazy run in
+    # frontier batches, down to single cells; both store the same boxes
+    config = parse_config(doc)
+    sys, stack = config.build_system(), config.build_stack()
+    safe = build_spec_sets(stack, config.build_spec()).safe_at(layer).indices()
+    cells = np.random.default_rng(layer).choice(safe, size=min(128, safe.size), replace=False)
+    batch = TransitionTable(sys, stack, layer)
+    batch.compute_region(CellSet.from_indices(stack, layer, cells))
+    alone = TransitionTable(sys, stack, layer)
+    for cell in cells:
+        alone.compute_region(CellSet.from_indices(stack, layer, cells[cells == cell]))
+    for u in range(sys.n_inputs):
+        np.testing.assert_array_equal(sorted_boxes(alone, u), sorted_boxes(batch, u))
 
 
 @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])

@@ -16,7 +16,8 @@ which covers the stages and the moves that the controller picks.
 A refactor must leave every value unchanged. A change that is meant to
 alter a result prints the new table with
 ``PYTHONPATH=src python tests/test_reference.py``, pastes it below and
-says why.
+says why.  Each printed row that differs from the pinned one ends with
+``# was <pinned value>``.
 """
 
 from __future__ import annotations
@@ -139,22 +140,22 @@ def problem(source):
 
 # fmt: off
 GOLDEN = {
-    ('random-safe-L2-s12', 'eager-safe'): ('208c7322197bd631', '88ed4d7f8961e5d6', 16, 'e8b019f585506687'),
+    ('random-safe-L2-s12', 'eager-safe'): ('35f034c9d5f052a2', '88ed4d7f8961e5d6', 16, '99520e1a572e690b'),
     ('random-safe-L2-s12', 'lazy-safe'): ('35f034c9d5f052a2', '88ed4d7f8961e5d6', 16, '237a72a8d42d33d5'),
     ('random-safe-L2-s12', 'single-layer'): ('cc55547165e51175', '88ed4d7f8961e5d6', 16, (234, 4, 4, 16)),
-    ('random-safe-L2-s43', 'eager-safe'): ('520ad049b522591c', 'e2802a6b5d794edb', 71, '24960bc1f0753b86'),
+    ('random-safe-L2-s43', 'eager-safe'): ('aa6055d615a4941a', 'e2802a6b5d794edb', 71, 'b8410fd89a02889a'),
     ('random-safe-L2-s43', 'lazy-safe'): ('aa6055d615a4941a', 'e2802a6b5d794edb', 71, '16c575637ba6fd66'),
     ('random-safe-L2-s43', 'single-layer'): ('f914aff2de2fa7f7', 'e2802a6b5d794edb', 71, (378, 7, 7, 71)),
-    ('random-safe-L2-s49', 'eager-safe'): ('3dcf9cc94cc6667f', 'd03225b5403bfd73', 32, '7ead75d170c4a860'),
+    ('random-safe-L2-s49', 'eager-safe'): ('7351221bb8cad544', 'd03225b5403bfd73', 32, '75bda7b4fab799e3'),
     ('random-safe-L2-s49', 'lazy-safe'): ('7351221bb8cad544', 'd03225b5403bfd73', 32, '87c37d0d4f89b293'),
     ('random-safe-L2-s49', 'single-layer'): ('0813b28dc1cd67cc', 'd03225b5403bfd73', 32, (104, 3, 3, 32)),
-    ('random-safe-L3-s12', 'eager-safe'): ('7275e3dfd4baafd3', '4ca1b742236909c2', 30, '051412b8fa8392d0'),
+    ('random-safe-L3-s12', 'eager-safe'): ('9323332735c38ba9', '4ca1b742236909c2', 30, '1cc49abdc11844e6'),
     ('random-safe-L3-s12', 'lazy-safe'): ('9323332735c38ba9', '4ca1b742236909c2', 30, '10d73b604d6f6420'),
     ('random-safe-L3-s12', 'single-layer'): ('6ad2c523b45dec06', 'f6f4635d49b150da', 27, (972, 7, 7, 27)),
-    ('random-safe-L3-s43', 'eager-safe'): ('b947f9fcce17aebe', '3792f1821318ee1d', 334, 'c6154bc6d2bf5e1a'),
+    ('random-safe-L3-s43', 'eager-safe'): ('70ad6e91db814cec', '3792f1821318ee1d', 334, '8cd8bdc0a0d17033'),
     ('random-safe-L3-s43', 'lazy-safe'): ('70ad6e91db814cec', '3792f1821318ee1d', 334, 'bf04e045b7aedc2c'),
     ('random-safe-L3-s43', 'single-layer'): ('314e7779df20b9d4', 'abc33a5f7eeea76d', 333, (1542, 12, 12, 333)),
-    ('random-safe-L3-s49', 'eager-safe'): ('ae2af68177e3ad9a', '1c33808d5f19f9ee', 140, '552fa2065dc81d6e'),
+    ('random-safe-L3-s49', 'eager-safe'): ('6995691242e3230b', '1c33808d5f19f9ee', 140, '5d6b5c319242c09f'),
     ('random-safe-L3-s49', 'lazy-safe'): ('6995691242e3230b', '1c33808d5f19f9ee', 140, 'aa31fb2e5fff8b38'),
     ('random-safe-L3-s49', 'single-layer'): ('f47b9a43e71bfd70', '1c33808d5f19f9ee', 140, (434, 7, 7, 140)),
     ('random-reach-avoid-L2-s2', 'eager-reach'): ('64031b6b34863dc5', 'f8699d28a2119b90', 11, '95fee03f7a288a58'),
@@ -175,7 +176,7 @@ GOLDEN = {
     ('random-reach-avoid-L3-s8', 'eager-reach'): ('f0f8d837bd783d7d', '9efccbe509a4de15', 112, '94d6fe58c13e2f85'),
     ('random-reach-avoid-L3-s8', 'lazy-reach'): ('f0f8d837bd783d7d', '9efccbe509a4de15', 112, 'd5aad0289de5fc78'),
     ('random-reach-avoid-L3-s8', 'single-layer'): ('ee7cd678e5ba64b4', '1c9766b59e1eebfc', 110, (1098, 4, 4, 57)),
-    ('dcdc-safe', 'eager-safe'): ('1994048dd6973d3e', 'd043bb071d846840', 5393, '93f36fba1b9e7940'),
+    ('dcdc-safe', 'eager-safe'): ('f591075200bd68b3', 'd043bb071d846840', 5393, 'fcf9d4a3a2786437'),
     ('dcdc-safe', 'lazy-safe'): ('f591075200bd68b3', 'd043bb071d846840', 5393, 'b907c32e7c0d5093'),
     ('dcdc-safe', 'single-layer'): ('c1cbf790a1390cef', '67eefbeadd989ebc', 5262, (12800, 32, 32, 5262)),
 }
@@ -223,14 +224,21 @@ def test_validation_matches_golden_reference(name, algorithm, source):
     assert got == VALIDATION[(name, algorithm)]
 
 
+def _row(key, value, pinned) -> str:
+    """One printed table row, marked with the pinned value it replaces."""
+    old = pinned.get(key)
+    mark = "" if old == value else f"  # was {old!r}"
+    return f"    {key!r}: {value!r},{mark}"
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name, algorithm, source in cases():
         value = fingerprint(_solved(name, algorithm, source)[2], algorithm)
-        print(f"    {(name, algorithm)!r}: {value!r},")
+        print(_row((name, algorithm), value, GOLDEN))
     print("}")
     print("VALIDATION = {")
     for name, algorithm, source in validation_cases():
         value = validation_digest(*_solved(name, algorithm, source))
-        print(f"    {(name, algorithm)!r}: {value!r},")
+        print(_row((name, algorithm), value, VALIDATION))
     print("}")

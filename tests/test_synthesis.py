@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SWEEP, chain_table, drift_system, random_problem, stationary_system
+from conftest import (
+    DCDC_SAFE,
+    SWEEP,
+    chain_table,
+    drift_system,
+    random_problem,
+    stationary_system,
+)
 from oracles import (
     attractor_oracle,
     cpre_oracle,
@@ -32,6 +39,8 @@ from layersynth import (
     upre_m,
     validate,
 )
+from layersynth.config import parse_config
+from layersynth.controller import serialize
 from layersynth.problem import REACH_AVOID, SAFETY
 
 
@@ -156,13 +165,13 @@ class TestUpre:
 class TestSafeStep:
     def test_empty_current(self):
         _, engine = self_loop_engine()
-        out = engine.safe_step(1, CellSet.empty(engine.stack, 1))
+        out, _ = engine.safe_step(1, CellSet.empty(engine.stack, 1))
         assert out.is_empty()
 
     def test_self_loop_immediate_fixed_point(self):
         _, engine = self_loop_engine()
         safe = engine.spec_sets.safe_at(1)
-        assert engine.safe_step(1, safe) == safe
+        assert engine.safe_step(1, safe)[0] == safe
 
     def test_two_state_examples(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [2.0])
@@ -170,13 +179,13 @@ class TestSafeStep:
         engine = SynthesisEngine(sys, stack, ProblemSpec(kind=SAFETY))
         engine.table(1).preload(0, [[0]])
         engine.table(1).preload(1, [[0, 1]])
-        assert engine.safe_step(1, cells(stack, 1, [0, 1])) == cells(stack, 1, [0, 1])
-        assert engine.safe_step(1, cells(stack, 1, [0])) == cells(stack, 1, [0])
+        assert engine.safe_step(1, cells(stack, 1, [0, 1]))[0] == cells(stack, 1, [0, 1])
+        assert engine.safe_step(1, cells(stack, 1, [0]))[0] == cells(stack, 1, [0])
 
 
 def one_level_safety(engine):
     """The safety game of a 1-level engine: (winning set, moves)."""
-    w, stages = engine.safe_iteration(lazy=False)
+    w, stages = engine.safe_iteration()
     return w, stage_moves(stages[0].cells, stages[0].moves) if stages else {}
 
 
@@ -266,7 +275,7 @@ class TestSafeIteration:
             sys, stack, spec = random_problem(seed + 40, kind=SAFETY, levels=1)
             engine = SynthesisEngine(sys, stack, spec)
             engine.populate_eager()
-            psi, stages = engine.safe_iteration(lazy=False)
+            psi, stages = engine.safe_iteration()
             safe = set(int(c) for c in engine.spec_sets.safe_at(1).indices())
             expect = safe_gfp_oracle(table_as_dict(engine.table(1)), safe)
             assert set(psi.indices().tolist()) == expect
@@ -278,7 +287,7 @@ class TestSafeIteration:
         sys = stationary_system(dim=2)
         stack = LayerStack(2, [1.0, 1.0], 0.5, [0, 0], [4.0, 4.0])
         engine = SynthesisEngine(sys, stack, ProblemSpec(kind=SAFETY))
-        psi, stages = engine.safe_iteration(lazy=True)
+        psi, stages = engine.safe_iteration()
         assert psi == engine.spec_sets.safe_at(1)
         assert {e["round"] for e in engine.stats.trace} == {1}
 
@@ -289,7 +298,7 @@ class TestSafeIteration:
         for seed in range(8):
             sys, stack, spec = random_problem(seed + 60, kind=SAFETY, levels=2)
             engine = SynthesisEngine(sys, stack, spec)
-            psi, stages = engine.safe_iteration(lazy=True)
+            psi, stages = engine.safe_iteration()
             trace = engine.stats.trace
             rounds = trace[-1]["round"]
             assert [(e["round"], e["layer"]) for e in trace] == [
@@ -420,17 +429,36 @@ def swept(kind, levels, seed):
     return sys, spec, results
 
 
+def dead_rows(mlc):
+    """How many stage cells of ``mlc`` act on no layer-1 cell."""
+    rows = sum(st.cells.size for st in mlc.stages)
+    return rows - np.unique(mlc._acting[mlc._acting >= 0]).size
+
+
 class TestLazyFrontierSweep:
     @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
     def test_lazy_wins_what_eager_wins(self, kind):
         # the lazy frontier may skip only transitions that cannot make
-        # progress, so it wins exactly the eager set; single-layer wins
-        # a subset of it (relative completeness)
+        # progress, so it wins exactly the eager set and writes the same
+        # controller; single-layer wins a subset of it (relative
+        # completeness); no controller keeps a stage cell that never acts
         for levels, seed in SWEEP:
-            eager, lazy, single = (r.winning for r in swept(kind, levels, seed)[2])
+            eager, lazy, single = swept(kind, levels, seed)[2]
             where = f"seed {seed}, L={levels}"
-            assert lazy == eager, f"lazy {lazy.count()} != eager {eager.count()}: {where}"
-            assert single.is_subset(eager), where
+            assert lazy.winning == eager.winning, (
+                f"lazy {lazy.winning.count()} != eager {eager.winning.count()}: {where}"
+            )
+            assert single.winning.is_subset(eager.winning), where
+            assert serialize(lazy.controller) == serialize(eager.controller), where
+            for result in (eager, lazy, single):
+                assert dead_rows(result.controller) == 0, where
+
+    def test_dcdc_safe_eager_and_lazy_write_the_same_controller(self):
+        config = parse_config(DCDC_SAFE)
+        problem = (config.build_system(), config.build_stack(), config.build_spec())
+        eager, lazy = (synthesize(*problem, a) for a in ("eager-safe", "lazy-safe"))
+        assert serialize(eager.controller) == serialize(lazy.controller)
+        assert dead_rows(eager.controller) == 0
 
     @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
     def test_every_controller_validates_without_violation(self, kind):
@@ -479,7 +507,7 @@ class TestStructuralInvariants:
         sys, stack, spec = random_problem(404, kind=SAFETY, levels=2)
         engine = SynthesisEngine(sys, stack, spec)
         engine.populate_eager()
-        psi, stages = engine.safe_iteration(lazy=False)
+        psi, stages = engine.safe_iteration()
         for st in stages:
             region = gamma_down(stack, psi, st.layer)
             for cell, moves in stage_moves(st.cells, st.moves).items():
