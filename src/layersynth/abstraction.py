@@ -13,9 +13,11 @@ exploration frontiers.  An auxiliary pair whose box leaves the region
 therefore keeps, for the cooperative predecessor only, its box clipped
 to the region: a finer cell inside the coarse cell may still reach
 those cells without leaving the region.  Entries are computed in
-vectorized batches on centers shared by all inputs and live in memory
-only, one box store per input.  A hand-built entry whose successors are
-not a box is preloaded as one unit box per successor.
+vectorized batches on centers shared by all inputs, integrated once per
+distinct value of the read coordinates (``ControlSystem.field_reads``),
+and live in memory only, one box store per input.  A hand-built entry
+whose successors are not a box is preloaded as one unit box per
+successor.
 """
 
 from __future__ import annotations

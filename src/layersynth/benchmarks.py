@@ -83,7 +83,8 @@ def unicycle(params: dict | None = None) -> ControlSystem:
     """Planar unicycle: position driven by speed and heading, heading by
     the turn rate.  Position channels carry the disturbance; the heading
     is exact.  Only the heading column of the growth matrix is non-zero,
-    bounded by the speed input.
+    bounded by the speed input.  The field reads the heading alone, so
+    cells that share a heading share their integration.
     """
     p = {
         "disturbance": [0.05, 0.05, 0.0],
@@ -121,6 +122,7 @@ def unicycle(params: dict | None = None) -> ControlSystem:
         inputs=inputs,
         growth_matrix=growth,
         name="unicycle",
+        field_reads=(2,),
     )
 
 

@@ -7,6 +7,15 @@ nominal dynamics from the box center together with a radius vector that
 obeys the linear growth dynamics ``r' = L(u) r + w``, where ``L(u)`` is a
 user-supplied growth matrix valid for the dynamics on the region of
 interest and ``w`` is the disturbance bound.
+
+A system may declare ``field_reads``, the state coordinates its nominal
+field reads.  Every output component must then depend on those
+coordinates only: a batch of states under one held input, such as the
+cell centers of a reach-box batch, is integrated once per distinct value
+of them, and each row adds its representative's RK4 increments.
+The rows end bit for bit where they would alone.  A declaration that
+leaves out a coordinate the field reads is unsound: rows that differ in
+that coordinate would move as their representative does.
 """
 
 from __future__ import annotations
@@ -40,6 +49,15 @@ class ControlSystem:
     ``growth_matrix(u)`` returns an ``n x n`` matrix with non-negative
     off-diagonal entries; it must bound the sensitivity of the nominal
     dynamics on the region where the system is abstracted.
+
+    ``field_reads`` names the state coordinates that every output
+    component of ``f`` depends on, under every input; ``None`` means all
+    of them.  States that agree bit for bit on those coordinates get
+    bit-identical derivatives, so :func:`integrate_nominal` integrates
+    each distinct value once and shares its increments.  Nothing checks
+    the claim: a coordinate the field reads but the declaration leaves
+    out makes reach boxes unsound.  A declaration of every
+    coordinate is stored as ``None``.
     """
 
     dim: int
@@ -48,10 +66,20 @@ class ControlSystem:
     inputs: Sequence[np.ndarray]
     growth_matrix: Callable[[np.ndarray], np.ndarray]
     name: str = field(default="system")
+    field_reads: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
+        if self.field_reads is not None:
+            reads = tuple(int(i) for i in self.field_reads)
+            in_range = all(0 <= i < self.dim for i in reads)
+            if not reads or not in_range or len(set(reads)) < len(reads):
+                raise ValueError(
+                    f"field_reads must name distinct coordinates in [0, {self.dim}), "
+                    f"got {self.field_reads!r}"
+                )
+            self.field_reads = None if len(reads) == self.dim else reads
         w = np.atleast_1d(np.asarray(self.disturbance, dtype=float))
         if w.shape != (self.dim,):
             raise ValueError(f"disturbance must have shape ({self.dim},)")
@@ -81,10 +109,14 @@ class ControlSystem:
         return len(self.inputs)
 
 
-def _rk4(deriv, y: np.ndarray, h, steps: int) -> np.ndarray:
+def _rk4(deriv, y: np.ndarray, h, steps: int, rows=None, of=None) -> np.ndarray:
     """``steps`` classic Runge-Kutta-4 steps of length ``h`` from ``y``.
 
-    ``h`` is a number, or per-row lengths of the shape of ``y``.
+    ``h`` is a number, or per-row lengths of the shape of ``y``.  With
+    ``rows`` ``(N, n)`` and ``of`` ``(N,)``, ``y`` holds representative
+    states and row ``i`` of ``rows`` shares the derivatives of ``y[of[i]]``:
+    each step adds that representative's increment to the row in place,
+    the same float addition the row's own step would make.
     """
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
@@ -92,7 +124,10 @@ def _rk4(deriv, y: np.ndarray, h, steps: int) -> np.ndarray:
         k2 = deriv(y + half * k1)
         k3 = deriv(y + half * k2)
         k4 = deriv(y + h * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        inc = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + inc
+        if rows is not None:
+            rows += inc[of]
     return y
 
 
@@ -125,13 +160,32 @@ def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.nda
 
 
 def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> np.ndarray:
-    """Endpoint of the nominal trajectory from ``x0`` under constant input."""
+    """Endpoint of the nominal trajectory from ``x0`` under constant input.
+
+    A batch ``(N, n)`` under one held input, of a system that declares
+    ``field_reads``, is integrated once per distinct bit pattern of the
+    read coordinates, from the first row that has it; every row adds its
+    representative's increments (:func:`_rk4`), so it ends bit for bit
+    where it would alone.
+    """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = _integrate(sys, np.array(x0, dtype=float), u, tau / substeps, substeps)
+    x = np.array(x0, dtype=float)
+    reads = sys.field_reads
+    if reads is None or x.ndim == 1 or u.ndim == 2:
+        x = _integrate(sys, x, u, tau / substeps, substeps)
+    else:
+        # Keys are bit patterns, so -0.0 and 0.0 stay apart; one column
+        # sorts as a flat array, several as rows.
+        keys = np.ascontiguousarray(x[:, reads]).view(np.int64)
+        _, first, of = np.unique(
+            keys[:, 0] if len(reads) == 1 else keys, axis=0,
+            return_index=True, return_inverse=True,
+        )
+        _rk4(sys.vector_field(u), x[first], tau / substeps, substeps, rows=x, of=of)
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergenceError(
             f"non-finite state while integrating from {np.asarray(x0)} with input {u}"
@@ -162,7 +216,9 @@ def reach_boxes(
 
     ``centers`` has shape ``(N, n)``; all cells share ``radius``, the
     :func:`radius_dynamics` endpoint from their half-width under ``u``.
-    Returns lower and upper corners of the over-approximating boxes.
+    Centers are integrated by :func:`integrate_nominal`, once per
+    distinct value of the system's ``field_reads``.  Returns lower and
+    upper corners of the over-approximating boxes.
     """
     c = integrate_nominal(sys, centers, u, tau, substeps)
     return c - radius, c + radius

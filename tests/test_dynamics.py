@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import drift_system, linear_system, stationary_system
+from conftest import UNICYCLE_LAZY, drift_system, linear_system, stationary_system
 from oracles import sample_disturbed_step_reference
 from layersynth import (
     ControlSystem,
     IntegrationDivergenceError,
+    SynthesisEngine,
     integrate_nominal,
+    parse_config,
     sample_disturbed_step,
 )
 from layersynth.dynamics import DISTURBANCE_SEGMENTS, radius_dynamics, reach_boxes
@@ -59,6 +61,15 @@ class TestControlSystemValidation:
         bad = np.array([[0.0, -1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="off-diagonal"):
             ControlSystem(2, s.vector_field, [0.0, 0.0], s.inputs, lambda u: bad)
+
+    @pytest.mark.parametrize("reads", [(), (3,), (-1,), (2, 2), (0, 2, 0)])
+    def test_rejects_bad_field_reads(self, reads):
+        with pytest.raises(ValueError, match="field_reads"):
+            dataclasses.replace(unicycle(), field_reads=reads)
+
+    @pytest.mark.parametrize("reads", [(0, 1, 2), (2, 0, 1)])
+    def test_declaring_every_coordinate_is_no_declaration(self, reads):
+        assert dataclasses.replace(unicycle(), field_reads=reads).field_reads is None
 
 
 class TestIntegrateNominal:
@@ -337,3 +348,103 @@ class TestNestedCellMonotonicity:
         rng = np.random.default_rng(8)
         for _ in range(200):
             self._check(sys, rng, width=0.2, tau=0.225)
+
+
+def same_bits(a, b):
+    """Equal float arrays, bit for bit: ``-0.0`` is not ``0.0``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFieldReads:
+    """A declared system integrates each distinct value of the coordinates
+    its field reads once; every row ends bit for bit where the generic
+    integration of every row ends."""
+
+    @pytest.mark.parametrize(
+        "params", [None, {"speeds": [0.3, 1.7], "turn_rates": [-0.7, 0.0, 0.25]}]
+    )
+    def test_unicycle_field_reads_only_the_heading(self, params):
+        sys = unicycle(params)
+        assert sys.field_reads == (2,)
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-3.2, 6.4, size=(40, 3))
+        moved = x.copy()
+        other = [i for i in range(sys.dim) if i not in sys.field_reads]
+        moved[:, other] = rng.uniform(-1e3, 1e3, size=(40, len(other)))
+        for u in sys.inputs:
+            f = sys.vector_field(u)
+            assert same_bits(f(x), f(moved))
+            assert same_bits(f(x[0]), f(moved[0]))
+        per_row = sys.vector_field(np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=40)])
+        assert same_bits(per_row(x), per_row(moved))
+
+    def _assert_shared_equals_generic(self, sys, centers, tau, substeps, half_width):
+        generic = dataclasses.replace(sys, field_reads=None)
+        assert generic.field_reads is None
+        for u in sys.inputs:
+            radius = radius_dynamics(sys, u, half_width, tau, substeps)
+            shared = reach_boxes(sys, centers, radius, u, tau, substeps)
+            alone = reach_boxes(generic, centers, radius, u, tau, substeps)
+            assert all(same_bits(a, b) for a, b in zip(shared, alone))
+
+    def test_every_cell_center_of_the_unicycle_lazy_stack(self):
+        config = parse_config(UNICYCLE_LAZY)
+        sys, stack = config.build_system(), config.build_stack()
+        for layer in range(1, stack.levels + 1):
+            centers = stack.centers(layer, np.arange(stack.cell_count(layer)))
+            self._assert_shared_equals_generic(
+                sys, centers, stack.tau(layer), 5 * 2 ** (layer - 1), 0.5 * stack.eta(layer)
+            )
+
+    def test_off_grid_centers_with_repeated_headings(self):
+        # both signed zeros among the headings
+        sys = unicycle()
+        rng = np.random.default_rng(22)
+        headings = np.concatenate([[0.0, -0.0], rng.uniform(-3.2, 3.2, size=5)])
+        centers = rng.uniform(0.0, 6.4, size=(300, 3))
+        centers[:, 2] = headings[rng.integers(headings.size, size=300)]
+        for tau, substeps in ((0.45, 5), (1.8, 20), (0.1, 1)):
+            self._assert_shared_equals_generic(sys, centers, tau, substeps, np.full(3, 0.1))
+
+    def test_one_row_batch(self):
+        sys = unicycle()
+        self._assert_shared_equals_generic(
+            sys, np.array([[1.3, 4.1, -0.7]]), 0.45, 5, np.full(3, 0.1)
+        )
+
+    def test_several_read_coordinates(self):
+        # keys are rows of two coordinates; the third is never read
+        def field(u):
+            return lambda x: np.stack(
+                [u[0] * np.sin(x[..., 1]) * x[..., 2], np.cos(x[..., 2]), 0.5 * x[..., 1]],
+                axis=-1,
+            )
+
+        sys = ControlSystem(
+            3, field, np.zeros(3), [np.array([0.5]), np.array([-1.0])],
+            lambda u: np.zeros((3, 3)), field_reads=(2, 1),
+        )
+        rng = np.random.default_rng(23)
+        pairs = rng.uniform(-1.0, 1.0, size=(6, 2))
+        centers = rng.uniform(-1.0, 1.0, size=(200, 3))
+        centers[:, 1:] = pairs[rng.integers(6, size=200)]
+        self._assert_shared_equals_generic(sys, centers, 0.3, 7, np.full(3, 0.05))
+
+    def test_lazy_reach_tables_store_the_generic_boxes(self):
+        config = parse_config(UNICYCLE_LAZY)
+        sys, stack, spec = config.build_system(), config.build_stack(), config.build_spec()
+        engines = [
+            SynthesisEngine(s, stack, spec, m=config.m, substeps=config.substeps)
+            for s in (sys, dataclasses.replace(sys, field_reads=None))
+        ]
+        (won, _), (won_generic, _) = (e.reach_iteration(lazy=True) for e in engines)
+        assert np.array_equal(won.bits, won_generic.bits)
+        shared, generic = engines
+        assert shared.aux.keys() == generic.aux.keys() and shared.aux
+        tables = list(zip(shared.main, generic.main))
+        tables += [(shared.aux[l], generic.aux[l]) for l in shared.aux]
+        for a, b in tables:
+            assert np.array_equal(a._explored, b._explored)
+            for u in range(sys.n_inputs):
+                assert all(np.array_equal(x, y) for x, y in zip(a.csr(u), b.csr(u)))
