@@ -13,18 +13,22 @@ exploration frontiers.  An auxiliary pair whose box leaves the region
 therefore keeps, for the cooperative predecessor only, its box clipped
 to the region: a finer cell inside the coarse cell may still reach
 those cells without leaving the region.  Entries are computed in
-vectorized batches on centers shared by all inputs, integrated once per
-distinct value of the read coordinates (``ControlSystem.field_reads``),
-and live in memory only, one box store per input.  A hand-built entry
-whose successors are not a box is preloaded as one unit box per
-successor.
+vectorized batches of cells, for all inputs at once, and live in memory
+only, one box store per input.  A batch factors per axis: cell centres
+are integrated once per distinct value of the read coordinates
+(``ControlSystem.field_reads``), and each axis the field does not read
+is integrated, snapped to the grid and tested against the region once
+per occurring (cell index on that axis, representative), in a small
+table; a cell gathers its corners and flags from those tables.  A
+hand-built entry whose successors are not a box is preloaded as one
+unit box per successor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ControlSystem, radius_dynamics, reach_boxes
+from .dynamics import ControlSystem, integrate_shared, radius_dynamics
 from .grid import CellSet, LayerMismatchError, LayerStack
 
 # Integer type of stored cell indices; LayerStack caps a grid's cell count at its maximum.
@@ -136,33 +140,69 @@ class TransitionTable:
         cells = np.flatnonzero(region.bits & ~self._explored)
         if not cells.size:
             return
-        centers = self.stack.centers(self.grid_layer, cells)
-        for u_idx, u in enumerate(self.sys.inputs):
-            self._store_boxes(u_idx, cells, *reach_boxes(
-                self.sys, centers, self._radius[u_idx], u, self.tau, self.substeps
-            ))
+        stack, gl, sys = self.stack, self.grid_layer, self.sys
+        dims = stack.dims(gl)
+        idx = stack.unlinearize(gl, cells)
+        reads = list(range(stack.dim) if sys.field_reads is None else sys.field_reads)
+        # A row's representative is the first row with its indices on the
+        # read axes: with no declaration, the row itself (the key is
+        # linearized like the grid, so it is the cell).  On axis ``a`` the
+        # row reads entry ``entry[i, a]`` of that axis's end values: its
+        # representative's on a read axis, its (index, representative)
+        # pair's on a free one.
+        key = np.ravel_multi_index(tuple(idx[:, reads].T), dims[reads], order="F")
+        _, first, of = np.unique(key, return_index=True, return_inverse=True)
+        entry = np.repeat(of[:, None], stack.dim, axis=1)
+        free = []
+        for a in range(stack.dim):
+            if a not in reads:
+                _, at, entry[:, a] = np.unique(
+                    of * dims[a] + idx[:, a], return_index=True, return_inverse=True
+                )
+                free.append((a, stack.centers(gl, cells[at])[:, a], of[at]))
+        ends, tables = integrate_shared(
+            sys, stack.centers(gl, cells[first]), sys.inputs, self.tau, self.substeps, free
+        )
+        # Per input, every axis's end values as one column, padded.
+        values = np.zeros((max([first.size] + [t.shape[1] for t in tables]), stack.dim))
+        flat = entry * stack.dim + np.arange(stack.dim)
+        for u_idx in range(sys.n_inputs):
+            values[: first.size, reads] = ends[u_idx][:, reads]
+            for (a, _, _), t in zip(free, tables):
+                values[: t.shape[1], a] = t[u_idx]
+            self._store_boxes(u_idx, cells, flat, values)
         self._explored[cells] = True
-        self.explored_count += cells.size * self.sys.n_inputs
+        self.explored_count += cells.size * sys.n_inputs
 
-    def _store_boxes(self, u_idx: int, cells: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Store the grid boxes of ``cells`` under input ``u_idx``.  A call
-        per input frees its temporaries before the next input runs."""
+    def _store_boxes(self, u_idx: int, cells: np.ndarray, flat: np.ndarray, c: np.ndarray) -> None:
+        """Store the grid boxes of ``cells`` under input ``u_idx``.
+
+        ``c`` holds per-axis end centres, one column per axis; row ``i``
+        of the batch reads the flat positions ``flat[i]`` of ``c``.  Each
+        value is snapped, floored and tested against the region on its
+        axis alone, and a row keeps the AND of its axes' flags.
+        """
         stack = self.stack
         gl = self.grid_layer
         dims = stack.dims(gl)
-        q_lo = stack.grid_coords(gl, lo)
-        q_hi = stack.grid_coords(gl, hi)
+        radius = self._radius[u_idx]
+        q_lo = stack.grid_coords(gl, c - radius)
+        q_hi = stack.grid_coords(gl, c + radius)
         floor_lo = np.floor(q_lo).astype(np.int64)
         floor_hi = np.floor(q_hi).astype(np.int64)
-        keep = np.all(q_lo >= 0.0, axis=1) & np.all(q_hi <= dims, axis=1)
+        # Bit 0: inside the region on this axis; bit 1 (aux): meets it.
+        # A row keeps its box if every axis sets bit 0, or every axis bit 1.
+        flags = ((q_lo >= 0.0) & (q_hi <= dims)).astype(np.uint8)
         if self.kind == "aux":
             # Boxes that leave the region but meet it, clipped, for the
             # cooperative predecessor.
-            keep |= np.all(floor_lo < dims, axis=1) & np.all(floor_hi >= 0, axis=1)
+            flags[(floor_lo < dims) & (floor_hi >= 0)] |= 2
+        keep = np.flatnonzero(np.bitwise_and.reduce(flags.take(flat), axis=1))
+        at = flat[keep]
         self._batches[u_idx].append((
             cells[keep].astype(_INDEX),
-            np.clip(floor_lo[keep], 0, dims - 1).astype(self._corner),
-            np.clip(floor_hi[keep], 0, dims - 1).astype(self._corner),
+            np.clip(floor_lo, 0, dims - 1).astype(self._corner).take(at),
+            np.clip(floor_hi, 0, dims - 1).astype(self._corner).take(at),
         ))
 
     # -- access ---------------------------------------------------------

@@ -7,7 +7,9 @@ per-layer stage domains as CSV, the serialized controller, ``stats.json``
 (exact counters) and ``timings.json`` (wall times of disjoint phases,
 plus their ``total``).  Degenerate outcomes (an empty winning set, a
 winning set that is the target alone with no stages, a validation that
-ran no trajectory) are flagged on stderr.
+ran no trajectory) are flagged on stderr; a synthesis also lists its
+flags (``empty-winning-set``, ``target-only``) in ``stats.json`` under
+``"flags"``.
 
 ``validate`` rejects bad ``--runs``, ``--horizon`` and ``--seed`` values
 before it loads the controller; a controller file that is missing,
@@ -36,6 +38,13 @@ from .config import ConfigError, ProblemConfig, load_config, parse_config, read_
 from .grid import CellSet, export_cellset_csv
 
 
+# Degenerate synthesis outcomes: ``stats.json`` flag -> stderr warning.
+_FLAGS = {
+    "empty-winning-set": "winning set is empty",
+    "target-only": "winning set is the target alone; no stages",
+}
+
+
 def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
     """Synthesize per the configuration and write all output files."""
     sys_ = config.build_system()
@@ -57,8 +66,15 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
         export_cellset_csv(stack, dom, out_dir / f"domain_layer{l}.csv")
     ctrl.save(result.controller, out_dir / "controller.mlc")
 
+    if result.winning.is_empty():
+        flags = ["empty-winning-set"]
+    elif not result.controller.stages:
+        flags = ["target-only"]
+    else:
+        flags = []
     stats = result.stats.to_dict()
     stats["config"] = config.to_dict()
+    stats["flags"] = flags
     stats["winning_layer1_cells"] = result.winning.count()
     stats["stages"] = [
         {"layer": s.layer, "stage": p, "cells": s.cells.size}
@@ -72,10 +88,8 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
     with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
         json.dump(timings, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if result.winning.is_empty():
-        print("warning: winning set is empty", file=sys.stderr)
-    elif not result.controller.stages:
-        print("warning: winning set is the target alone; no stages", file=sys.stderr)
+    for flag in flags:
+        print(f"warning: {_FLAGS[flag]}", file=sys.stderr)
     print(
         f"{config.algorithm}: winning layer-1 cells = {result.winning.count()}, "
         f"stages = {len(result.controller.stages)}, wall = {total:.2f}s"
@@ -181,11 +195,16 @@ def _stats_report(stats) -> Iterator[str]:
     longest = max(len(c) for c in columns.values())
     if type(levels) is not int or not 0 <= levels <= longest:
         raise ValueError(f"levels must be an integer from 0 to {longest}")
+    flags = stats.get("flags", [])
+    if not isinstance(flags, list) or not all(f in _FLAGS for f in flags):
+        raise ValueError(f"flags must be a list of {', '.join(_FLAGS)}")
     layers = range(1, levels + 1)
     stages = [f"  stage {s['stage']}: layer {s['layer']}, {s['cells']} cells"
               for s in stats.get("stages", [])]
     head = [f"layers: {levels}",
             f"layer-1 winning cells: {stats.get('winning_layer1_cells')}"]
+    if flags:
+        head.append(f"flags: {', '.join(flags)}")
     rows = (f"  layer {l}: " + " ".join(f"{n}={c[l - 1] if l <= len(c) else 0}"
                                        for n, c in columns.items()) for l in layers)
     return chain(head, rows, stages)

@@ -10,12 +10,19 @@ interest and ``w`` is the disturbance bound.
 
 A system may declare ``field_reads``, the state coordinates its nominal
 field reads.  Every output component must then depend on those
-coordinates only: a batch of states under one held input, such as the
-cell centers of a reach-box batch, is integrated once per distinct value
-of them, and each row adds its representative's RK4 increments.
-The rows end bit for bit where they would alone.  A declaration that
-leaves out a coordinate the field reads is unsound: rows that differ in
-that coordinate would move as their representative does.
+coordinates only, so a coordinate it does not read (a free axis) ends
+an RK4 step as its start value plus an increment that depends on the
+read coordinates alone.  :func:`integrate_shared` is the one integration
+core behind reach boxes: it integrates one representative state per
+distinct value of the read coordinates, and each free axis as a table
+of start values that add their representative's increments.  A free
+axis is thus integrated once per (start value, representative), under
+every input in one sweep that binds one input per row; a declaring
+system must bind one input per row exactly as it binds each held input.
+Every value ends bit for bit where a lone state's integration ends it.
+A declaration that leaves out a coordinate the field reads is unsound:
+states that differ in that coordinate would move as their
+representative does.
 """
 
 from __future__ import annotations
@@ -53,11 +60,14 @@ class ControlSystem:
     ``field_reads`` names the state coordinates that every output
     component of ``f`` depends on, under every input; ``None`` means all
     of them.  States that agree bit for bit on those coordinates get
-    bit-identical derivatives, so :func:`integrate_nominal` integrates
-    each distinct value once and shares its increments.  Nothing checks
-    the claim: a coordinate the field reads but the declaration leaves
-    out makes reach boxes unsound.  A declaration of every
-    coordinate is stored as ``None``.
+    bit-identical derivatives, so :func:`integrate_shared` integrates
+    each distinct value once, and a coordinate left out (a free axis)
+    once per (start value, representative).  A declaring system is
+    integrated under all its inputs in one sweep with one input bound
+    per row, so its per-row binding must compute every row bit for bit
+    as its held binding does.  Nothing checks either claim: a coordinate
+    the field reads but the declaration leaves out makes reach boxes
+    unsound.  A declaration of every coordinate is stored as ``None``.
     """
 
     dim: int
@@ -109,14 +119,14 @@ class ControlSystem:
         return len(self.inputs)
 
 
-def _rk4(deriv, y: np.ndarray, h, steps: int, rows=None, of=None) -> np.ndarray:
+def _rk4(deriv, y: np.ndarray, h, steps: int, tables=()) -> np.ndarray:
     """``steps`` classic Runge-Kutta-4 steps of length ``h`` from ``y``.
 
-    ``h`` is a number, or per-row lengths of the shape of ``y``.  With
-    ``rows`` ``(N, n)`` and ``of`` ``(N,)``, ``y`` holds representative
-    states and row ``i`` of ``rows`` shares the derivatives of ``y[of[i]]``:
-    each step adds that representative's increment to the row in place,
-    the same float addition the row's own step would make.
+    ``h`` is a number, or per-row lengths of the shape of ``y``.  Each
+    ``(table, at)`` of ``tables`` holds two arrays of one shape: every
+    step adds to ``table`` in place the increments at the flat positions
+    ``at`` of ``y``, the same float addition a state that shares those
+    derivatives makes on that coordinate.
     """
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
@@ -126,8 +136,8 @@ def _rk4(deriv, y: np.ndarray, h, steps: int, rows=None, of=None) -> np.ndarray:
         k4 = deriv(y + h * k3)
         inc = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y = y + inc
-        if rows is not None:
-            rows += inc[of]
+        for table, at in tables:
+            table += inc.take(at)
     return y
 
 
@@ -159,19 +169,68 @@ def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.nda
     return x
 
 
-def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> np.ndarray:
-    """Endpoint of the nominal trajectory from ``x0`` under constant input.
-
-    A batch ``(N, n)`` under one held input, of a system that declares
-    ``field_reads``, is integrated once per distinct bit pattern of the
-    read coordinates, from the first row that has it; every row adds its
-    representative's increments (:func:`_rk4`), so it ends bit for bit
-    where it would alone.
-    """
+def _check_period(tau: float, substeps: int) -> None:
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+
+
+def integrate_shared(sys: ControlSystem, reps, inputs, tau: float, substeps: int, free=()):
+    """Nominal endpoints of representative states under each held input,
+    and of the free-axis tables that share their increments.
+
+    ``reps`` ``(K, n)`` are states whose read coordinates
+    (``sys.field_reads``) differ.  Each item of ``free`` is
+    ``(axis, start, rep)``: a coordinate the field does not read, start
+    values ``(P,)`` on it, and the representative ``(P,)`` of each entry.
+    Entry ``p`` adds, at every RK4 step, the increment of
+    ``reps[rep[p]]`` on that axis, so it ends bit for bit where a state
+    that starts at ``start[p]`` on the axis, and agrees with
+    ``reps[rep[p]]`` on the read coordinates, ends on it.
+
+    A declaring system is integrated under every input in one sweep that
+    binds one input per row.  Any other system has no free axis and is
+    integrated under one held input at a time: its held field may round a
+    row unlike its per-row field (a batch matrix product, say).  Returns
+    ``(ends, tables)``: ``ends`` ``(len(inputs), K, n)`` and one
+    ``(len(inputs), P)`` table per item of ``free``.
+    """
+    _check_period(tau, substeps)
+    h = tau / substeps
+    us = np.stack([np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs])
+    reps = np.asarray(reps, dtype=float)
+    m, (k, n) = len(us), reps.shape
+    if sys.field_reads is None:
+        ends = np.empty((m, k, n))
+        for i, u in enumerate(us):
+            ends[i] = _rk4(sys.vector_field(u), reps, h, substeps)
+        tables = []
+    else:
+        # Input i's copy of representative r is row i * K + r of the sweep.
+        block = np.arange(m)[:, None] * k
+        tables = [np.tile(np.asarray(start, dtype=float), (m, 1)) for _, start, _ in free]
+        at = [(block + rep) * n + axis for axis, _, rep in free]
+        y = _rk4(sys.vector_field(np.repeat(us, k, axis=0)), np.tile(reps, (m, 1)), h, substeps,
+                 list(zip(tables, at)))
+        ends = y.reshape(m, k, n)
+    if not (np.all(np.isfinite(ends)) and all(np.all(np.isfinite(t)) for t in tables)):
+        raise IntegrationDivergenceError(
+            f"non-finite state while integrating {k} representative states"
+        )
+    return ends, tables
+
+
+def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> np.ndarray:
+    """Endpoint of the nominal trajectory from ``x0`` under constant input.
+
+    A batch ``(N, n)`` under one held input, of a system that declares
+    ``field_reads``, is the per-row view of :func:`integrate_shared`: one
+    representative per distinct bit pattern of the read coordinates, and
+    every row its own entry on each free axis.  Every row ends bit for bit
+    where it would alone.
+    """
+    _check_period(tau, substeps)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x = np.array(x0, dtype=float)
     reads = sys.field_reads
@@ -180,12 +239,19 @@ def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> n
     else:
         # Keys are bit patterns, so -0.0 and 0.0 stay apart; one column
         # sorts as a flat array, several as rows.
+        reads = list(reads)
         keys = np.ascontiguousarray(x[:, reads]).view(np.int64)
         _, first, of = np.unique(
             keys[:, 0] if len(reads) == 1 else keys, axis=0,
             return_index=True, return_inverse=True,
         )
-        _rk4(sys.vector_field(u), x[first], tau / substeps, substeps, rows=x, of=of)
+        free = [a for a in range(sys.dim) if a not in reads]
+        ends, tables = integrate_shared(
+            sys, x[first], [u], tau, substeps, [(a, x[:, a], of) for a in free]
+        )
+        x[:, reads] = ends[0][of][:, reads]
+        for a, t in zip(free, tables):
+            x[:, a] = t[0]
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergenceError(
             f"non-finite state while integrating from {np.asarray(x0)} with input {u}"
@@ -216,9 +282,10 @@ def reach_boxes(
 
     ``centers`` has shape ``(N, n)``; all cells share ``radius``, the
     :func:`radius_dynamics` endpoint from their half-width under ``u``.
-    Centers are integrated by :func:`integrate_nominal`, once per
-    distinct value of the system's ``field_reads``.  Returns lower and
-    upper corners of the over-approximating boxes.
+    This is the per-row view of the factored core
+    (:func:`integrate_shared`, through :func:`integrate_nominal`):
+    transition tables call the core directly, on per-axis tables.
+    Returns lower and upper corners of the over-approximating boxes.
     """
     c = integrate_nominal(sys, centers, u, tau, substeps)
     return c - radius, c + radius

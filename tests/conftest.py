@@ -51,6 +51,10 @@ UNICYCLE_LAZY = {
     "algorithm": "lazy-reach",
 }
 
+# Unicycle ``dynamics_params`` other than the defaults: other speeds, an
+# odd number of turn rates, zero among them.
+UNICYCLE_PARAMS = {"speeds": [0.3, 1.7], "turn_rates": [-0.7, 0.0, 0.25]}
+
 
 def stationary_system(dim: int = 2, n_inputs: int = 1) -> ControlSystem:
     """Zero dynamics, zero disturbance: every cell self-loops."""

@@ -54,6 +54,7 @@ def test_synthesize_validate_stats_round_trip(tmp_path, capsys):
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats["winning_layer1_cells"] == 5393
     assert sorted({s["layer"] for s in stats["stages"]}) == [1, 2, 3]
+    assert stats["flags"] == []
     captured = capsys.readouterr()
     assert "layer-1 winning cells: 5393" in captured.out
     assert "warning" not in captured.err
@@ -202,6 +203,23 @@ def test_target_only_winning_set_is_flagged(tmp_path, capsys):
     assert "warning: winning set is the target alone; no stages" in capsys.readouterr().err
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats["winning_layer1_cells"] == 2048 and stats["stages"] == []
+    assert stats["flags"] == ["target-only"]
+    assert cli.main(["stats", "--in", str(out)]) == 0
+    assert "flags: target-only" in capsys.readouterr().out
+
+
+def test_empty_winning_set_is_flagged(tmp_path, capsys):
+    # An obstacle over the whole region leaves no safe cell.
+    whole = {"lower": DCDC_SAFE["y_lower"], "upper": DCDC_SAFE["y_upper"]}
+    config = write_config(tmp_path, {**DCDC_SAFE, "obstacle_boxes": [whole]})
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="safe-set under-approximation is empty"):
+        assert cli.main(["synthesize", "--config", config, "--out", str(out)]) == 0
+    assert "warning: winning set is empty" in capsys.readouterr().err
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert stats["winning_layer1_cells"] == 0 and stats["flags"] == ["empty-winning-set"]
+    assert cli.main(["stats", "--in", str(out)]) == 0
+    assert "flags: empty-winning-set" in capsys.readouterr().out
 
 
 
@@ -264,9 +282,11 @@ def test_grid_of_another_dimension_than_the_state_exits_1(tmp_path, capsys):
     [b'{"levels": 3', b"[1, 2]", b'"stats"', b"\xff\xfe{}", b'{"levels": "x"}',
      b'{"levels": 2, "transitions_per_layer": 5}', b'{"levels": 1, "stages": [1]}',
      b'{"levels": 1000000000, "transitions_per_layer": [1, 2]}', b'{"levels": -1}',
-     b'{"levels": true, "cpre_evals": [1]}'],
+     b'{"levels": true, "cpre_evals": [1]}', b'{"levels": 0, "flags": "target-only"}',
+     b'{"levels": 0, "flags": ["unknown"]}', b'{"levels": 0, "flags": [[1]]}'],
     ids=["not-json", "list", "string", "not-utf8", "string-levels", "number-counters",
-         "number-stage", "levels-past-counters", "negative-levels", "bool-levels"],
+         "number-stage", "levels-past-counters", "negative-levels", "bool-levels",
+         "string-flags", "unknown-flag", "list-flag"],
 )
 def test_unreadable_stats_file_exits_1(tmp_path, capsys, content):
     # rejected before a line is made, so the command below cannot print on

@@ -364,6 +364,16 @@ def test_unicycle_workload_validates_like_the_oracle():
     assert validate(*args).to_dict() == validate_oracle(*args).to_dict()
 
 
+@pytest.mark.parametrize("name, runs, horizon", [("unicycle-lazy", 200, 200), ("dcdc-safe", 30, 100)])
+def test_workload_controllers_hold_under_finer_substeps(name, runs, horizon):
+    # The closed loop integrates with four times the substeps the reach
+    # boxes were computed with, so it checks the boxes' integration too.
+    sys_, spec, mlc, substeps = workload(name)
+    report = validate(mlc, sys_, spec, runs, horizon, 11, substeps_base=4 * substeps)
+    assert report.executed == runs
+    assert report.violations == 0
+
+
 @pytest.mark.parametrize("name, runs, horizon", [("unicycle-lazy", 48, 200), ("dcdc-safe", 12, 40)])
 def test_closed_loop_rows_step_as_they_would_alone(name, runs, horizon):
     # Any subset of runs, in any row order, steps as it does in the

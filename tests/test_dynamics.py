@@ -1,15 +1,19 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import UNICYCLE_LAZY, drift_system, linear_system, stationary_system
+from conftest import UNICYCLE_LAZY, UNICYCLE_PARAMS, drift_system, linear_system, stationary_system
 from oracles import sample_disturbed_step_reference
 from layersynth import (
     ControlSystem,
     IntegrationDivergenceError,
+    CellSet,
+    LayerStack,
     SynthesisEngine,
+    TransitionTable,
     integrate_nominal,
     parse_config,
     sample_disturbed_step,
@@ -281,13 +285,20 @@ class TestBoundFields:
             sys.vector_field(np.array([bad]))
 
     def test_unicycle_per_row_field_matches_held_inputs(self):
-        sys = unicycle()
+        # Bit for bit, on every input: reach boxes integrate all inputs in
+        # one sweep that binds one input per row.
         rng = np.random.default_rng(4)
-        x = rng.uniform(-3.0, 3.0, size=(20, 3))
-        u = np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=20)]
-        batch = sys.vector_field(u)(x)
-        for i in range(20):
-            assert np.array_equal(batch[i], sys.vector_field(u[i])(x[i]))
+        for params in (None, UNICYCLE_PARAMS):
+            sys = unicycle(params)
+            x = rng.uniform(-3.0, 3.0, size=(20 * sys.n_inputs, 3))
+            x[::7, 2] = -0.0
+            u = np.repeat(np.stack(sys.inputs), 20, axis=0)
+            batch = sys.vector_field(u)(x)
+            for k, held in enumerate(sys.inputs):
+                rows = slice(20 * k, 20 * (k + 1))
+                assert same_bits(batch[rows], sys.vector_field(held)(x[rows]))
+            for i in range(0, len(x), 3):
+                assert same_bits(batch[i], sys.vector_field(u[i])(x[i]))
 
 
 def _containment_trial(sys, lower, upper, tau, seeds, points, rng):
@@ -361,9 +372,7 @@ class TestFieldReads:
     its field reads once; every row ends bit for bit where the generic
     integration of every row ends."""
 
-    @pytest.mark.parametrize(
-        "params", [None, {"speeds": [0.3, 1.7], "turn_rates": [-0.7, 0.0, 0.25]}]
-    )
+    @pytest.mark.parametrize("params", [None, UNICYCLE_PARAMS])
     def test_unicycle_field_reads_only_the_heading(self, params):
         sys = unicycle(params)
         assert sys.field_reads == (2,)
@@ -417,7 +426,7 @@ class TestFieldReads:
         # keys are rows of two coordinates; the third is never read
         def field(u):
             return lambda x: np.stack(
-                [u[0] * np.sin(x[..., 1]) * x[..., 2], np.cos(x[..., 2]), 0.5 * x[..., 1]],
+                [u[..., 0] * np.sin(x[..., 1]) * x[..., 2], np.cos(x[..., 2]), 0.5 * x[..., 1]],
                 axis=-1,
             )
 
@@ -425,26 +434,64 @@ class TestFieldReads:
             3, field, np.zeros(3), [np.array([0.5]), np.array([-1.0])],
             lambda u: np.zeros((3, 3)), field_reads=(2, 1),
         )
+        generic = dataclasses.replace(sys, field_reads=None)
         rng = np.random.default_rng(23)
         pairs = rng.uniform(-1.0, 1.0, size=(6, 2))
         centers = rng.uniform(-1.0, 1.0, size=(200, 3))
         centers[:, 1:] = pairs[rng.integers(6, size=200)]
         self._assert_shared_equals_generic(sys, centers, 0.3, 7, np.full(3, 0.05))
+        # transition tables key cells by their indices on both read axes
+        stack = LayerStack(2, [0.25, 0.5, 0.5], 0.3, [-1.0] * 3, [1.0] * 3)
+        for layer, kind in itertools.product((1, 2), ("main", "aux")):
+            a, b = (TransitionTable(s, stack, layer, kind, 7) for s in (sys, generic))
+            for table in (a, b):
+                table.compute_region(CellSet.full(stack, table.grid_layer))
+            assert_same_tables(a, b)
 
     def test_lazy_reach_tables_store_the_generic_boxes(self):
+        # Lazy and eager reach, under the default and other dynamics
+        # params: every table equals the undeclared system's, in storage
+        # order, explored bits included.
+        for params in (None, UNICYCLE_PARAMS):
+            config = parse_config({**UNICYCLE_LAZY, "dynamics_params": params})
+            sys, stack, spec = config.build_system(), config.build_stack(), config.build_spec()
+            for lazy in (True, False):
+                engines = [
+                    SynthesisEngine(s, stack, spec, m=config.m, substeps=config.substeps)
+                    for s in (sys, dataclasses.replace(sys, field_reads=None))
+                ]
+                (won, _), (won_generic, _) = (e.reach_iteration(lazy=lazy) for e in engines)
+                assert np.array_equal(won.bits, won_generic.bits)
+                shared, generic = engines
+                # only lazy runs build aux tables
+                assert shared.aux.keys() == generic.aux.keys()
+                assert bool(shared.aux) == lazy
+                tables = list(zip(shared.main, generic.main))
+                tables += [(shared.aux[l], generic.aux[l]) for l in shared.aux]
+                for a, b in tables:
+                    assert_same_tables(a, b)
+        # One-cell calls, and batches smaller than one free axis's table
+        # (a layer-1 axis has 32 cells), on every main and aux table.
         config = parse_config(UNICYCLE_LAZY)
-        sys, stack, spec = config.build_system(), config.build_stack(), config.build_spec()
-        engines = [
-            SynthesisEngine(s, stack, spec, m=config.m, substeps=config.substeps)
-            for s in (sys, dataclasses.replace(sys, field_reads=None))
-        ]
-        (won, _), (won_generic, _) = (e.reach_iteration(lazy=True) for e in engines)
-        assert np.array_equal(won.bits, won_generic.bits)
-        shared, generic = engines
-        assert shared.aux.keys() == generic.aux.keys() and shared.aux
-        tables = list(zip(shared.main, generic.main))
-        tables += [(shared.aux[l], generic.aux[l]) for l in shared.aux]
-        for a, b in tables:
-            assert np.array_equal(a._explored, b._explored)
-            for u in range(sys.n_inputs):
-                assert all(np.array_equal(x, y) for x, y in zip(a.csr(u), b.csr(u)))
+        sys, stack = config.build_system(), config.build_stack()
+        generic = dataclasses.replace(sys, field_reads=None)
+        rng = np.random.default_rng(24)
+        for layer in range(1, stack.levels + 1):
+            for kind in ("main", "aux"):
+                a, b = (TransitionTable(s, stack, layer, kind, config.substeps) for s in (sys, generic))
+                cells = rng.permutation(a.n_cells)[:40]
+                batches = [cells[i : i + 1] for i in range(5)] + [cells[5:8], cells[8:40]]
+                for batch in batches:
+                    region = CellSet.from_indices(stack, a.grid_layer, batch)
+                    a.compute_region(region)
+                    b.compute_region(region)
+                    assert_same_tables(a, b)
+
+
+def assert_same_tables(a, b):
+    """Equal explored bits, and every input's boxes equal in storage order."""
+    assert np.array_equal(a._explored, b._explored)
+    assert a.explored_count == b.explored_count
+    for u in range(a.sys.n_inputs):
+        for x, y in zip(a.csr(u), b.csr(u)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)

@@ -1,8 +1,9 @@
 """Sampled soundness of the stored reach boxes.
 
 Random (cell, input) pairs are explored on every layer's main and
-auxiliary table of the shipped dcdc-desk config and of the unicycle-lazy
-workload.  Start states are sampled in each cell, its corners included,
+auxiliary table of the shipped dcdc-desk config, of the unicycle-lazy
+workload under its default and other dynamics params, and of a 2-layer
+and a 3-layer random problem of the sweep.  Start states are sampled in each cell, its corners included,
 and stepped over one period under unit disturbance draws: random ones,
 and every corner of the disturbance box held constant.  Integration uses
 four times the table's substeps.
@@ -20,7 +21,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import UNICYCLE_LAZY
+from conftest import SWEEP, UNICYCLE_LAZY, UNICYCLE_PARAMS, random_problem
 from layersynth import CellSet, TransitionTable, default_config, parse_config
 from layersynth.dynamics import DISTURBANCE_SEGMENTS, reach_boxes, sample_disturbed_step
 
@@ -96,17 +97,36 @@ def check_table(sys, stack, table, cells, rng):
     return boxed
 
 
-@pytest.mark.parametrize(
-    "doc, per_table",
-    [(default_config("dcdc-desk"), 24), (UNICYCLE_LAZY, 6)],
-    ids=["dcdc-desk", "unicycle-lazy"],
-)
-def test_sampled_end_states_lie_in_stored_boxes(doc, per_table):
+def _config(doc):
     config = parse_config(doc)
-    sys, stack = config.build_system(), config.build_stack()
+    return config.build_system(), config.build_stack(), config.substeps
+
+
+def _swept(levels):
+    """The sweep's first random problem with ``levels`` layers."""
+    seed = next(s for l, s in SWEEP if l == levels)
+    return random_problem(seed, levels=levels)[:2] + (5,)
+
+
+# name -> (system, stack and substeps, pairs drawn per table)
+INSTANCES = {
+    "dcdc-desk": (lambda: _config(default_config("dcdc-desk")), 24),
+    "unicycle-lazy": (lambda: _config(UNICYCLE_LAZY), 6),
+    "unicycle-params": (
+        lambda: _config({**UNICYCLE_LAZY, "dynamics_params": UNICYCLE_PARAMS}), 6
+    ),
+    "sweep-2-layers": (lambda: _swept(2), 24),
+    "sweep-3-layers": (lambda: _swept(3), 24),
+}
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_sampled_end_states_lie_in_stored_boxes(name):
+    build, per_table = INSTANCES[name]
+    sys, stack, substeps = build()
     rng = np.random.default_rng(17)
     for layer in range(1, stack.levels + 1):
         for kind in ("main", "aux"):
-            table = TransitionTable(sys, stack, layer, kind, config.substeps)
-            cells = rng.choice(table.n_cells, size=per_table, replace=False)
+            table = TransitionTable(sys, stack, layer, kind, substeps)
+            cells = rng.choice(table.n_cells, size=min(per_table, table.n_cells), replace=False)
             assert check_table(sys, stack, table, cells, rng) > 0
