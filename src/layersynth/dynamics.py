@@ -12,15 +12,15 @@ A system may declare ``field_reads``, the state coordinates its nominal
 field reads.  Every output component must then depend on those
 coordinates only, so a coordinate it does not read (a free axis) ends
 an RK4 step as its start value plus an increment that depends on the
-read coordinates alone.  :func:`integrate_shared` is the one integration
-core behind reach boxes: it integrates one representative state per
-distinct value of the read coordinates, and each free axis as a table
-of start values that add their representative's increments.  A free
-axis is thus integrated once per (start value, representative), under
-every input in one sweep that binds one input per row; a declaring
-system must bind one input per row exactly as it binds each held input.
-Every value ends bit for bit where a lone state's integration ends it.
-A declaration that leaves out a coordinate the field reads is unsound:
+read coordinates alone.  :func:`integrate_shared`, the integration core
+of transition tables, integrates one representative state per distinct
+value of the read coordinates, and each free axis as a table of start
+values that add their representative's increments: a free axis is
+integrated once per (start value, representative).  A declaring system
+runs all its inputs in one sweep that binds one input per row, so it
+must bind one input per row exactly as it binds each held input.  Every
+value ends bit for bit where a lone state's integration ends it.  A
+declaration that leaves out a coordinate the field reads is unsound:
 states that differ in that coordinate would move as their
 representative does.
 """
@@ -65,9 +65,11 @@ class ControlSystem:
     once per (start value, representative).  A declaring system is
     integrated under all its inputs in one sweep with one input bound
     per row, so its per-row binding must compute every row bit for bit
-    as its held binding does.  Nothing checks either claim: a coordinate
-    the field reads but the declaration leaves out makes reach boxes
-    unsound.  A declaration of every coordinate is stored as ``None``.
+    as its held binding does; construction checks this on a probe batch
+    and raises ``ValueError`` if it fails.  Nothing checks the
+    declaration itself: a coordinate the field reads but the declaration
+    leaves out makes reach boxes unsound.  A declaration of every
+    coordinate is stored as ``None``.
     """
 
     dim: int
@@ -113,6 +115,24 @@ class ControlSystem:
             off = L - np.diag(np.diag(L))
             if np.any(off < 0.0):
                 raise ValueError("growth matrix off-diagonal entries must be >= 0")
+        if self.field_reads is not None:
+            # integrate_shared sweeps all inputs with one input bound per
+            # row: row i of a probe batch under per-row binding must equal,
+            # bit for bit, that row of the batch under held input i.  The
+            # probe states are irregular values in [-1, 1].
+            us = np.stack(inputs)
+            probe = np.sin(np.arange(1, len(us) * self.dim + 1.0)).reshape(len(us), self.dim)
+            per_row = np.asarray(self.vector_field(us)(probe), dtype=float)
+            held = np.stack([
+                np.asarray(self.vector_field(u)(probe), dtype=float)[i] for i, u in enumerate(us)
+            ])
+            if per_row.shape != held.shape or not np.array_equal(
+                per_row.view(np.int64), held.view(np.int64)
+            ):
+                raise ValueError(
+                    "a system that declares field_reads must bind one input per row "
+                    "bit for bit as it binds each held input"
+                )
 
     @property
     def n_inputs(self) -> int:
@@ -222,36 +242,10 @@ def integrate_shared(sys: ControlSystem, reps, inputs, tau: float, substeps: int
 
 
 def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> np.ndarray:
-    """Endpoint of the nominal trajectory from ``x0`` under constant input.
-
-    A batch ``(N, n)`` under one held input, of a system that declares
-    ``field_reads``, is the per-row view of :func:`integrate_shared`: one
-    representative per distinct bit pattern of the read coordinates, and
-    every row its own entry on each free axis.  Every row ends bit for bit
-    where it would alone.
-    """
+    """Endpoint of the nominal trajectory from ``x0`` under constant input."""
     _check_period(tau, substeps)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = np.array(x0, dtype=float)
-    reads = sys.field_reads
-    if reads is None or x.ndim == 1 or u.ndim == 2:
-        x = _integrate(sys, x, u, tau / substeps, substeps)
-    else:
-        # Keys are bit patterns, so -0.0 and 0.0 stay apart; one column
-        # sorts as a flat array, several as rows.
-        reads = list(reads)
-        keys = np.ascontiguousarray(x[:, reads]).view(np.int64)
-        _, first, of = np.unique(
-            keys[:, 0] if len(reads) == 1 else keys, axis=0,
-            return_index=True, return_inverse=True,
-        )
-        free = [a for a in range(sys.dim) if a not in reads]
-        ends, tables = integrate_shared(
-            sys, x[first], [u], tau, substeps, [(a, x[:, a], of) for a in free]
-        )
-        x[:, reads] = ends[0][of][:, reads]
-        for a, t in zip(free, tables):
-            x[:, a] = t[0]
+    x = _integrate(sys, np.array(x0, dtype=float), u, tau / substeps, substeps)
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergenceError(
             f"non-finite state while integrating from {np.asarray(x0)} with input {u}"
@@ -282,9 +276,10 @@ def reach_boxes(
 
     ``centers`` has shape ``(N, n)``; all cells share ``radius``, the
     :func:`radius_dynamics` endpoint from their half-width under ``u``.
-    This is the per-row view of the factored core
-    (:func:`integrate_shared`, through :func:`integrate_nominal`):
-    transition tables call the core directly, on per-axis tables.
+    This is the per-row view of the factored core: every center is
+    integrated on its own (:func:`integrate_nominal`), and transition
+    tables get the same boxes from :func:`integrate_shared`, which
+    shares each representative's increments across cells.
     Returns lower and upper corners of the over-approximating boxes.
     """
     c = integrate_nominal(sys, centers, u, tau, substeps)

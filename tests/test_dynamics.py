@@ -18,7 +18,9 @@ from layersynth import (
     parse_config,
     sample_disturbed_step,
 )
-from layersynth.dynamics import DISTURBANCE_SEGMENTS, radius_dynamics, reach_boxes
+from layersynth.dynamics import (
+    DISTURBANCE_SEGMENTS, integrate_shared, radius_dynamics, reach_boxes,
+)
 from layersynth.benchmarks import dcdc, unicycle
 
 
@@ -369,8 +371,9 @@ def same_bits(a, b):
 
 class TestFieldReads:
     """A declared system integrates each distinct value of the coordinates
-    its field reads once; every row ends bit for bit where the generic
-    integration of every row ends."""
+    its field reads once, and each free axis once per (start value,
+    representative); every state ends bit for bit where its own
+    integration ends it."""
 
     @pytest.mark.parametrize("params", [None, UNICYCLE_PARAMS])
     def test_unicycle_field_reads_only_the_heading(self, params):
@@ -388,23 +391,29 @@ class TestFieldReads:
         per_row = sys.vector_field(np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=40)])
         assert same_bits(per_row(x), per_row(moved))
 
-    def _assert_shared_equals_generic(self, sys, centers, tau, substeps, half_width):
-        generic = dataclasses.replace(sys, field_reads=None)
-        assert generic.field_reads is None
-        for u in sys.inputs:
-            radius = radius_dynamics(sys, u, half_width, tau, substeps)
-            shared = reach_boxes(sys, centers, radius, u, tau, substeps)
-            alone = reach_boxes(generic, centers, radius, u, tau, substeps)
-            assert all(same_bits(a, b) for a, b in zip(shared, alone))
+    def _assert_shared_ends_alone(self, sys, states, tau, substeps):
+        # Representatives keyed by the bit patterns of the read
+        # coordinates, so -0.0 and 0.0 stay apart; every state is its own
+        # entry on each free axis.
+        reads = list(sys.field_reads)
+        keys = np.ascontiguousarray(states[:, reads]).view(np.int64)
+        _, first, of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        of = of.reshape(-1)
+        free = [(a, states[:, a], of) for a in range(sys.dim) if a not in reads]
+        ends, tables = integrate_shared(sys, states[first], sys.inputs, tau, substeps, free)
+        assert first.size < len(states) or len(states) == 1
+        for i, u in enumerate(sys.inputs):
+            alone = integrate_nominal(sys, states, u, tau, substeps)
+            assert same_bits(ends[i][of][:, reads], alone[:, reads])
+            for (a, _, _), t in zip(free, tables):
+                assert same_bits(t[i], alone[:, a])
 
     def test_every_cell_center_of_the_unicycle_lazy_stack(self):
         config = parse_config(UNICYCLE_LAZY)
         sys, stack = config.build_system(), config.build_stack()
         for layer in range(1, stack.levels + 1):
             centers = stack.centers(layer, np.arange(stack.cell_count(layer)))
-            self._assert_shared_equals_generic(
-                sys, centers, stack.tau(layer), 5 * 2 ** (layer - 1), 0.5 * stack.eta(layer)
-            )
+            self._assert_shared_ends_alone(sys, centers, stack.tau(layer), 5 * 2 ** (layer - 1))
 
     def test_off_grid_centers_with_repeated_headings(self):
         # both signed zeros among the headings
@@ -414,13 +423,11 @@ class TestFieldReads:
         centers = rng.uniform(0.0, 6.4, size=(300, 3))
         centers[:, 2] = headings[rng.integers(headings.size, size=300)]
         for tau, substeps in ((0.45, 5), (1.8, 20), (0.1, 1)):
-            self._assert_shared_equals_generic(sys, centers, tau, substeps, np.full(3, 0.1))
+            self._assert_shared_ends_alone(sys, centers, tau, substeps)
 
     def test_one_row_batch(self):
         sys = unicycle()
-        self._assert_shared_equals_generic(
-            sys, np.array([[1.3, 4.1, -0.7]]), 0.45, 5, np.full(3, 0.1)
-        )
+        self._assert_shared_ends_alone(sys, np.array([[1.3, 4.1, -0.7]]), 0.45, 5)
 
     def test_several_read_coordinates(self):
         # keys are rows of two coordinates; the third is never read
@@ -439,7 +446,7 @@ class TestFieldReads:
         pairs = rng.uniform(-1.0, 1.0, size=(6, 2))
         centers = rng.uniform(-1.0, 1.0, size=(200, 3))
         centers[:, 1:] = pairs[rng.integers(6, size=200)]
-        self._assert_shared_equals_generic(sys, centers, 0.3, 7, np.full(3, 0.05))
+        self._assert_shared_ends_alone(sys, centers, 0.3, 7)
         # transition tables key cells by their indices on both read axes
         stack = LayerStack(2, [0.25, 0.5, 0.5], 0.3, [-1.0] * 3, [1.0] * 3)
         for layer, kind in itertools.product((1, 2), ("main", "aux")):
@@ -447,6 +454,20 @@ class TestFieldReads:
             for table in (a, b):
                 table.compute_region(CellSet.full(stack, table.grid_layer))
             assert_same_tables(a, b)
+
+    def test_rejects_a_per_row_binding_unlike_held_inputs(self):
+        # ``u[0]`` applies the first row's input to every row of a per-row
+        # binding; the undeclared system is never swept, so it is accepted.
+        def field(u):
+            return lambda x: np.stack(
+                [u[0] * np.cos(x[..., 2]), u[0] * np.sin(x[..., 2]), np.zeros_like(x[..., 2])],
+                axis=-1,
+            )
+
+        args = (3, field, np.zeros(3), [np.array([0.5]), np.array([-1.0])], lambda u: np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="one input per row"):
+            ControlSystem(*args, field_reads=(2,))
+        assert ControlSystem(*args).field_reads is None
 
     def test_lazy_reach_tables_store_the_generic_boxes(self):
         # Lazy and eager reach, under the default and other dynamics
