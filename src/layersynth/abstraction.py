@@ -12,16 +12,21 @@ period with the coarsest grid and are used only to over-approximate
 exploration frontiers.  An auxiliary pair whose box leaves the region
 therefore keeps, for the cooperative predecessor only, its box clipped
 to the region: a finer cell inside the coarse cell may still reach
-those cells without leaving the region.  Entries are computed in
-vectorized batches of cells, for all inputs at once, and live in memory
-only, one box store per input.  A batch factors per axis: cell centres
-are integrated once per distinct value of the read coordinates
-(``ControlSystem.field_reads``), and each axis the field does not read
-is integrated, snapped to the grid and tested against the region once
-per occurring (cell index on that axis, representative), in a small
-table; a cell gathers its corners and flags from those tables.  A
-hand-built entry whose successors are not a box is preloaded as one
-unit box per successor.
+those cells without leaving the region.
+
+Entries are computed in vectorized batches of cells, for all inputs at
+once, and live in memory only, in one box store per table.  Each stored
+box is keyed by ``input * n_cells + cell``, so one batch appends the
+boxes of every input at once, and the solvers read every input's boxes
+in one pass over the store (:meth:`TransitionTable.store`), block by
+block.  :meth:`TransitionTable.csr` selects one input's boxes from it.
+A batch factors per axis: cell centres are integrated once per distinct
+value of the read coordinates (``ControlSystem.field_reads``), and each
+axis the field does not read is integrated, snapped to the grid and
+tested against the region once per occurring (cell index on that axis,
+representative), in a small table; a cell gathers its corners and flags
+from those tables.  A hand-built entry whose successors are not a box is
+preloaded as one unit box per successor.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ class TransitionTable:
     (period of ``layer`` on the coarsest grid).  A computed entry is one
     box of cells, stored as its inclusive corner indices in the
     smallest signed integer type that holds the grid's largest axis; a
-    preloaded entry is one unit box per successor.  ``_explored`` has
+    preloaded entry is one unit box per successor.  Every input's boxes
+    share one store, keyed by ``input * n_cells + cell`` (``int32``
+    when every key fits, else ``int64``).  ``_explored`` has
     one bit per cell, set once the cell's entries for every input are
     stored; ``explored_count`` counts the explored pairs.  Stored
     entries are immutable; re-computation requests are no-ops.
@@ -88,21 +95,23 @@ class TransitionTable:
         n_inputs = sys.n_inputs
         self.n_cells = n_cells
         self._explored = np.zeros(n_cells, dtype=bool)
-        # Boxes per input, in the order they were stored; ``_batches``
-        # holds the (cells, lo, hi) batches not yet merged into ``_boxes``.
+        # Every input's boxes, keyed by ``input * n_cells + cell``, in the
+        # order they were stored; ``_batches`` holds the (keys, lo, hi)
+        # batches not yet merged into ``_store``.
+        fits = n_inputs * n_cells <= np.iinfo(np.int32).max
+        self._key = np.dtype(np.int32 if fits else np.int64)
         self._corner = _corner_dtype(stack.dims(self.grid_layer))
-        self._batches: list[list[tuple]] = [[] for _ in range(n_inputs)]
-        empty = (
-            np.empty(0, dtype=_INDEX),
+        self._batches: list[tuple] = []
+        self._store = (
+            np.empty(0, dtype=self._key),
             np.empty((0, stack.dim), dtype=self._corner),
             np.empty((0, stack.dim), dtype=self._corner),
         )
-        self._boxes: list[tuple] = [empty] * n_inputs
-        # Growth-bound radius of a grid cell, per input.
+        # Growth-bound radius of a grid cell, one row per input.
         half_width = 0.5 * stack.eta(self.grid_layer)
-        self._radius = [
+        self._radius = np.stack([
             radius_dynamics(sys, u, half_width, self.tau, self.substeps) for u in sys.inputs
-        ]
+        ])
         self.explored_count = 0
 
     # -- population ----------------------------------------------------
@@ -123,10 +132,12 @@ class TransitionTable:
         succs = [None if s is None else np.unique(np.asarray(s, dtype=_INDEX)) for s in succs]
         if any(s is not None and s.size == 0 for s in succs):
             raise ValueError("computed entries must have at least one successor")
-        for u_idx, arr in enumerate(succs):
-            if arr is not None:
-                idx = self.stack.unlinearize(self.grid_layer, arr).astype(self._corner)
-                self._batches[u_idx].append((np.full(arr.size, cell, dtype=_INDEX), idx, idx))
+        boxed = [(u_idx, arr) for u_idx, arr in enumerate(succs) if arr is not None]
+        if boxed:
+            keys = [np.full(arr.size, u_idx * self.n_cells + cell) for u_idx, arr in boxed]
+            succ = np.concatenate([arr for _, arr in boxed])
+            idx = self.stack.unlinearize(self.grid_layer, succ).astype(self._corner)
+            self._batches.append((np.concatenate(keys).astype(self._key), idx, idx))
         self._explored[cell] = True
         self.explored_count += self.sys.n_inputs
 
@@ -163,29 +174,32 @@ class TransitionTable:
         ends, tables = integrate_shared(
             sys, stack.centers(gl, cells[first]), sys.inputs, self.tau, self.substeps, free
         )
-        # Per input, every axis's end values as one column, padded.
-        values = np.zeros((max([first.size] + [t.shape[1] for t in tables]), stack.dim))
-        flat = entry * stack.dim + np.arange(stack.dim)
-        for u_idx in range(sys.n_inputs):
-            values[: first.size, reads] = ends[u_idx][:, reads]
-            for (a, _, _), t in zip(free, tables):
-                values[: t.shape[1], a] = t[u_idx]
-            self._store_boxes(u_idx, cells, flat, values)
+        # Every axis's end values as one column per input, padded.
+        width = max([first.size] + [t.shape[1] for t in tables])
+        values = np.zeros((sys.n_inputs, width, stack.dim))
+        values[:, : first.size, reads] = ends[:, :, reads]
+        for (a, _, _), t in zip(free, tables):
+            values[:, : t.shape[1], a] = t
+        self._store_boxes(cells, entry * stack.dim + np.arange(stack.dim), values)
         self._explored[cells] = True
         self.explored_count += cells.size * sys.n_inputs
 
-    def _store_boxes(self, u_idx: int, cells: np.ndarray, flat: np.ndarray, c: np.ndarray) -> None:
-        """Store the grid boxes of ``cells`` under input ``u_idx``.
+    def _store_boxes(self, cells: np.ndarray, flat: np.ndarray, c: np.ndarray) -> None:
+        """Store the grid boxes of ``cells`` under every input.
 
-        ``c`` holds per-axis end centres, one column per axis; row ``i``
-        of the batch reads the flat positions ``flat[i]`` of ``c``.  Each
-        value is snapped, floored and tested against the region on its
-        axis alone, and a row keeps the AND of its axes' flags.
+        ``c`` ``(n_inputs, width, dim)`` holds per-axis end centres, one
+        column per axis and one block per input; under input ``u``, row
+        ``i`` of the batch reads the flat positions ``flat[i]`` of
+        ``c[u]``.  Each value is snapped, floored and tested against the
+        region on its axis alone, and a row keeps the AND of its axes'
+        flags.  The boxes of every input are appended in one batch,
+        input by input.
         """
         stack = self.stack
         gl = self.grid_layer
         dims = stack.dims(gl)
-        radius = self._radius[u_idx]
+        n_inputs, _, dim = c.shape
+        radius = self._radius[:, None, :]
         q_lo = stack.grid_coords(gl, c - radius)
         q_hi = stack.grid_coords(gl, c + radius)
         floor_lo = np.floor(q_lo).astype(np.int64)
@@ -197,13 +211,19 @@ class TransitionTable:
             # Boxes that leave the region but meet it, clipped, for the
             # cooperative predecessor.
             flags[(floor_lo < dims) & (floor_hi >= 0)] |= 2
-        keep = np.flatnonzero(np.bitwise_and.reduce(flags.take(flat), axis=1))
-        at = flat[keep]
-        self._batches[u_idx].append((
-            cells[keep].astype(_INDEX),
-            np.clip(floor_lo, 0, dims - 1).astype(self._corner).take(at),
-            np.clip(floor_hi, 0, dims - 1).astype(self._corner).take(at),
-        ))
+        # Rows are gathered in the narrowest types: row ``u * len(cells)
+        # + i`` is cell ``cells[i]`` under input ``u``.
+        def per_row(a):
+            return a.reshape(n_inputs, -1)[:, flat].reshape(-1, dim)
+
+        keep = np.flatnonzero(np.bitwise_and.reduce(per_row(flags), axis=1))
+        keys = np.arange(n_inputs, dtype=self._key)[:, None] * self.n_cells
+        keys = (keys + cells.astype(self._key)).take(keep)
+        lo, hi = (
+            per_row(np.clip(f, 0, dims - 1).astype(self._corner)).take(keep, axis=0)
+            for f in (floor_lo, floor_hi)
+        )
+        self._batches.append((keys, lo, hi))
 
     # -- access ---------------------------------------------------------
 
@@ -211,21 +231,32 @@ class TransitionTable:
         """Cells whose entries are explored for every input."""
         return CellSet(self.grid_layer, self._explored.copy())
 
+    def store(self):
+        """Every stored box as (keys, lo, hi), in storage order.
+
+        Box ``k`` belongs to input ``keys[k] // n_cells`` and cell
+        ``keys[k] % n_cells``, and spans the cells from ``lo[k]`` to
+        ``hi[k]`` (inclusive, per axis).  On a main table an explored
+        pair with no box leaves the region; an auxiliary table also
+        keeps, clipped to the region, the boxes of pairs that leave it.
+        """
+        if self._batches:
+            self._store = tuple(
+                np.concatenate(parts) for parts in zip(self._store, *self._batches)
+            )
+            self._batches.clear()
+        return self._store
+
     def csr(self, u_idx: int):
-        """Stored boxes of one input as (cells, lo, hi).
+        """Stored boxes of one input as (cells, lo, hi), selected from
+        :meth:`store`.
 
         Box ``k`` of ``cells[k]`` spans the cells from ``lo[k]`` to
-        ``hi[k]`` (inclusive, per axis).  Boxes are in storage order, not
-        sorted by cell.  On a main table an explored pair with no box
-        leaves the region; an auxiliary table also keeps, clipped to the
-        region, the boxes of pairs that leave it.  The name is that of the
-        compressed-row successor store the boxes replaced, under which
-        the benchmark tracer times this accessor.
+        ``hi[k]``.  Boxes are in storage order, not sorted by cell.  The
+        name is that of the compressed-row successor store the boxes
+        replaced, under which the benchmark tracer times this accessor.
         """
-        batches = self._batches[u_idx]
-        if batches:
-            self._boxes[u_idx] = tuple(
-                np.concatenate(parts) for parts in zip(self._boxes[u_idx], *batches)
-            )
-            batches.clear()
-        return self._boxes[u_idx]
+        keys, lo, hi = self.store()
+        base = u_idx * self.n_cells
+        rows = np.flatnonzero((keys >= base) & (keys < base + self.n_cells))
+        return (keys.take(rows) - base).astype(_INDEX), lo.take(rows, axis=0), hi.take(rows, axis=0)

@@ -7,9 +7,10 @@ per-layer stage domains as CSV, the serialized controller, ``stats.json``
 (exact counters) and ``timings.json`` (wall times of disjoint phases,
 plus their ``total``).  Degenerate outcomes (an empty winning set, a
 winning set that is the target alone with no stages, a validation that
-ran no trajectory) are flagged on stderr; a synthesis also lists its
-flags (``empty-winning-set``, ``target-only``) in ``stats.json`` under
-``"flags"``.
+ran no trajectory) are flagged on stderr, one line each; a synthesis
+also lists its flags (``empty-winning-set``, ``target-only``) in
+``stats.json`` under ``"flags"``, and its flag is the one report of an
+empty safe set or target.
 
 ``validate`` rejects bad ``--runs``, ``--horizon`` and ``--seed`` values
 before it loads the controller; a controller file that is missing,
@@ -28,6 +29,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
@@ -51,9 +53,12 @@ def run_synthesis(config: ProblemConfig, out_dir: Path) -> dict:
     stack = config.build_stack()
     spec = config.build_spec()
     t0 = time.perf_counter()
-    result = synthesis.synthesize(
-        sys_, stack, spec, config.algorithm, m=config.m, substeps=config.substeps
-    )
+    with warnings.catch_warnings():
+        # The empty-winning-set flag below reports these outcomes.
+        warnings.filterwarnings("ignore", ".* under-approximation is empty", UserWarning)
+        result = synthesis.synthesize(
+            sys_, stack, spec, config.algorithm, m=config.m, substeps=config.substeps
+        )
     total = time.perf_counter() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
 

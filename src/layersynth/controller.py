@@ -179,11 +179,13 @@ def _closed_loop(
     ``SeedSequence(seed)`` as one block ``(last + 1,
     DISTURBANCE_SEGMENTS, n)``, ``last`` the highest run index still
     going; run ``i`` takes row ``i``.  So any subset of runs steps as it
-    would in the full batch.  A run stops on a violation, on target
-    entry (reach-avoid) or on leaving the controller domain; the
-    specification is checked at sampling instants.  The input tie-break
-    within a stage is the lowest input index, so runs are reproducible;
-    each step reads the stage, move and rank of all its runs at once.
+    would in the full batch.  Every round draws into, and gathers from,
+    the leading rows of two buffers allocated once.  A run stops on a
+    violation, on target entry (reach-avoid) or on leaving the
+    controller domain; the specification is checked at sampling
+    instants.  The input tie-break within a stage is the lowest input
+    index, so runs are reproducible; each step reads the stage, move
+    and rank of all its runs at once.
 
     Returns the status, final state and step count of every row, and
     whether its (stage, rank) measure strictly decreased at every step.
@@ -198,6 +200,8 @@ def _closed_loop(
     measure = np.full((len(x), 2), np.iinfo(np.int64).max)  # last (stage, rank)
     active = np.arange(len(x))
     inputs = np.stack(sys.inputs)
+    drawn = np.empty((runs.max(initial=-1) + 1, DISTURBANCE_SEGMENTS, sys.dim))
+    taken = np.empty((len(runs), DISTURBANCE_SEGMENTS, sys.dim))
     # Indexed by layer.
     periods = np.array([0.0] + [mlc.stack.tau(layer) for layer in range(1, mlc.stack.levels + 1)])
 
@@ -227,9 +231,12 @@ def _closed_loop(
         )
         measure[active] = now
         ids = runs[active]
-        draws = _stream(seed, k + 2).random((ids.max() + 1, DISTURBANCE_SEGMENTS, sys.dim))
+        block = _stream(seed, k + 2).random(out=drawn[: ids.max() + 1])
+        # Every id is a row of ``block``, so clipping changes none; unlike
+        # "raise", it writes into ``out`` without a temporary.
+        draws = np.take(block, ids, axis=0, out=taken[: ids.size], mode="clip")
         x[active] = sample_disturbed_step(
-            sys, x[active], inputs[moves], periods[layers], draws[ids],
+            sys, x[active], inputs[moves], periods[layers], draws,
             substeps=substeps_base * 2 ** (layers - 1),
         )
         steps[active] += 1

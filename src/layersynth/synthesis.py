@@ -38,6 +38,11 @@ _SUFFIX = {SAFETY: "-safe", REACH_AVOID: "-reach"}
 # Cap on safety rounds and on reach-avoid layer switches.
 _MAX_SWITCHES = 100_000
 
+# Stored boxes that one summed-area ``counts`` call reads: a block's
+# corner temporaries stay in a core's L2 cache, where one call over a
+# whole layer-1 table would spill them.
+_BLOCK_ROWS = 16_384
+
 
 class NonterminationError(RuntimeError):
     """Safety rounds or reach-avoid layer switches exceeded their cap."""
@@ -128,18 +133,19 @@ class _SummedArea:
 
 
 def _boxes_touching(table: TransitionTable, cells: CellSet):
-    """``(u, box_cells, touches)`` for every input ``u`` with stored
-    boxes, where ``touches`` marks the boxes holding a cell of ``cells``."""
+    """``(keys, touches)`` for each block of the table's box store, in
+    storage order, where ``touches`` marks the boxes holding a cell of
+    ``cells`` and ``keys`` is ``input * n_cells + cell`` of each box."""
     if cells.layer != table.grid_layer:
         raise LayerMismatchError(
             f"cell set lives on layer {cells.layer} but the table's grid is "
             f"layer {table.grid_layer}"
         )
     sums = _SummedArea(table.stack, table.grid_layer, cells.bits)
-    for u_idx in range(table.sys.n_inputs):
-        box_cells, lo, hi = table.csr(u_idx)
-        if box_cells.size:
-            yield u_idx, box_cells, sums.counts(lo, hi) > 0
+    keys, lo, hi = table.store()
+    for start in range(0, keys.size, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        yield keys[block], sums.counts(lo[block], hi[block]) > 0
 
 
 def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
@@ -154,11 +160,13 @@ def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
     """
     if table.kind != "main":
         raise ValueError("closing masks are defined on main tables only")
-    mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
-    for u_idx, cells, leaves in _boxes_touching(table, region.complement()):
-        mask[u_idx, cells] = True
-        mask[u_idx, cells[leaves]] = False
-    return mask
+    mask = np.zeros(table.sys.n_inputs * table.n_cells, dtype=bool)
+    # Every pair with a box is set before any block clears one: a
+    # preloaded pair's unit boxes may lie in different blocks.
+    mask[table.store()[0]] = True
+    for keys, leaves in _boxes_touching(table, region.complement()):
+        mask[keys[leaves]] = False
+    return mask.reshape(table.sys.n_inputs, table.n_cells)
 
 
 def _moves_into(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -199,10 +207,10 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
     clipped to it, since a finer cell inside the coarse one may reach
     those cells without leaving the region.
     """
-    result = np.zeros(table.n_cells, dtype=bool)
-    for _, cells, hits in _boxes_touching(table, target):
-        result[cells[hits]] = True
-    return CellSet(target.layer, result)
+    hit = np.zeros(table.sys.n_inputs * table.n_cells, dtype=bool)
+    for keys, hits in _boxes_touching(table, target):
+        hit[keys[hits]] = True
+    return CellSet(target.layer, hit.reshape(table.sys.n_inputs, table.n_cells).any(axis=0))
 
 
 def upre_m(table: TransitionTable, target: CellSet, m: int) -> tuple[CellSet, int]:

@@ -5,10 +5,11 @@ each stored box from an n-D prefix sum; the references in
 ``oracles.py`` enumerate every successor of every box and gather its
 bit.  They must agree on computed tables, on preloaded entries that are
 not boxes, on clipped auxiliary boxes at every face of the grid, and on
-grids whose corner indices need 32-bit integers.  Neither the order in
-which a table stores its boxes nor the batches it explored them in may
-change what they return, and a cell explored alone stores the boxes it
-stores in a batch.
+grids whose corner indices need 32-bit integers, both at the kernels'
+block size and in blocks of a few rows, so that one pair's boxes fall
+in different blocks.  Neither the order in which a table stores its
+boxes nor the batches it explored them in may change what they return,
+and a cell explored alone stores the boxes it stores in a batch.
 """
 
 from __future__ import annotations
@@ -44,15 +45,29 @@ from layersynth.dynamics import reach_boxes
 from layersynth.problem import REACH_AVOID, SAFETY
 
 
+# Rows per block in the small-block runs: odd, so blocks split tables
+# of every size unevenly.
+SMALL_BLOCK = 13
+
+
+def small_blocks(kernel, table, region):
+    """``kernel(table, region)`` reading the box store ``SMALL_BLOCK`` rows at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthesis, "_BLOCK_ROWS", SMALL_BLOCK)
+        return kernel(table, region)
+
+
 def assert_kernels_match(table, region):
     if table.kind == "main":
-        np.testing.assert_array_equal(
-            synthesis._closing_inputs(table, region), closing_inputs_reference(table, region)
-        )
+        want = closing_inputs_reference(table, region)
+        np.testing.assert_array_equal(synthesis._closing_inputs(table, region), want)
+        np.testing.assert_array_equal(small_blocks(synthesis._closing_inputs, table, region), want)
     else:
         with pytest.raises(ValueError, match="main tables"):
             synthesis._closing_inputs(table, region)
-    assert upre(table, region) == upre_reference(table, region)
+    want = upre_reference(table, region)
+    assert upre(table, region) == want
+    assert small_blocks(upre, table, region) == want
 
 
 def regions(rng, table, n=12):
@@ -86,13 +101,16 @@ def test_sweep_kernels_match_reference_after_every_call(kind, monkeypatch):
     def checked_closing(table, region):
         calls["closing"] += 1
         got = closing(table, region)
-        np.testing.assert_array_equal(got, closing_inputs_reference(table, region))
+        want = closing_inputs_reference(table, region)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(small_blocks(closing, table, region), want)
         return got
 
     def checked_upre(table, target):
         calls["upre"] += 1
         got = cooperative(table, target)
         assert got == upre_reference(table, target)
+        assert small_blocks(cooperative, table, target) == got
         return got
 
     monkeypatch.setattr(synthesis, "_closing_inputs", checked_closing)
@@ -125,6 +143,23 @@ def test_preloaded_entries_that_are_not_boxes(dim):
         ])
     for region in regions(rng, table):
         assert_kernels_match(table, region)
+
+
+@pytest.mark.parametrize("outside", [0, 2], ids=["earlier-block", "later-block"])
+def test_preloaded_entry_straddling_a_block_boundary(outside, monkeypatch):
+    # One pair's three unit boxes fill rows 0-2 of the store, and blocks
+    # of two rows split them; the box outside the region lies in the
+    # first block or in the second.  The pair does not close either way.
+    monkeypatch.setattr(synthesis, "_BLOCK_ROWS", 2)
+    stack = LayerStack(1, [1.0], 1.0, [0.0], [6.0])
+    table = TransitionTable(stationary_system(dim=1), stack, 1)
+    succs = np.array([1, 2, 3])
+    table.preload(0, [succs])
+    table.preload(4, [[4]])
+    region = CellSet.from_indices(stack, 1, np.append(np.delete(succs, outside), 4))
+    mask = synthesis._closing_inputs(table, region)
+    assert mask[0].tolist() == [False, False, False, False, True, False]
+    assert_kernels_match(table, region)
 
 
 def spreading_system(dim: int):
@@ -180,14 +215,13 @@ def test_axis_past_int16_uses_wider_corners():
 
 
 def permuted(table, rng):
-    """A copy of ``table`` that stores each input's boxes in a random order."""
+    """A copy of ``table`` that stores its boxes in a random order,
+    the inputs' boxes mixed."""
     out = copy.copy(table)
-    out._batches = [[] for _ in range(table.sys.n_inputs)]
-    out._boxes = []
-    for u in range(table.sys.n_inputs):
-        cells, lo, hi = table.csr(u)
-        order = rng.permutation(cells.size)
-        out._boxes.append((cells[order], lo[order], hi[order]))
+    keys, lo, hi = table.store()
+    order = rng.permutation(keys.size)
+    out._batches = []
+    out._store = (keys[order], lo[order], hi[order])
     return out
 
 

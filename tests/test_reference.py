@@ -6,12 +6,13 @@ sha256 of the layer-1 winning bits. For the multi-layer algorithms it
 also pins the sha256 of ``stats.to_dict()``, which holds the exact
 counters and the protocol trace. For ``single-layer`` it pins the
 layer-1 counters. Digests are cut to their first 16 hex digits.
-``VALIDATION`` pins, for dcdc-safe and every reach-avoid row, the sha256
-of ``validate(...).to_dict()`` for a few short closed-loop runs at a
-fixed seed, and the sha256 of the (stage, layer, input, rank) sequence
-and status of closed-loop runs from fixed states spread over the
-controller domain, stepped one state at a time by ``simulate_oracle``,
-which covers the stages and the moves that the controller picks.
+``VALIDATION`` pins, for the workload configs and every reach-avoid
+row, the sha256 of ``validate(...).to_dict()`` for a few short
+closed-loop runs at a fixed seed, and the sha256 of the (stage,
+layer, input, rank) sequence and status of closed-loop runs from fixed
+states spread over the controller domain, stepped one state at a time
+by ``simulate_oracle``, which covers the stages and the moves that the
+controller picks.
 
 A refactor must leave every value unchanged. A change that is meant to
 alter a result prints the new table with
@@ -30,7 +31,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DCDC_SAFE, random_problem
+from conftest import DCDC_SAFE, UNICYCLE_LAZY, random_problem
 from oracles import seeded_draws, simulate_oracle
 from layersynth import synthesize
 from layersynth.config import parse_config
@@ -50,6 +51,13 @@ RANDOM = [
     for levels in (2, 3)
     for seed in seeds
 ]
+
+
+# Workload configs pinned by name, with the algorithms of each.
+CONFIGS = {
+    "dcdc-safe": (DCDC_SAFE, ALGORITHMS[SAFETY]),
+    "unicycle-lazy": (UNICYCLE_LAZY, ("eager-reach", "lazy-reach")),
+}
 
 
 # Closed-loop runs behind the validation digests: (runs, horizon, seed),
@@ -99,14 +107,15 @@ def cases():
     for kind, levels, seed in RANDOM:
         for algorithm in ALGORITHMS[kind]:
             yield f"random-{kind}-L{levels}-s{seed}", algorithm, (kind, levels, seed)
-    for algorithm in ALGORITHMS[SAFETY]:
-        yield "dcdc-safe", algorithm, None
+    for name, (_, algorithms) in CONFIGS.items():
+        for algorithm in algorithms:
+            yield name, algorithm, name
 
 
 def validation_cases():
     """The pinned runs whose closed-loop validation is pinned too."""
     for name, algorithm, source in cases():
-        if source is None or source[0] == REACH_AVOID:
+        if isinstance(source, str) or source[0] == REACH_AVOID:
             yield name, algorithm, source
 
 
@@ -131,8 +140,8 @@ def validation_digest(sys_, spec, result) -> tuple[str, str]:
 
 
 def problem(source):
-    if source is None:
-        config = parse_config(DCDC_SAFE)
+    if isinstance(source, str):
+        config = parse_config(CONFIGS[source][0])
         return config.build_system(), config.build_stack(), config.build_spec()
     kind, levels, seed = source
     return random_problem(seed, kind=kind, levels=levels)
@@ -179,6 +188,8 @@ GOLDEN = {
     ('dcdc-safe', 'eager-safe'): ('f591075200bd68b3', 'd043bb071d846840', 5393, 'fcf9d4a3a2786437'),
     ('dcdc-safe', 'lazy-safe'): ('f591075200bd68b3', 'd043bb071d846840', 5393, 'b907c32e7c0d5093'),
     ('dcdc-safe', 'single-layer'): ('c1cbf790a1390cef', '67eefbeadd989ebc', 5262, (12800, 32, 32, 5262)),
+    ('unicycle-lazy', 'eager-reach'): ('77efa33ef70a985b', 'a1970be5b312dddc', 11782, '70a7a083b5f5ece9'),
+    ('unicycle-lazy', 'lazy-reach'): ('77efa33ef70a985b', 'a1970be5b312dddc', 11782, '7f2ce206390b279f'),
 }
 VALIDATION = {
     ('random-reach-avoid-L2-s2', 'eager-reach'): ('e31841b7c162ba4b', '6264a3d8aec12880'),
@@ -202,6 +213,8 @@ VALIDATION = {
     ('dcdc-safe', 'eager-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
     ('dcdc-safe', 'lazy-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
     ('dcdc-safe', 'single-layer'): ('9717401fbb4c46de', 'de34699bddc5c5a9'),
+    ('unicycle-lazy', 'eager-reach'): ('a77e3b56cafe4afe', '8f1b90a405c9e758'),
+    ('unicycle-lazy', 'lazy-reach'): ('a77e3b56cafe4afe', '8f1b90a405c9e758'),
 }
 # fmt: on
 
