@@ -8,6 +8,10 @@ obeys the linear growth dynamics ``r' = L(u) r + w``, where ``L(u)`` is a
 user-supplied growth matrix valid for the dynamics on the region of
 interest and ``w`` is the disturbance bound.
 
+A vector field binds one input per row, and every integrator binds it
+that way, so a row's derivative must not depend on its batch: a state
+integrated alone ends bit for bit where it ends in any batch.
+
 A system may declare ``field_reads``, the state coordinates its nominal
 field reads.  Every output component must then depend on those
 coordinates only, so a coordinate it does not read (a free axis) ends
@@ -16,13 +20,10 @@ read coordinates alone.  :func:`integrate_shared`, the integration core
 of transition tables, integrates one representative state per distinct
 value of the read coordinates, and each free axis as a table of start
 values that add their representative's increments: a free axis is
-integrated once per (start value, representative).  A declaring system
-runs all its inputs in one sweep that binds one input per row, so it
-must bind one input per row exactly as it binds each held input.  Every
-value ends bit for bit where a lone state's integration ends it.  A
-declaration that leaves out a coordinate the field reads is unsound:
-states that differ in that coordinate would move as their
-representative does.
+integrated once per (start value, representative).  Every value ends
+bit for bit where a lone state's integration ends it.  A declaration
+that leaves out a coordinate the field reads is unsound: states that
+differ in that coordinate would move as their representative does.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ import numpy as np
 # simulating a disturbed trajectory.
 DISTURBANCE_SEGMENTS = 10
 
+# Rows of the batch on which construction checks that a vector field
+# computes each row as it computes that row alone.  Two rows miss a batch
+# matrix product that rounds a row unlike the row alone; 64 catch it.
+PROBE_ROWS = 64
+
 
 class IntegrationDivergenceError(RuntimeError):
     """Raised when a trajectory integration produces non-finite values."""
@@ -45,28 +51,24 @@ class IntegrationDivergenceError(RuntimeError):
 class ControlSystem:
     """Perturbed control system with a finite input alphabet.
 
-    ``vector_field(u)`` binds a held input and returns the nominal field
-    ``f(x)`` under it: the input is held over the whole sampling period,
-    so integrators bind it once per integration, not at every RK4 stage.
-    ``u`` is one input ``(m,)``, for states ``(n,)`` or ``(N, n)``
-    (broadcasting over the leading axis), or one input per row
-    ``(N, m)``, for states ``(N, n)``; ``f`` returns the shape of its
-    states.  A per-row field must compute each row from that row alone,
-    so a run's result does not depend on its batch.
-    ``growth_matrix(u)`` returns an ``n x n`` matrix with non-negative
-    off-diagonal entries; it must bound the sensitivity of the nominal
-    dynamics on the region where the system is abstracted.
+    ``vector_field(u)`` binds one input per row, ``u`` ``(N, m)``, and
+    returns the nominal field ``f(x)`` for states ``(N, n)``: the input is
+    held over the whole sampling period, so integrators bind it once per
+    integration, not at every RK4 stage.  ``f`` must compute each row from
+    that row alone, so a run's result does not depend on its batch;
+    construction binds a probe batch of at least ``PROBE_ROWS`` rows and
+    raises ``ValueError`` unless every row equals, bit for bit, the same
+    row bound alone.  Inputs are finite and share one shape.
+    ``growth_matrix(u)`` returns a finite ``n x n`` matrix with
+    non-negative off-diagonal entries; it must bound the sensitivity of
+    the nominal dynamics on the region where the system is abstracted.
 
     ``field_reads`` names the state coordinates that every output
     component of ``f`` depends on, under every input; ``None`` means all
     of them.  States that agree bit for bit on those coordinates get
     bit-identical derivatives, so :func:`integrate_shared` integrates
     each distinct value once, and a coordinate left out (a free axis)
-    once per (start value, representative).  A declaring system is
-    integrated under all its inputs in one sweep with one input bound
-    per row, so its per-row binding must compute every row bit for bit
-    as its held binding does; construction checks this on a probe batch
-    and raises ``ValueError`` if it fails.  Nothing checks the
+    once per (start value, representative).  Nothing checks the
     declaration itself: a coordinate the field reads but the declaration
     leaves out makes reach boxes unsound.  A declaration of every
     coordinate is stored as ``None``.
@@ -101,6 +103,8 @@ class ControlSystem:
         inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in self.inputs]
         if not inputs:
             raise ValueError("input alphabet must be non-empty")
+        if not all(np.all(np.isfinite(u)) for u in inputs):
+            raise ValueError("input values must be finite")
         seen = set()
         for u in inputs:
             key = tuple(u.tolist())
@@ -112,27 +116,25 @@ class ControlSystem:
             L = np.asarray(self.growth_matrix(u), dtype=float)
             if L.shape != (self.dim, self.dim):
                 raise ValueError("growth matrix must be square of size dim")
-            off = L - np.diag(np.diag(L))
-            if np.any(off < 0.0):
-                raise ValueError("growth matrix off-diagonal entries must be >= 0")
-        if self.field_reads is not None:
-            # integrate_shared sweeps all inputs with one input bound per
-            # row: row i of a probe batch under per-row binding must equal,
-            # bit for bit, that row of the batch under held input i.  The
-            # probe states are irregular values in [-1, 1].
-            us = np.stack(inputs)
-            probe = np.sin(np.arange(1, len(us) * self.dim + 1.0)).reshape(len(us), self.dim)
-            per_row = np.asarray(self.vector_field(us)(probe), dtype=float)
-            held = np.stack([
-                np.asarray(self.vector_field(u)(probe), dtype=float)[i] for i, u in enumerate(us)
-            ])
-            if per_row.shape != held.shape or not np.array_equal(
-                per_row.view(np.int64), held.view(np.int64)
-            ):
-                raise ValueError(
-                    "a system that declares field_reads must bind one input per row "
-                    "bit for bit as it binds each held input"
-                )
+            if not np.all(np.isfinite(L)) or np.any(L[~np.eye(self.dim, dtype=bool)] < 0.0):
+                raise ValueError("growth matrix must be finite, off-diagonal entries >= 0")
+        # Row i of the probe batch holds input i mod n_inputs; its states
+        # are irregular values in [-1, 1].
+        rows = max(PROBE_ROWS, len(inputs))
+        us = np.stack(inputs)[np.arange(rows) % len(inputs)]
+        probe = np.sin(np.arange(1, rows * self.dim + 1.0)).reshape(rows, self.dim)
+        batch = np.asarray(self.vector_field(us)(probe), dtype=float)
+        alone = np.concatenate([
+            np.asarray(self.vector_field(us[i : i + 1])(probe[i : i + 1]), dtype=float)
+            for i in range(rows)
+        ])
+        if batch.shape != probe.shape or alone.shape != probe.shape or not np.array_equal(
+            batch.view(np.int64), alone.view(np.int64)
+        ):
+            raise ValueError(
+                "vector_field must compute every row of a batch bit for bit as it "
+                "computes that row alone"
+            )
 
     @property
     def n_inputs(self) -> int:
@@ -162,21 +164,26 @@ def _rk4(deriv, y: np.ndarray, h, steps: int, tables=()) -> np.ndarray:
 
 
 def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.ndarray:
-    """RK4 of the states ``x`` under the held input(s) ``u``, in place.
+    """RK4 of the states ``x`` under the input ``u``, in place.
 
-    There are ``len(w)`` segments, or one without ``w``; segment ``k``
-    adds ``w[k]`` to the field and takes ``steps`` steps of length ``h``.
-    Per-row ``steps`` ``(N,)`` must descend, with ``h`` ``(N, n)``: all
-    rows take the fewest steps together, and each larger step count runs
-    its extra steps on the prefix of rows that need them.  The field is
-    bound once per prefix.
+    A single state ``(n,)`` is integrated as one row, and a shared input
+    ``(m,)`` is bound to every row.  There are ``len(w)`` segments, or
+    one without ``w``; segment ``k`` adds ``w[k]`` to the field and takes
+    ``steps`` steps of length ``h``.  Per-row ``steps`` ``(N,)`` must
+    descend, with ``h`` ``(N, n)``: all rows take the fewest steps
+    together, and each larger step count runs its extra steps on the
+    prefix of rows that need them.  The field is bound once per prefix.
     """
+    y = np.atleast_2d(x)
+    u = np.broadcast_to(u, (len(y), u.shape[-1]))
+    if w is not None:
+        w = w.reshape((len(w),) + y.shape)
     if np.ndim(steps) == 0:
         tiers = [(slice(None), int(steps))]
     else:
         counts = sorted(set(steps.tolist()))
         tiers = [(slice(int(np.count_nonzero(steps >= c))), c) for c in counts]
-    fields = [sys.vector_field(u[rows] if np.ndim(u) == 2 else u) for rows, _ in tiers]
+    fields = [sys.vector_field(u[rows]) for rows, _ in tiers]
     for k in range(1 if w is None else len(w)):
         done = 0
         for (rows, count), f in zip(tiers, fields):
@@ -184,7 +191,7 @@ def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.nda
             if w is not None:
                 wk = w[k][rows]
                 deriv = lambda y, f=f, wk=wk: f(y) + wk
-            x[rows] = _rk4(deriv, x[rows], h[rows] if np.ndim(h) else h, count - done)
+            y[rows] = _rk4(deriv, y[rows], h[rows] if np.ndim(h) else h, count - done)
             done = count
     return x
 
@@ -197,7 +204,7 @@ def _check_period(tau: float, substeps: int) -> None:
 
 
 def integrate_shared(sys: ControlSystem, reps, inputs, tau: float, substeps: int, free=()):
-    """Nominal endpoints of representative states under each held input,
+    """Nominal endpoints of representative states under each input,
     and of the free-axis tables that share their increments.
 
     ``reps`` ``(K, n)`` are states whose read coordinates
@@ -209,11 +216,8 @@ def integrate_shared(sys: ControlSystem, reps, inputs, tau: float, substeps: int
     that starts at ``start[p]`` on the axis, and agrees with
     ``reps[rep[p]]`` on the read coordinates, ends on it.
 
-    A declaring system is integrated under every input in one sweep that
-    binds one input per row.  Any other system has no free axis and is
-    integrated under one held input at a time: its held field may round a
-    row unlike its per-row field (a batch matrix product, say).  Returns
-    ``(ends, tables)``: ``ends`` ``(len(inputs), K, n)`` and one
+    Every input is integrated in one sweep that binds one input per row.
+    Returns ``(ends, tables)``: ``ends`` ``(len(inputs), K, n)`` and one
     ``(len(inputs), P)`` table per item of ``free``.
     """
     _check_period(tau, substeps)
@@ -221,19 +225,13 @@ def integrate_shared(sys: ControlSystem, reps, inputs, tau: float, substeps: int
     us = np.stack([np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs])
     reps = np.asarray(reps, dtype=float)
     m, (k, n) = len(us), reps.shape
-    if sys.field_reads is None:
-        ends = np.empty((m, k, n))
-        for i, u in enumerate(us):
-            ends[i] = _rk4(sys.vector_field(u), reps, h, substeps)
-        tables = []
-    else:
-        # Input i's copy of representative r is row i * K + r of the sweep.
-        block = np.arange(m)[:, None] * k
-        tables = [np.tile(np.asarray(start, dtype=float), (m, 1)) for _, start, _ in free]
-        at = [(block + rep) * n + axis for axis, _, rep in free]
-        y = _rk4(sys.vector_field(np.repeat(us, k, axis=0)), np.tile(reps, (m, 1)), h, substeps,
-                 list(zip(tables, at)))
-        ends = y.reshape(m, k, n)
+    # Input i's copy of representative r is row i * K + r of the sweep.
+    block = np.arange(m)[:, None] * k
+    tables = [np.tile(np.asarray(start, dtype=float), (m, 1)) for _, start, _ in free]
+    at = [(block + rep) * n + axis for axis, _, rep in free]
+    y = _rk4(sys.vector_field(np.repeat(us, k, axis=0)), np.tile(reps, (m, 1)), h, substeps,
+             list(zip(tables, at)))
+    ends = y.reshape(m, k, n)
     if not (np.all(np.isfinite(ends)) and all(np.all(np.isfinite(t)) for t in tables)):
         raise IntegrationDivergenceError(
             f"non-finite state while integrating {k} representative states"

@@ -90,9 +90,17 @@ def linear_system(a, offsets, disturbance, name="linear") -> ControlSystem:
     growth = np.diag(np.diag(a)) + np.abs(a - np.diag(np.diag(a)))
 
     def field(u):
-        # One offset, or one per row of a batch with an input per row.
-        b = offsets[np.rint(np.asarray(u)[..., 0]).astype(int)]
-        return lambda x: np.asarray(x, dtype=float) @ a.T + b
+        # One offset per row; each row is computed from itself alone, with
+        # no matrix product that may round a batch row unlike the row alone.
+        b = offsets[np.rint(u[:, 0]).astype(int)]
+
+        def f(x):
+            out = x[:, :1] * a[:, 0]
+            for j in range(1, a.shape[1]):
+                out = out + x[:, j : j + 1] * a[:, j]
+            return out + b
+
+        return f
 
     return ControlSystem(
         dim=a.shape[0],

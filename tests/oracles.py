@@ -329,14 +329,12 @@ def sample_disturbed_step_reference(sys, x0, u, tau, rngs, substeps=5):
     :func:`layersynth.dynamics.sample_disturbed_step` maps unit draws
     onto the disturbance box: row ``i`` draws each segment's disturbance
     with ``rngs[i].uniform(-w, w)``, which matches the unit draws
-    ``rngs[i].random((DISTURBANCE_SEGMENTS, n))``.  ``u`` is
-    one input or one per row; the field is bound once.  The rows are
-    integrated together with the same RK4 steps, because a
-    matrix-product vector field may round a lone state differently from
-    a batch row, so the results must agree bit for bit.
+    ``rngs[i].random((DISTURBANCE_SEGMENTS, n))``.  ``x0`` is
+    ``(N, n)``, and ``u`` one input or one per row; the field is bound
+    once, one input per row.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     x = np.asarray(x0, dtype=float)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (len(x), sys.inputs[0].size))
     field = sys.vector_field(u)
     draws = [[rng.uniform(-sys.disturbance, sys.disturbance) for _ in range(DISTURBANCE_SEGMENTS)]
              for rng in rngs]

@@ -247,6 +247,17 @@ def test_non_finite_disturbance_is_a_config_error(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_growth_matrix_is_a_config_error(tmp_path, capsys):
+    # the JSON token NaN makes both dcdc growth matrices NaN
+    config = write_config(tmp_path, {**DCDC_SAFE, "dynamics_params": {"rl": float("nan")}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["synthesize", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    message = "configuration error: dynamics_params: growth matrix must be finite"
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("layers", ["64", "100000000000"])
 def test_impossible_level_count_exits_1(tmp_path, capsys, layers):
     config = write_config(tmp_path, DCDC_SAFE)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DCDC_SAFE
+from conftest import DCDC_SAFE, UNICYCLE_LAZY
 from layersynth import build_spec_sets
 from layersynth.config import MAX_SUBSTEPS, ConfigError, parse_config
 
@@ -135,8 +135,13 @@ def test_nan_box_corner_names_the_box_field(key):
     [({"spec": "reach-avoid"}, "spec"), ({"obstacle_boxes": [[[1.3, 5.6], [1.2, 5.5]]]},
                                           "obstacle_boxes"),
      ({"target_boxes": [[[1.2], [1.3]]]}, "target_boxes"), ({"eta1": [0.005]}, "layers"),
-     ({"dynamics_params": {"disturbance": [1.0]}}, "dynamics_params")],
-    ids=["target-missing", "reversed-box", "box-dimension", "grid-dimension", "disturbance-shape"],
+     ({"dynamics_params": {"disturbance": [1.0]}}, "dynamics_params"),
+     ({"dynamics_params": {"rl": NAN}}, "dynamics_params"),
+     ({"dynamics_params": {"xc": 1e-320}}, "dynamics_params"),
+     ({**UNICYCLE_LAZY, "dynamics_params": {"speeds": [NAN, 1.0]}}, "dynamics_params"),
+     ({**UNICYCLE_LAZY, "dynamics_params": {"turn_rates": [NAN, 0.5]}}, "dynamics_params")],
+    ids=["target-missing", "reversed-box", "box-dimension", "grid-dimension", "disturbance-shape",
+         "nan-growth", "infinite-growth", "nan-speed", "nan-turn-rate"],
 )
 def test_owner_errors_are_reported_under_their_field(edit, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):

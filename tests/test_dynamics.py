@@ -21,7 +21,9 @@ from layersynth import (
 from layersynth.dynamics import (
     DISTURBANCE_SEGMENTS, integrate_shared, radius_dynamics, reach_boxes,
 )
-from layersynth.benchmarks import dcdc, unicycle
+from layersynth.benchmarks import dcdc, default_config, unicycle
+from layersynth.controller import serialize, validate
+from layersynth.synthesis import synthesize
 
 
 def reach_box(sys, lower, upper, u, tau, substeps):
@@ -67,6 +69,47 @@ class TestControlSystemValidation:
         bad = np.array([[0.0, -1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="off-diagonal"):
             ControlSystem(2, s.vector_field, [0.0, 0.0], s.inputs, lambda u: bad)
+
+    def test_rejects_a_field_whose_rows_depend_on_their_batch(self):
+        # ``u[0]`` applies the first row's input to every row; dcdc's old
+        # held field, a batch matrix product, rounds some rows of its second
+        # mode unlike the row alone.  Declared or not, both are rejected.
+        def first_input(u):
+            return lambda x: np.stack(
+                [u[0] * np.cos(x[:, 2]), u[0] * np.sin(x[:, 2]), np.zeros(len(x))], axis=-1
+            )
+
+        r0, rl, xl, xc = 1.0, 0.05, 3.0, 70.0
+        rc = 0.5 * rl
+        modes = {
+            1.0: np.array([[-rl / xl, 0.0], [0.0, -(1.0 / xc) * (r0 / (r0 + rc))]]),
+            2.0: np.array([
+                [-(1.0 / xl) * (rl + r0 * rc / (r0 + rc)), (1.0 / 5.0) * (-(1.0 / xl) * (r0 / (r0 + rc)))],
+                [5.0 * (r0 / (r0 + rc)) * (1.0 / xc), -(1.0 / xc) * (1.0 / (r0 + rc))],
+            ]),
+        }
+
+        def matrix_product(u):
+            # each input's rows as one held-input batch
+            def f(x):
+                out = np.empty_like(x)
+                for key, a in modes.items():
+                    rows = u[:, 0] == key
+                    out[rows] = x[rows] @ a.T + np.array([1.0 / xl, 0.0])
+                return out
+
+            return f
+
+        d = dcdc()
+        cases = [
+            ((3, first_input, np.zeros(3), [np.array([0.5]), np.array([-1.0])],
+              lambda u: np.zeros((3, 3))), (2,)),
+            ((2, matrix_product, d.disturbance, d.inputs, d.growth_matrix), (1,)),
+        ]
+        for args, reads in cases:
+            for declared in (reads, None):
+                with pytest.raises(ValueError, match="as it computes that row alone"):
+                    ControlSystem(*args, field_reads=declared)
 
     @pytest.mark.parametrize("reads", [(), (3,), (-1,), (2, 2), (0, 2, 0)])
     def test_rejects_bad_field_reads(self, reads):
@@ -260,11 +303,10 @@ class TestSampleDisturbedStep:
 
 
 class TestBoundFields:
-    """``vector_field(u)`` binds one held input, or one input per row."""
+    """``vector_field(u)`` binds one input per row."""
 
     def test_dcdc_per_row_field_is_row_wise(self):
-        # A row's derivative does not depend on its batch, and it is the
-        # held-input field's up to rounding.
+        # A row's derivative does not depend on its batch.
         sys = dcdc()
         rng = np.random.default_rng(2)
         x = rng.uniform([1.15, 5.45], [1.55, 5.85], size=(64, 2))
@@ -272,9 +314,6 @@ class TestBoundFields:
         batch = sys.vector_field(u)(x)
         for i in range(64):
             assert np.array_equal(sys.vector_field(u[i : i + 1])(x[i : i + 1])[0], batch[i])
-            held = sys.vector_field(u[i])(x[i])
-            # a few ulps: every product term and sum is below 1 here
-            assert np.allclose(batch[i], held, rtol=0.0, atol=8 * np.finfo(float).eps)
         for i in range(0, 63, 3):
             assert np.array_equal(sys.vector_field(u[i : i + 3])(x[i : i + 3]), batch[i : i + 3])
 
@@ -284,23 +323,47 @@ class TestBoundFields:
         with pytest.raises(KeyError, match="unknown dcdc input"):
             sys.vector_field(np.array([[1.0], [bad], [2.0]]))
         with pytest.raises(KeyError):
-            sys.vector_field(np.array([bad]))
+            sys.vector_field(np.array([[bad]]))
 
-    def test_unicycle_per_row_field_matches_held_inputs(self):
-        # Bit for bit, on every input: reach boxes integrate all inputs in
-        # one sweep that binds one input per row.
-        rng = np.random.default_rng(4)
-        for params in (None, UNICYCLE_PARAMS):
-            sys = unicycle(params)
-            x = rng.uniform(-3.0, 3.0, size=(20 * sys.n_inputs, 3))
-            x[::7, 2] = -0.0
-            u = np.repeat(np.stack(sys.inputs), 20, axis=0)
-            batch = sys.vector_field(u)(x)
-            for k, held in enumerate(sys.inputs):
-                rows = slice(20 * k, 20 * (k + 1))
-                assert same_bits(batch[rows], sys.vector_field(held)(x[rows]))
-            for i in range(0, len(x), 3):
-                assert same_bits(batch[i], sys.vector_field(u[i])(x[i]))
+    def test_synthesis_and_validation_bind_rows_only(self):
+        # A unicycle whose field raises unless ``u`` and ``x`` are 2-D:
+        # every integrator binds one input per row, states as rows.
+        config = parse_config(UNICYCLE_LAZY)
+        plain = config.build_system()
+
+        def field(u):
+            assert np.ndim(u) == 2, f"input of shape {np.shape(u)}"
+            f = plain.vector_field(u)
+
+            def rows(x):
+                assert np.ndim(x) == 2, f"state of shape {np.shape(x)}"
+                return f(x)
+
+            return rows
+
+        sys = dataclasses.replace(plain, vector_field=field)
+        stack, spec = config.build_stack(), config.build_spec()
+        controllers = []
+        for algorithm in ("lazy-reach", "eager-reach"):
+            result = synthesize(sys, stack, spec, algorithm, config.m, config.substeps)
+            controllers.append(serialize(result.controller))
+            report = validate(result.controller, sys, spec, 50, 200, 0)
+            assert report.executed == 50 and report.violations == 0
+        assert controllers[0] == controllers[1]
+
+    def test_dcdc_reach_ends_do_not_depend_on_the_batch(self):
+        # Layer-1 centers of dcdc-desk: every sampled row integrated alone
+        # ends bit for bit where it ends in the batch of all centers.
+        config = parse_config(default_config("dcdc-desk"))
+        sys, stack = config.build_system(), config.build_stack()
+        centers = stack.centers(1, np.arange(stack.cell_count(1)))
+        ends, _ = integrate_shared(sys, centers, sys.inputs, stack.tau(1), config.substeps)
+        rows = np.random.default_rng(25).choice(len(centers), size=512, replace=False)
+        for i in rows.tolist():
+            alone, _ = integrate_shared(
+                sys, centers[i : i + 1], sys.inputs, stack.tau(1), config.substeps
+            )
+            assert same_bits(alone[:, 0], ends[:, i]), f"center {i}"
 
 
 def _containment_trial(sys, lower, upper, tau, seeds, points, rng):
@@ -385,9 +448,8 @@ class TestFieldReads:
         other = [i for i in range(sys.dim) if i not in sys.field_reads]
         moved[:, other] = rng.uniform(-1e3, 1e3, size=(40, len(other)))
         for u in sys.inputs:
-            f = sys.vector_field(u)
+            f = sys.vector_field(np.tile(u, (40, 1)))
             assert same_bits(f(x), f(moved))
-            assert same_bits(f(x[0]), f(moved[0]))
         per_row = sys.vector_field(np.stack(sys.inputs)[rng.integers(sys.n_inputs, size=40)])
         assert same_bits(per_row(x), per_row(moved))
 
@@ -454,20 +516,6 @@ class TestFieldReads:
             for table in (a, b):
                 table.compute_region(CellSet.full(stack, table.grid_layer))
             assert_same_tables(a, b)
-
-    def test_rejects_a_per_row_binding_unlike_held_inputs(self):
-        # ``u[0]`` applies the first row's input to every row of a per-row
-        # binding; the undeclared system is never swept, so it is accepted.
-        def field(u):
-            return lambda x: np.stack(
-                [u[0] * np.cos(x[..., 2]), u[0] * np.sin(x[..., 2]), np.zeros_like(x[..., 2])],
-                axis=-1,
-            )
-
-        args = (3, field, np.zeros(3), [np.array([0.5]), np.array([-1.0])], lambda u: np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="one input per row"):
-            ControlSystem(*args, field_reads=(2,))
-        assert ControlSystem(*args).field_reads is None
 
     def test_lazy_reach_tables_store_the_generic_boxes(self):
         # Lazy and eager reach, under the default and other dynamics
