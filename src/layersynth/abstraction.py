@@ -15,21 +15,28 @@ to the region: a finer cell inside the coarse cell may still reach
 those cells without leaving the region.
 
 Entries are computed in vectorized batches of cells, for all inputs at
-once, and live in memory only, in one box store per table.  Each stored
-box is keyed by ``input * n_cells + cell``, so one batch appends the
-boxes of every input at once, and the solvers read every input's boxes
-in one pass over the store (:meth:`TransitionTable.store`), block by
-block.  :meth:`TransitionTable.csr` selects one input's boxes from it.
-A batch factors per axis: cell centres are integrated once per distinct
-value of the read coordinates (``ControlSystem.field_reads``), and each
-axis the field does not read is integrated, snapped to the grid and
-tested against the region once per occurring (cell index on that axis,
-representative), in a small table; a cell gathers its corners and flags
-from those tables.  A hand-built entry whose successors are not a box is
-preloaded as one unit box per successor.
+once, at most ``_BLOCK_CELLS`` cells at a time, and live in memory only,
+in one box store per table.  Each stored box is keyed by
+``input * n_cells + cell``, so one batch appends the boxes of every input
+at once, and the solvers read every input's boxes in one pass over the
+store (:meth:`TransitionTable.store`), block by block.  A box is stored
+as the summed-area kernels read it: ``base``, the flat index of its low
+corner in the zero-padded prefix-sum grid of the table's layer (axis
+``a`` strides ``prod(d_b + 1 for b < a)``, see :func:`padded_strides`),
+and its ``width`` per axis, both computed once when the box is stored.
+:meth:`TransitionTable.csr` selects one input's boxes and decodes their
+corners.  A batch factors per axis: cell centres are integrated once per
+distinct value of the read coordinates (``ControlSystem.field_reads``),
+and each axis the field does not read is integrated, snapped to the grid
+and tested against the region once per occurring (cell index on that
+axis, representative), in a small table; a cell gathers its corners and
+flags from those tables.  A hand-built entry whose successors are not a
+box is preloaded as one unit box per successor.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +45,27 @@ from .grid import CellSet, LayerMismatchError, LayerStack
 
 # Integer type of stored cell indices; LayerStack caps a grid's cell count at its maximum.
 _INDEX = np.int32
+
+# Cells that one exploration step integrates, snaps and stores at once:
+# a step holds several arrays of all its rows, so a larger region is
+# explored block by block.  A row's box does not depend on its batch, so
+# the blocks store the boxes one batch would.
+_BLOCK_CELLS = 65_536
+
+
+_UNSIGNED = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16, np.uint32, np.uint64)]
+
+
+def unsigned_for(n: int) -> np.dtype:
+    """Narrowest unsigned integer type whose maximum is at least ``n``."""
+    return next(t for top, t in _UNSIGNED if n <= top)
+
+
+def padded_strides(dims) -> list[int]:
+    """Flat strides of the grid ``dims`` padded by one cell in front of
+    every axis, dimension 0 fastest: axis ``a`` strides
+    ``prod(d_b + 1 for b < a)``."""
+    return [math.prod(int(d) + 1 for d in dims[:a]) for a in range(len(dims))]
 
 
 def _corner_dtype(dims: np.ndarray) -> np.dtype:
@@ -61,14 +89,19 @@ class TransitionTable:
 
     ``kind`` is ``"main"`` (grid and period of ``layer``) or ``"aux"``
     (period of ``layer`` on the coarsest grid).  A computed entry is one
-    box of cells, stored as its inclusive corner indices in the
-    smallest signed integer type that holds the grid's largest axis; a
-    preloaded entry is one unit box per successor.  Every input's boxes
-    share one store, keyed by ``input * n_cells + cell`` (``int32``
-    when every key fits, else ``int64``).  ``_explored`` has
-    one bit per cell, set once the cell's entries for every input are
-    stored; ``explored_count`` counts the explored pairs.  Stored
-    entries are immutable; re-computation requests are no-ops.
+    box of cells; a preloaded entry is one unit box per successor.
+    Every input's boxes share one store, keyed by
+    ``input * n_cells + cell`` (``int32`` when every key fits, else
+    ``int64``).  A box is stored as ``base``, the flat index of its low
+    corner in the zero-padded grid of ``strides`` (the narrowest
+    unsigned type that holds every index of that grid), and its
+    ``width`` per axis (the smallest signed integer type that holds the
+    grid's largest axis).  ``has_box`` has one bit per pair
+    ``input * n_cells + cell``, set once a box of the pair is stored.
+    ``_explored`` has one bit per cell, set once the cell's entries for
+    every input are stored; ``explored_count`` counts the explored
+    pairs.  Stored entries are immutable; re-computation requests are
+    no-ops.
     """
 
     def __init__(
@@ -96,22 +129,33 @@ class TransitionTable:
         self.n_cells = n_cells
         self._explored = np.zeros(n_cells, dtype=bool)
         # Every input's boxes, keyed by ``input * n_cells + cell``, in the
-        # order they were stored; ``_batches`` holds the (keys, lo, hi)
-        # batches not yet merged into ``_store``.
+        # order they were stored; ``_batches`` holds the (keys, base,
+        # width) batches not yet merged into ``_store``.
         fits = n_inputs * n_cells <= np.iinfo(np.int32).max
         self._key = np.dtype(np.int32 if fits else np.int64)
-        self._corner = _corner_dtype(stack.dims(self.grid_layer))
+        dims = stack.dims(self.grid_layer)
+        self._corner = _corner_dtype(dims)
+        self.strides = padded_strides(dims)
+        self._base = unsigned_for(math.prod(int(d) + 1 for d in dims) - 1)
         self._batches: list[tuple] = []
         self._store = (
             np.empty(0, dtype=self._key),
-            np.empty((0, stack.dim), dtype=self._corner),
+            np.empty(0, dtype=self._base),
             np.empty((0, stack.dim), dtype=self._corner),
         )
-        # Growth-bound radius of a grid cell, one row per input.
+        self.has_box = np.zeros(n_inputs * n_cells, dtype=bool)
+        # Growth-bound radius of a grid cell, one row per input.  It
+        # depends on the input only through its growth matrix, so each
+        # distinct matrix is integrated once.
         half_width = 0.5 * stack.eta(self.grid_layer)
-        self._radius = np.stack([
-            radius_dynamics(sys, u, half_width, self.tau, self.substeps) for u in sys.inputs
-        ])
+        by_matrix: dict[bytes, np.ndarray] = {}
+        rows = []
+        for u in sys.inputs:
+            key = np.asarray(sys.growth_matrix(u), dtype=float).tobytes()
+            if key not in by_matrix:
+                by_matrix[key] = radius_dynamics(sys, u, half_width, self.tau, self.substeps)
+            rows.append(by_matrix[key])
+        self._radius = np.stack(rows)
         self.explored_count = 0
 
     # -- population ----------------------------------------------------
@@ -137,20 +181,24 @@ class TransitionTable:
             keys = [np.full(arr.size, u_idx * self.n_cells + cell) for u_idx, arr in boxed]
             succ = np.concatenate([arr for _, arr in boxed])
             idx = self.stack.unlinearize(self.grid_layer, succ).astype(self._corner)
-            self._batches.append((np.concatenate(keys).astype(self._key), idx, idx))
+            self._append(np.concatenate(keys).astype(self._key), idx, idx)
         self._explored[cell] = True
         self.explored_count += self.sys.n_inputs
 
     def compute_region(self, region: CellSet) -> None:
-        """Ensure every cell of ``region`` is explored for every input."""
+        """Ensure every cell of ``region`` is explored for every input,
+        at most ``_BLOCK_CELLS`` cells at a time."""
         if region.layer != self.grid_layer:
             raise LayerMismatchError(
                 f"region lives on layer {region.layer} but the table's grid "
                 f"is layer {self.grid_layer}"
             )
         cells = np.flatnonzero(region.bits & ~self._explored)
-        if not cells.size:
-            return
+        for start in range(0, cells.size, _BLOCK_CELLS):
+            self._compute_cells(cells[start : start + _BLOCK_CELLS])
+
+    def _compute_cells(self, cells: np.ndarray) -> None:
+        """Explore ``cells`` (unexplored, sorted) for every input in one batch."""
         stack, gl, sys = self.stack, self.grid_layer, self.sys
         dims = stack.dims(gl)
         idx = stack.unlinearize(gl, cells)
@@ -223,7 +271,18 @@ class TransitionTable:
             per_row(np.clip(f, 0, dims - 1).astype(self._corner)).take(keep, axis=0)
             for f in (floor_lo, floor_hi)
         )
-        self._batches.append((keys, lo, hi))
+        self._append(keys, lo, hi)
+
+    def _append(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Queue the boxes from ``lo`` to ``hi`` (inclusive corners) under
+        ``keys``, encoded as (base, width)."""
+        base = lo[:, 0].astype(self._base)
+        for a in range(1, lo.shape[1]):
+            base += np.multiply(lo[:, a], self.strides[a], dtype=self._base, casting="unsafe")
+        width = hi - lo
+        width += 1
+        self._batches.append((keys, base, width))
+        self.has_box[keys] = True
 
     # -- access ---------------------------------------------------------
 
@@ -232,11 +291,12 @@ class TransitionTable:
         return CellSet(self.grid_layer, self._explored.copy())
 
     def store(self):
-        """Every stored box as (keys, lo, hi), in storage order.
+        """Every stored box as (keys, base, width), in storage order.
 
         Box ``k`` belongs to input ``keys[k] // n_cells`` and cell
-        ``keys[k] % n_cells``, and spans the cells from ``lo[k]`` to
-        ``hi[k]`` (inclusive, per axis).  On a main table an explored
+        ``keys[k] % n_cells``.  Its low corner has the flat index
+        ``base[k]`` in the zero-padded grid of ``strides``, and it spans
+        ``width[k]`` cells on each axis.  On a main table an explored
         pair with no box leaves the region; an auxiliary table also
         keeps, clipped to the region, the boxes of pairs that leave it.
         """
@@ -249,14 +309,21 @@ class TransitionTable:
 
     def csr(self, u_idx: int):
         """Stored boxes of one input as (cells, lo, hi), selected from
-        :meth:`store`.
+        :meth:`store` and decoded to inclusive corners.
 
         Box ``k`` of ``cells[k]`` spans the cells from ``lo[k]`` to
         ``hi[k]``.  Boxes are in storage order, not sorted by cell.  The
         name is that of the compressed-row successor store the boxes
         replaced, under which the benchmark tracer times this accessor.
         """
-        keys, lo, hi = self.store()
-        base = u_idx * self.n_cells
-        rows = np.flatnonzero((keys >= base) & (keys < base + self.n_cells))
-        return (keys.take(rows) - base).astype(_INDEX), lo.take(rows, axis=0), hi.take(rows, axis=0)
+        keys, base, width = self.store()
+        first = u_idx * self.n_cells
+        rows = np.flatnonzero((keys >= first) & (keys < first + self.n_cells))
+        flat = base.take(rows).astype(np.int64)
+        dims = self.stack.dims(self.grid_layer)
+        lo = np.empty((rows.size, self.stack.dim), dtype=self._corner)
+        for a, stride in enumerate(self.strides):
+            lo[:, a] = flat // stride % (dims[a] + 1)
+        hi = lo + width.take(rows, axis=0)
+        hi -= 1
+        return (keys.take(rows) - first).astype(_INDEX), lo, hi

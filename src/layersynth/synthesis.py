@@ -17,15 +17,14 @@ on a one-level stack, the case the multi-layer protocols reduce to.
 
 from __future__ import annotations
 
-import itertools
-import math
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import TransitionTable, UnexploredTransitionError
+from .abstraction import TransitionTable, UnexploredTransitionError, padded_strides, unsigned_for
 from .controller import LayerController, MultiLayeredController
 from .dynamics import ControlSystem
 from .grid import CellSet, LayerMismatchError, LayerStack, gamma_down, gamma_up
@@ -89,84 +88,134 @@ class SynthesisResult:
     stats: SynthesisStats
 
 
+@functools.cache
+def _gray_walk(dim: int) -> tuple[tuple[int, bool, bool], ...]:
+    """The steps from a box's all-low corner through its other corners.
+
+    Corners follow the Gray code, so step ``j`` moves one axis, the
+    lowest set bit of ``j``.  Each step is ``(axis, up, plus)``: the axis
+    moves to its high end if ``up``, else back to its low end, and the
+    corner reached counts positively if ``plus``, that is if it takes an
+    even number of low ends.
+    """
+    steps = []
+    for j in range(1, 2**dim):
+        axis = (j & -j).bit_length() - 1
+        gray = j ^ (j >> 1)
+        steps.append((axis, bool(gray >> axis & 1), (dim - gray.bit_count()) % 2 == 0))
+    return tuple(steps)
+
+
 class _SummedArea:
     """Counts of set cells in boxes of one grid, from an n-D prefix sum.
 
     The sums are zero-padded in front of every axis, so the count of a
     box is the signed sum of the padded sums at its 2^dim corners (Crow,
-    SIGGRAPH 1984).
+    SIGGRAPH 1984).  A box is read as a transition table stores it: the
+    flat index ``base`` of its low corner in the padded grid and its
+    ``width`` per axis.  Its corners are visited in Gray-code order, so
+    each corner's index is the last one's plus or minus one axis's
+    extent ``width[a] * strides[a]``, in ``base``'s type.
+
+    The sums are kept in the narrowest unsigned type whose maximum is
+    at least the grid's cell count, so each sum, a count of at most
+    ``n_cells`` cells, fits.  The signed corner sum is taken in that
+    type too, so its partial results wrap modulo 2^k for a k-bit type.
+    The count is still exact: wrapping arithmetic is arithmetic modulo
+    2^k, so the corner sum comes out as the box's true count modulo 2^k,
+    and every true count lies in ``[0, n_cells]``, below 2^k.
     """
 
     def __init__(self, stack: LayerStack, layer: int, bits: np.ndarray):
-        dims = [int(d) for d in stack.dims(layer)]
+        dims = stack.dims(layer).tolist()
+        kind = unsigned_for(bits.size)
         # Dimension 0 varies fastest, so the C-order view reverses the axes.
-        sums = np.zeros([d + 1 for d in reversed(dims)], dtype=np.int32)
+        sums = np.zeros([d + 1 for d in reversed(dims)], dtype=kind)
         sums[(slice(1, None),) * len(dims)] = bits.reshape(dims[::-1])
         for axis in range(len(dims)):
-            np.cumsum(sums, axis=axis, out=sums)
+            np.cumsum(sums, axis=axis, dtype=kind, out=sums)
         self.flat = sums.ravel()
-        self.index_type = np.int32 if sums.size <= np.iinfo(np.int32).max else np.int64
-        self.strides = [math.prod(d + 1 for d in dims[:i]) for i in range(len(dims))]
+        self.strides = padded_strides(dims)
 
-    def counts(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Set cells in each box ``[lo[k], hi[k]]`` (inclusive corners)."""
-        index = self.index_type
-        parts = []
-        for axis, stride in enumerate(self.strides):
-            low = lo[:, axis].astype(index)
-            low *= stride
-            high = hi[:, axis].astype(index)
-            high += 1
-            high *= stride
-            parts.append((high, low))
-        out = np.zeros(lo.shape[0], dtype=np.int32)
-        # A corner takes the high or the low end on each axis; it counts
-        # negatively when it takes an odd number of low ends.
-        for lows in itertools.product((False, True), repeat=len(parts)):
-            ends = [part[low] for part, low in zip(parts, lows)]
-            corner = sum(ends[1:], ends[0])
-            if sum(lows) % 2:
-                out -= self.flat.take(corner)
-            else:
-                out += self.flat.take(corner)
+    def counts(self, base: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """Set cells in each box with low corner ``base[k]`` (a flat
+        padded index) and ``width[k]`` cells per axis, in the sums' type."""
+        extent = [
+            np.multiply(width[:, a], stride, dtype=base.dtype, casting="unsafe")
+            for a, stride in enumerate(self.strides)
+        ]
+        out = self.flat.take(base)
+        if len(extent) % 2:
+            # The all-low corner takes an odd number of low ends.
+            np.negative(out, out=out)
+        corner = base.copy()
+        read = np.empty_like(out)
+        for axis, up, plus in _gray_walk(len(extent)):
+            (np.add if up else np.subtract)(corner, extent[axis], out=corner)
+            self.flat.take(corner, out=read, mode="clip")
+            (np.add if plus else np.subtract)(out, read, out=out)
         return out
 
 
-def _boxes_touching(table: TransitionTable, cells: CellSet):
-    """``(keys, touches)`` for each block of the table's box store, in
-    storage order, where ``touches`` marks the boxes holding a cell of
-    ``cells`` and ``keys`` is ``input * n_cells + cell`` of each box."""
+def _check_grid(table: TransitionTable, cells: CellSet) -> None:
     if cells.layer != table.grid_layer:
         raise LayerMismatchError(
             f"cell set lives on layer {cells.layer} but the table's grid is "
             f"layer {table.grid_layer}"
         )
+
+
+def _boxes_touching(table: TransitionTable, cells: CellSet, skip: np.ndarray | None = None):
+    """``(keys, touches)`` for each block of the table's box store, in
+    storage order, where ``touches`` marks the boxes holding a cell of
+    ``cells`` and ``keys`` is ``input * n_cells + cell`` of each box.
+    With ``skip``, one bool per key, a block leaves out the boxes of the
+    keys that ``skip`` marks when the block is read."""
+    _check_grid(table, cells)
     sums = _SummedArea(table.stack, table.grid_layer, cells.bits)
-    keys, lo, hi = table.store()
+    keys, base, width = table.store()
     for start in range(0, keys.size, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        yield keys[block], sums.counts(lo[block], hi[block]) > 0
+        k, b, w = keys[block], base[block], width[block]
+        if skip is not None:
+            rows = np.flatnonzero(~skip.take(k))
+            k, b, w = k.take(rows), b.take(rows), w.take(rows, axis=0)
+        yield k, sums.counts(b, w) != 0
 
 
-def _closing_inputs(table: TransitionTable, region: CellSet) -> np.ndarray:
+def _closing_inputs(
+    table: TransitionTable, region: CellSet, cells: CellSet | None = None
+) -> np.ndarray:
     """``mask[u, c]``: input ``u`` keeps every successor of cell ``c`` in ``region``.
 
     The one containment test behind ``cpre`` and every stage's moves: a
     pair closes if it has a box and none of its boxes holds a cell
     outside ``region``.  The mask has shape ``(n_inputs, n_cells)`` and
     is never true for an unexplored pair or one that leaves the region
-    of interest.  Only a main table has closing masks: an auxiliary
-    table keeps the clipped boxes of pairs that leave it.
+    of interest.  With ``cells``, every column outside ``cells`` is
+    False.  The boxes of ``cells`` alone are then counted if their
+    pairs are fewer than half the stored boxes (a computed table stores
+    at most one box per pair); with more, selecting those rows costs
+    more than counting every row.  Only a main table has closing masks:
+    an auxiliary table keeps the clipped boxes of pairs that leave it.
     """
     if table.kind != "main":
         raise ValueError("closing masks are defined on main tables only")
-    mask = np.zeros(table.sys.n_inputs * table.n_cells, dtype=bool)
-    # Every pair with a box is set before any block clears one: a
-    # preloaded pair's unit boxes may lie in different blocks.
-    mask[table.store()[0]] = True
-    for keys, leaves in _boxes_touching(table, region.complement()):
-        mask[keys[leaves]] = False
-    return mask.reshape(table.sys.n_inputs, table.n_cells)
+    n_inputs, n_cells = table.sys.n_inputs, table.n_cells
+    # The pairs known not to close: every pair outside ``cells``, then
+    # every pair with a box that leaves ``region``.
+    fails = np.zeros(n_inputs * n_cells, dtype=bool)
+    if cells is not None:
+        _check_grid(table, cells)
+        np.logical_not(cells.bits, out=fails.reshape(n_inputs, n_cells))
+    # Selected rows skip the pairs already known: those outside
+    # ``cells``, and a preloaded pair whose unit boxes in an earlier
+    # block left ``region``.
+    few = cells is not None and 2 * np.count_nonzero(cells.bits) * n_inputs < table.store()[0].size
+    for keys, leaves in _boxes_touching(table, region.complement(), fails if few else None):
+        fails[keys[leaves]] = True
+    # ``has_box > fails`` is ``has_box & ~fails``, in one pass.
+    return np.greater(table.has_box, fails, out=fails).reshape(n_inputs, n_cells)
 
 
 def _moves_into(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -309,13 +358,15 @@ class SynthesisEngine:
         safe set) that no coarser layer won this round, ``covered``;
         they are explored first.  Returns the candidates that can stay
         inside ``current`` for one period, and the closing-input mask
-        of ``current`` that their moves come from.
+        of ``current`` that their moves come from.  The mask is False
+        outside the candidates, which is exact: the final round's
+        stages read only cells it won.
         """
         current = current.intersect(self.spec_sets.safe_at(layer))
         candidates = current if covered is None else current.difference(covered)
         self.explore(layer, candidates)
         self.stats.cpre_evals[layer - 1] += 1
-        mask = _closing_inputs(self.table(layer), current)
+        mask = _closing_inputs(self.table(layer), current, candidates)
         self.stats.fp_iterations[layer - 1] += 1
         return CellSet(layer, mask.any(axis=0) & candidates.bits), mask
 

@@ -1,15 +1,22 @@
 """The summed-area box kernels against the gather-based reference.
 
-``synthesis._closing_inputs`` and ``synthesis.upre`` count the cells of
-each stored box from an n-D prefix sum; the references in
-``oracles.py`` enumerate every successor of every box and gather its
-bit.  They must agree on computed tables, on preloaded entries that are
-not boxes, on clipped auxiliary boxes at every face of the grid, and on
-grids whose corner indices need 32-bit integers, both at the kernels'
-block size and in blocks of a few rows, so that one pair's boxes fall
-in different blocks.  Neither the order in which a table stores its
-boxes nor the batches it explored them in may change what they return,
-and a cell explored alone stores the boxes it stores in a batch.
+A transition table stores each box as the flat index of its low corner
+in the zero-padded prefix-sum grid and its width per axis;
+``synthesis._SummedArea.counts`` reads a box's count from its 2^dim
+corners in wrapping unsigned sums of the narrowest type, and must count
+exactly at the boundaries of those types.  ``synthesis._closing_inputs``
+and ``synthesis.upre`` build on it; the references in ``oracles.py``
+decode every box back to its corners (``TransitionTable.csr``),
+enumerate every successor and gather its bit.  They must agree on
+computed tables, on preloaded entries that are not boxes, on clipped
+auxiliary boxes at every face of the grid, and on grids whose corner
+indices need 32-bit integers, both at the kernels' block size and in
+blocks of a few rows, so that one pair's boxes fall in different
+blocks.  A closing mask restricted to some cells must equal the
+reference on their columns and be False elsewhere.  Neither the order
+in which a table stores its boxes nor the batches or blocks it explored
+them in may change what they return, and a cell explored alone stores
+the boxes it stores in a batch.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from layersynth import (
     CellSet,
     LayerStack,
     TransitionTable,
+    abstraction,
     build_spec_sets,
     parse_config,
     synthesis,
@@ -50,11 +58,11 @@ from layersynth.problem import REACH_AVOID, SAFETY
 SMALL_BLOCK = 13
 
 
-def small_blocks(kernel, table, region):
-    """``kernel(table, region)`` reading the box store ``SMALL_BLOCK`` rows at a time."""
+def small_blocks(kernel, table, region, *args):
+    """``kernel(table, region, *args)`` reading the box store ``SMALL_BLOCK`` rows at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synthesis, "_BLOCK_ROWS", SMALL_BLOCK)
-        return kernel(table, region)
+        return kernel(table, region, *args)
 
 
 def assert_kernels_match(table, region):
@@ -62,6 +70,12 @@ def assert_kernels_match(table, region):
         want = closing_inputs_reference(table, region)
         np.testing.assert_array_equal(synthesis._closing_inputs(table, region), want)
         np.testing.assert_array_equal(small_blocks(synthesis._closing_inputs, table, region), want)
+        # restricted to a few cells (their rows selected) and to most
+        # cells (every row counted): other columns are False
+        for share in (0.05, 0.9):
+            cells = CellSet(table.grid_layer, np.random.default_rng(7).random(table.n_cells) < share)
+            got = small_blocks(synthesis._closing_inputs, table, region, cells)
+            np.testing.assert_array_equal(got, want & cells.bits)
     else:
         with pytest.raises(ValueError, match="main tables"):
             synthesis._closing_inputs(table, region)
@@ -78,32 +92,108 @@ def regions(rng, table, n=12):
         yield CellSet(table.grid_layer, rng.random(table.n_cells) < density)
 
 
+def narrowest_unsigned(n):
+    """The narrowest of uint8, uint16 and uint32 whose maximum is at least ``n``."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32) if n <= np.iinfo(t).max)
+
+
+def encoded(dims, lo, hi):
+    """Boxes ``[lo, hi]`` as ``(base, width)``: the flat index of the low
+    corner in the grid padded by one cell in front of every axis, in the
+    narrowest unsigned type holding every padded index, and the widths."""
+    padded = [d + 1 for d in dims]
+    strides = np.cumprod([1] + padded[:-1])
+    base = (lo.astype(np.int64) @ strides).astype(narrowest_unsigned(np.prod(padded) - 1))
+    return base, (hi - lo + 1).astype(np.int8 if max(dims) <= 127 else np.int32)
+
+
+def brute_counts(bits, dims, lo, hi):
+    view = bits.reshape(dims, order="F")
+    return [int(view[tuple(slice(x, y + 1) for x, y in zip(l, h))].sum())
+            for l, h in zip(lo.tolist(), hi.tolist())]
+
+
+def random_boxes(rng, dims, n):
+    a = rng.integers(0, dims, size=(n, len(dims)))
+    b = rng.integers(0, dims, size=(n, len(dims)))
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 def test_summed_area_counts_match_brute_force():
     rng = np.random.default_rng(0)
-    for dims in ([7], [5, 3], [4, 6, 3]):
+    for dims in ([7], [5, 3], [4, 6, 3], [3, 2, 4, 2]):
         stack = LayerStack(1, [1.0] * len(dims), 1.0, [0.0] * len(dims), [float(d) for d in dims])
         bits = rng.random(stack.cell_count(1)) < 0.5
-        view = bits.reshape(dims, order="F")
-        a = rng.integers(0, dims, size=(200, len(dims)))
-        b = rng.integers(0, dims, size=(200, len(dims)))
-        lo, hi = np.minimum(a, b).astype(np.int8), np.maximum(a, b).astype(np.int8)
-        got = synthesis._SummedArea(stack, 1, bits).counts(lo, hi)
-        want = [int(view[tuple(slice(x, y + 1) for x, y in zip(l, h))].sum())
-                for l, h in zip(lo.tolist(), hi.tolist())]
-        assert got.tolist() == want
+        lo, hi = random_boxes(rng, dims, 200)
+        got = synthesis._SummedArea(stack, 1, bits).counts(*encoded(dims, lo, hi))
+        assert got.tolist() == brute_counts(bits, dims, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [[255], [15, 17], [256], [16, 16], [65_535], [255, 257], [65_536], [256, 256]],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_summed_area_counts_are_exact_at_the_type_boundaries(dims):
+    # The sums live in the narrowest unsigned type that holds the cell
+    # count, and the corner sums wrap in it: a grid of 255 cells sums in
+    # uint8, one of 256 in uint16.
+    n = int(np.prod(dims))
+    stack = LayerStack(1, [1.0] * len(dims), 1.0, [0.0] * len(dims), [float(d) for d in dims])
+    rng = np.random.default_rng(n)
+    lo, hi = random_boxes(rng, dims, 100)
+    # the whole grid, and a unit box at its first and last cell
+    last = np.array(dims) - 1
+    lo = np.vstack([lo, np.zeros_like(last), np.zeros_like(last), last])
+    hi = np.vstack([hi, last, np.zeros_like(last), last])
+    boxes = encoded(dims, lo, hi)
+    for bits in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), rng.random(n) < 0.5):
+        sums = synthesis._SummedArea(stack, 1, bits)
+        assert sums.flat.dtype == narrowest_unsigned(n)
+        got = sums.counts(*boxes)
+        assert got.tolist() == brute_counts(bits, dims, lo, hi)
+    assert got.tolist()[-3] == bits.sum()
+
+
+@pytest.mark.parametrize(
+    "cells, want", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)]
+)
+def test_store_base_is_the_narrowest_type_holding_the_padded_grid(cells, want):
+    # A 1-D grid of ``cells`` cells pads to ``cells + 1`` indices.
+    stack = LayerStack(1, [1.0], 1.0, [0.0], [float(cells)])
+    table = TransitionTable(stationary_system(dim=1), stack, 1)
+    table.preload(cells - 1, [[0, cells - 1]])
+    _, base, width = table.store()
+    assert base.dtype == want
+    assert base.tolist() == [0, cells - 1] and width.tolist() == [[1], [1]]
+    assert table.csr(0)[1].tolist() == [[0], [cells - 1]]
+
+
+def test_unicycle_store_base_is_uint16():
+    # 32^3, 16^3 and 8^3 cells pad to 35,937, 4,913 and 729 indices
+    config = parse_config(UNICYCLE_LAZY)
+    sys, stack = config.build_system(), config.build_stack()
+    for layer, side in ((1, 33), (2, 17), (3, 9)):
+        assert stack.dims(layer).tolist() == [side - 1] * 3
+        assert TransitionTable(sys, stack, layer).store()[1].dtype == np.uint16
 
 
 @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
 def test_sweep_kernels_match_reference_after_every_call(kind, monkeypatch):
     closing, cooperative = synthesis._closing_inputs, synthesis.upre
-    calls = {"closing": 0, "upre": 0}
+    calls = {"closing": 0, "restricted": 0, "upre": 0}
 
-    def checked_closing(table, region):
+    def checked_closing(table, region, cells=None):
         calls["closing"] += 1
-        got = closing(table, region)
+        calls["restricted"] += cells is not None
+        got = closing(table, region, cells)
         want = closing_inputs_reference(table, region)
+        if cells is not None:
+            # only the given cells' columns are counted; the rest are False
+            assert not got[:, ~cells.bits].any()
+            want[:, ~cells.bits] = False
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(small_blocks(closing, table, region), want)
+        np.testing.assert_array_equal(small_blocks(closing, table, region, cells), want)
         return got
 
     def checked_upre(table, target):
@@ -123,6 +213,7 @@ def test_sweep_kernels_match_reference_after_every_call(kind, monkeypatch):
             for algorithm in ("eager" + suffix, "lazy" + suffix):
                 synthesize(sys, stack, spec, algorithm)
     assert calls["closing"] > 0
+    assert (calls["restricted"] > 0) == (kind == SAFETY)
     assert (calls["upre"] > 0) == (kind == REACH_AVOID)
 
 
@@ -218,10 +309,10 @@ def permuted(table, rng):
     """A copy of ``table`` that stores its boxes in a random order,
     the inputs' boxes mixed."""
     out = copy.copy(table)
-    keys, lo, hi = table.store()
+    keys, base, width = table.store()
     order = rng.permutation(keys.size)
     out._batches = []
-    out._store = (keys[order], lo[order], hi[order])
+    out._store = (keys[order], base[order], width[order])
     return out
 
 
@@ -279,6 +370,31 @@ def test_stored_boxes_do_not_depend_on_the_batch(doc, layer):
         alone.compute_region(CellSet.from_indices(stack, layer, cells[cells == cell]))
     for u in range(sys.n_inputs):
         np.testing.assert_array_equal(sorted_boxes(alone, u), sorted_boxes(batch, u))
+
+
+@pytest.mark.parametrize("doc", [DCDC_SAFE, UNICYCLE_LAZY], ids=["dcdc-safe", "unicycle-lazy"])
+@pytest.mark.parametrize("layer", [1, 2])
+def test_exploring_in_blocks_stores_the_boxes_of_one_batch(doc, layer, monkeypatch):
+    config = parse_config(doc)
+    sys, stack = config.build_system(), config.build_stack()
+    region = build_spec_sets(stack, config.build_spec()).safe_at(layer)
+    batch = TransitionTable(sys, stack, layer)
+    batch.compute_region(region)
+    monkeypatch.setattr(abstraction, "_BLOCK_CELLS", 97)
+    assert region.count() > 2 * abstraction._BLOCK_CELLS
+    blocks = TransitionTable(sys, stack, layer)
+    blocks.compute_region(region)
+    assert blocks.explored_count == batch.explored_count
+    assert blocks.explored_cells() == batch.explored_cells()
+    for u in range(sys.n_inputs):
+        np.testing.assert_array_equal(sorted_boxes(blocks, u), sorted_boxes(batch, u))
+    rng = np.random.default_rng(layer)
+    for target in regions(rng, blocks, n=3):
+        np.testing.assert_array_equal(
+            synthesis._closing_inputs(blocks, target), synthesis._closing_inputs(batch, target)
+        )
+        assert upre(blocks, target) == upre(batch, target)
+    assert_kernels_match(blocks, target)
 
 
 @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
