@@ -20,23 +20,21 @@ in one box store per table.  Each stored box is keyed by
 ``input * n_cells + cell``, so one batch appends the boxes of every input
 at once, and the solvers read every input's boxes in one pass over the
 store (:meth:`TransitionTable.store`), block by block.  A box is stored
-as the summed-area kernels read it: ``base``, the flat index of its low
-corner in the zero-padded prefix-sum grid of the table's layer (axis
-``a`` strides ``prod(d_b + 1 for b < a)``, see :func:`padded_strides`),
-and its ``width`` per axis, both computed once when the box is stored.
+as the solvers read it, as one ``code``: ``class * n_cells + corner``,
+where ``corner`` is the cell of its low corner and ``class`` indexes the
+table's distinct box widths (:attr:`TransitionTable.widths`), so a
+solver reads one bit per box from a whole-grid bitmap per width class.
 :meth:`TransitionTable.csr` selects one input's boxes and decodes their
 corners.  A batch factors per axis: cell centres are integrated once per
 distinct value of the read coordinates (``ControlSystem.field_reads``),
 and each axis the field does not read is integrated, snapped to the grid
 and tested against the region once per occurring (cell index on that
-axis, representative), in a small table; a cell gathers its corners and
-flags from those tables.  A hand-built entry whose successors are not a
-box is preloaded as one unit box per successor.
+axis, representative), in a small table; a row gathers its flags and its
+parts of the code from those tables.  A hand-built entry whose
+successors are not a box is preloaded as one unit box per successor.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -59,13 +57,6 @@ _UNSIGNED = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16, np.ui
 def unsigned_for(n: int) -> np.dtype:
     """Narrowest unsigned integer type whose maximum is at least ``n``."""
     return next(t for top, t in _UNSIGNED if n <= top)
-
-
-def padded_strides(dims) -> list[int]:
-    """Flat strides of the grid ``dims`` padded by one cell in front of
-    every axis, dimension 0 fastest: axis ``a`` strides
-    ``prod(d_b + 1 for b < a)``."""
-    return [math.prod(int(d) + 1 for d in dims[:a]) for a in range(len(dims))]
 
 
 def _corner_dtype(dims: np.ndarray) -> np.dtype:
@@ -92,16 +83,28 @@ class TransitionTable:
     box of cells; a preloaded entry is one unit box per successor.
     Every input's boxes share one store, keyed by
     ``input * n_cells + cell`` (``int32`` when every key fits, else
-    ``int64``).  A box is stored as ``base``, the flat index of its low
-    corner in the zero-padded grid of ``strides`` (the narrowest
-    unsigned type that holds every index of that grid), and its
-    ``width`` per axis (the smallest signed integer type that holds the
-    grid's largest axis).  ``has_box`` has one bit per pair
-    ``input * n_cells + cell``, set once a box of the pair is stored.
-    ``_explored`` has one bit per cell, set once the cell's entries for
-    every input are stored; ``explored_count`` counts the explored
-    pairs.  Stored entries are immutable; re-computation requests are
-    no-ops.
+    ``int64``).  A box is stored as one code, ``class * n_cells +
+    corner``: ``corner`` is the cell of its low corner, linearized like
+    the grid, and row ``class`` of ``widths`` holds its width in cells
+    per axis.  ``widths`` has one row per distinct width, in the order
+    the widths first occur, and only grows.  Codes are of the narrowest
+    unsigned type that holds every code of the classes so far; a batch
+    that adds a class past that type widens it.
+
+    Width classes are few.  Every cell of a table has its input's
+    growth-bound radius ``r``, so on axis ``a`` a computed box is an
+    interval of length ``2 r[a]`` in grid units, and an interval of
+    length ``L`` meets either ``floor(L) + 1`` or ``floor(L) + 2``
+    cells (up to rounding when ``L`` is close to an integer).  A main
+    table therefore has at most ``2**dim`` classes per distinct radius,
+    plus the unit class of preloaded entries; an auxiliary table adds
+    the widths of boxes clipped to the region.
+
+    ``has_box`` has one bit per pair ``input * n_cells + cell``, set
+    once a box of the pair is stored.  ``_explored`` has one bit per
+    cell, set once the cell's entries for every input are stored;
+    ``explored_count`` counts the explored pairs.  Stored entries are
+    immutable; re-computation requests are no-ops.
     """
 
     def __init__(
@@ -129,20 +132,23 @@ class TransitionTable:
         self.n_cells = n_cells
         self._explored = np.zeros(n_cells, dtype=bool)
         # Every input's boxes, keyed by ``input * n_cells + cell``, in the
-        # order they were stored; ``_batches`` holds the (keys, base,
-        # width) batches not yet merged into ``_store``.
+        # order they were stored; ``_batches`` holds the (keys, code)
+        # batches not yet merged into ``_store``.
         fits = n_inputs * n_cells <= np.iinfo(np.int32).max
         self._key = np.dtype(np.int32 if fits else np.int64)
-        dims = stack.dims(self.grid_layer)
-        self._corner = _corner_dtype(dims)
-        self.strides = padded_strides(dims)
-        self._base = unsigned_for(math.prod(int(d) + 1 for d in dims) - 1)
+        self._corner = _corner_dtype(stack.dims(self.grid_layer))
+        # Width classes: ``_class_of`` maps a width, as a tuple, to its row
+        # of ``widths``.  A batch numbers a width ``w`` below ``_bound`` on
+        # every axis as ``w @ _radix``; ``_offset`` maps a number to its
+        # class's ``class * n_cells``, and ``_known`` marks the numbers of
+        # stored widths.
+        self._class_of: dict[tuple, int] = {}
+        self.widths = np.empty((0, stack.dim), dtype=self._corner)
+        self._code = unsigned_for(n_cells - 1)
+        self._bound = np.ones(stack.dim, dtype=np.int64)
+        self._renumber(self._bound)
         self._batches: list[tuple] = []
-        self._store = (
-            np.empty(0, dtype=self._key),
-            np.empty(0, dtype=self._base),
-            np.empty((0, stack.dim), dtype=self._corner),
-        )
+        self._store = (np.empty(0, dtype=self._key), np.empty(0, dtype=self._code))
         self.has_box = np.zeros(n_inputs * n_cells, dtype=bool)
         # Growth-bound radius of a grid cell, one row per input.  It
         # depends on the input only through its growth matrix, so each
@@ -179,9 +185,9 @@ class TransitionTable:
         boxed = [(u_idx, arr) for u_idx, arr in enumerate(succs) if arr is not None]
         if boxed:
             keys = [np.full(arr.size, u_idx * self.n_cells + cell) for u_idx, arr in boxed]
-            succ = np.concatenate([arr for _, arr in boxed])
-            idx = self.stack.unlinearize(self.grid_layer, succ).astype(self._corner)
-            self._append(np.concatenate(keys).astype(self._key), idx, idx)
+            succ = np.concatenate([arr for _, arr in boxed]).astype(np.int64)
+            unit = self._classes([(1,) * self.stack.dim])[0]
+            self._append(np.concatenate(keys), (unit * self.n_cells + succ).astype(self._code))
         self._explored[cell] = True
         self.explored_count += self.sys.n_inputs
 
@@ -201,16 +207,18 @@ class TransitionTable:
         """Explore ``cells`` (unexplored, sorted) for every input in one batch."""
         stack, gl, sys = self.stack, self.grid_layer, self.sys
         dims = stack.dims(gl)
-        idx = stack.unlinearize(gl, cells)
         reads = list(range(stack.dim) if sys.field_reads is None else sys.field_reads)
         # A row's representative is the first row with its indices on the
-        # read axes: with no declaration, the row itself (the key is
-        # linearized like the grid, so it is the cell).  On axis ``a`` the
-        # row reads entry ``entry[i, a]`` of that axis's end values: its
-        # representative's on a read axis, its (index, representative)
-        # pair's on a free one.
-        key = np.ravel_multi_index(tuple(idx[:, reads].T), dims[reads], order="F")
-        _, first, of = np.unique(key, return_index=True, return_inverse=True)
+        # read axes: when the field reads every axis, the row itself.  On
+        # axis ``a`` the row reads entry ``entry[i, a]`` of that axis's
+        # end values: its representative's on a read axis, its (index,
+        # representative) pair's on a free one.
+        if len(reads) == stack.dim:
+            first = of = np.arange(cells.size)
+        else:
+            idx = stack.unlinearize(gl, cells)
+            key = np.ravel_multi_index(tuple(idx[:, reads].T), dims[reads], order="F")
+            _, first, of = np.unique(key, return_index=True, return_inverse=True)
         entry = np.repeat(of[:, None], stack.dim, axis=1)
         free = []
         for a in range(stack.dim):
@@ -228,23 +236,23 @@ class TransitionTable:
         values[:, : first.size, reads] = ends[:, :, reads]
         for (a, _, _), t in zip(free, tables):
             values[:, : t.shape[1], a] = t
-        self._store_boxes(cells, entry * stack.dim + np.arange(stack.dim), values)
+        self._store_boxes(cells, entry, values)
         self._explored[cells] = True
         self.explored_count += cells.size * sys.n_inputs
 
-    def _store_boxes(self, cells: np.ndarray, flat: np.ndarray, c: np.ndarray) -> None:
+    def _store_boxes(self, cells: np.ndarray, entry: np.ndarray, c: np.ndarray) -> None:
         """Store the grid boxes of ``cells`` under every input.
 
         ``c`` ``(n_inputs, width, dim)`` holds per-axis end centres, one
-        column per axis and one block per input; under input ``u``, row
-        ``i`` of the batch reads the flat positions ``flat[i]`` of
-        ``c[u]``.  Each value is snapped, floored and tested against the
-        region on its axis alone, and a row keeps the AND of its axes'
-        flags.  The boxes of every input are appended in one batch,
-        input by input.
+        block per input; under input ``u``, row ``i`` of the batch reads
+        ``c[u, entry[i, a], a]`` on axis ``a``.  Each value is snapped,
+        floored, clipped and tested against the region on its axis
+        alone, in that small table.  A row keeps the AND of its axes'
+        flags, and sums its axes' parts of its corner cell and of its
+        width's number.  The boxes of every input are stored in one
+        batch, input by input.
         """
-        stack = self.stack
-        gl = self.grid_layer
+        stack, gl = self.stack, self.grid_layer
         dims = stack.dims(gl)
         n_inputs, _, dim = c.shape
         radius = self._radius[:, None, :]
@@ -259,29 +267,65 @@ class TransitionTable:
             # Boxes that leave the region but meet it, clipped, for the
             # cooperative predecessor.
             flags[(floor_lo < dims) & (floor_hi >= 0)] |= 2
-        # Rows are gathered in the narrowest types: row ``u * len(cells)
-        # + i`` is cell ``cells[i]`` under input ``u``.
-        def per_row(a):
-            return a.reshape(n_inputs, -1)[:, flat].reshape(-1, dim)
+        lo = np.clip(floor_lo, 0, dims - 1)
+        width = np.clip(floor_hi, 0, dims - 1) - lo + 1
+        # Each axis's part of the corner cell, linearized like the grid.
+        lo *= np.cumprod(dims) // dims
+        # No kept row reads an entry without a flag: it takes width 1, so
+        # that only the widths of stored boxes are numbered.
+        width[flags == 0] = 1
+        top = width.max(axis=(0, 1))
+        if np.any(top >= self._bound):
+            self._renumber(top)
 
-        keep = np.flatnonzero(np.bitwise_and.reduce(per_row(flags), axis=1))
+        def per_row(parts, dtype, op=np.add):
+            # Row ``u * len(cells) + i`` is cell ``cells[i]`` under input
+            # ``u``: ``op`` over the axes of ``parts[a][u, entry[i, a]]``.
+            out = parts[0].astype(dtype, copy=False)[:, entry[:, 0]]
+            for a in range(1, dim):
+                op(out, parts[a].astype(dtype, copy=False)[:, entry[:, a]], out=out)
+            return out
+
+        keep = per_row(flags.transpose(2, 0, 1), np.uint8, np.bitwise_and).astype(bool)
+        number = per_row((width * self._radix).transpose(2, 0, 1), self._number)[keep]
+        known = self._known[number]
+        if not known.all():
+            # New widths get classes in the order of their first row.
+            fresh, new = number[~known], []
+            while fresh.size:
+                new.append(int(fresh[0]))
+                fresh = fresh[fresh != fresh[0]]
+            radix, bound = self._radix.tolist(), self._bound.tolist()
+            self._classes(tuple(n // r % b for r, b in zip(radix, bound)) for n in new)
+        code = self._offset[number]
+        code += per_row(lo.transpose(2, 0, 1), self._code)[keep]
         keys = np.arange(n_inputs, dtype=self._key)[:, None] * self.n_cells
-        keys = (keys + cells.astype(self._key)).take(keep)
-        lo, hi = (
-            per_row(np.clip(f, 0, dims - 1).astype(self._corner)).take(keep, axis=0)
-            for f in (floor_lo, floor_hi)
-        )
-        self._append(keys, lo, hi)
+        self._append((keys + cells.astype(self._key))[keep], code)
 
-    def _append(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Queue the boxes from ``lo`` to ``hi`` (inclusive corners) under
-        ``keys``, encoded as (base, width)."""
-        base = lo[:, 0].astype(self._base)
-        for a in range(1, lo.shape[1]):
-            base += np.multiply(lo[:, a], self.strides[a], dtype=self._base, casting="unsafe")
-        width = hi - lo
-        width += 1
-        self._batches.append((keys, base, width))
+    def _classes(self, widths) -> np.ndarray:
+        """Class of each width tuple; a width not yet stored gets the next
+        class, and the code type widens to hold its codes."""
+        classes = [self._class_of.setdefault(w, len(self._class_of)) for w in widths]
+        if len(self._class_of) > len(self.widths):
+            self.widths = np.array(list(self._class_of), dtype=self._corner)
+            self._code = unsigned_for(len(self.widths) * self.n_cells - 1)
+            self._renumber(self.widths.max(axis=0))
+        return np.array(classes, dtype=np.int64)
+
+    def _renumber(self, top: np.ndarray) -> None:
+        """Number every width up to ``top`` per axis, and every class."""
+        self._bound = np.maximum(self._bound, top + 1)
+        self._radix = np.cumprod(self._bound) // self._bound
+        size = int(np.prod(self._bound))
+        self._number = unsigned_for(size - 1)
+        at = self.widths.astype(np.int64) @ self._radix
+        self._offset = np.zeros(size, dtype=self._code)
+        self._offset[at] = np.arange(at.size) * self.n_cells
+        self._known = np.zeros(size, dtype=bool)
+        self._known[at] = True
+
+    def _append(self, keys: np.ndarray, code: np.ndarray) -> None:
+        self._batches.append((keys.astype(self._key, copy=False), code))
         self.has_box[keys] = True
 
     # -- access ---------------------------------------------------------
@@ -291,14 +335,14 @@ class TransitionTable:
         return CellSet(self.grid_layer, self._explored.copy())
 
     def store(self):
-        """Every stored box as (keys, base, width), in storage order.
+        """Every stored box as (keys, code), in storage order.
 
         Box ``k`` belongs to input ``keys[k] // n_cells`` and cell
-        ``keys[k] % n_cells``.  Its low corner has the flat index
-        ``base[k]`` in the zero-padded grid of ``strides``, and it spans
-        ``width[k]`` cells on each axis.  On a main table an explored
-        pair with no box leaves the region; an auxiliary table also
-        keeps, clipped to the region, the boxes of pairs that leave it.
+        ``keys[k] % n_cells``.  Its low corner is the cell ``code[k] %
+        n_cells``, and it spans ``widths[code[k] // n_cells]`` cells on
+        each axis.  On a main table an explored pair with no box leaves
+        the region; an auxiliary table also keeps, clipped to the
+        region, the boxes of pairs that leave it.
         """
         if self._batches:
             self._store = tuple(
@@ -316,14 +360,11 @@ class TransitionTable:
         name is that of the compressed-row successor store the boxes
         replaced, under which the benchmark tracer times this accessor.
         """
-        keys, base, width = self.store()
+        keys, code = self.store()
         first = u_idx * self.n_cells
         rows = np.flatnonzero((keys >= first) & (keys < first + self.n_cells))
-        flat = base.take(rows).astype(np.int64)
-        dims = self.stack.dims(self.grid_layer)
-        lo = np.empty((rows.size, self.stack.dim), dtype=self._corner)
-        for a, stride in enumerate(self.strides):
-            lo[:, a] = flat // stride % (dims[a] + 1)
-        hi = lo + width.take(rows, axis=0)
+        classes, corner = np.divmod(code.take(rows), self.n_cells)
+        lo = self.stack.unlinearize(self.grid_layer, corner).astype(self._corner)
+        hi = lo + self.widths[classes]
         hi -= 1
         return (keys.take(rows) - first).astype(_INDEX), lo, hi

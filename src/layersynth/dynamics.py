@@ -167,8 +167,9 @@ def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.nda
     """RK4 of the states ``x`` under the input ``u``, in place.
 
     A single state ``(n,)`` is integrated as one row, and a shared input
-    ``(m,)`` is bound to every row.  There are ``len(w)`` segments, or
-    one without ``w``; segment ``k`` adds ``w[k]`` to the field and takes
+    ``(m,)`` is bound to every row.  ``w`` yields one disturbance per
+    segment, of the shape of ``x``; without ``w`` there is one segment.
+    Segment ``k`` adds the ``k``-th disturbance to the field and takes
     ``steps`` steps of length ``h``.  Per-row ``steps`` ``(N,)`` must
     descend, with ``h`` ``(N, n)``: all rows take the fewest steps
     together, and each larger step count runs its extra steps on the
@@ -176,21 +177,19 @@ def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.nda
     """
     y = np.atleast_2d(x)
     u = np.broadcast_to(u, (len(y), u.shape[-1]))
-    if w is not None:
-        w = w.reshape((len(w),) + y.shape)
     if np.ndim(steps) == 0:
         tiers = [(slice(None), int(steps))]
     else:
         counts = sorted(set(steps.tolist()))
         tiers = [(slice(int(np.count_nonzero(steps >= c))), c) for c in counts]
     fields = [sys.vector_field(u[rows]) for rows, _ in tiers]
-    for k in range(1 if w is None else len(w)):
+    for wk in [None] if w is None else w:
         done = 0
         for (rows, count), f in zip(tiers, fields):
             deriv = f
-            if w is not None:
-                wk = w[k][rows]
-                deriv = lambda y, f=f, wk=wk: f(y) + wk
+            if wk is not None:
+                wr = np.atleast_2d(wk)[rows]
+                deriv = lambda y, f=f, wr=wr: f(y) + wr
             y[rows] = _rk4(deriv, y[rows], h[rows] if np.ndim(h) else h, count - done)
             done = count
     return x
@@ -325,14 +324,10 @@ def sample_disturbed_step(
     segments = DISTURBANCE_SEGMENTS if disturbed else 1
     steps = -(-substeps // segments)
     h = tau / segments / steps
-    w = None
     if disturbed:
         shape = x.shape[:-1] + (segments, x.shape[-1])
         if np.shape(draws) != shape:
             raise ValueError(f"draws must have shape {shape}, one block per state")
-        low = -sys.disturbance
-        w = (sys.disturbance - low) * np.asarray(draws, dtype=float)
-        w += low
     order = None
     if steps.ndim or h.ndim:
         n = len(x)
@@ -341,9 +336,14 @@ def sample_disturbed_step(
         # Full width: same-shape products are faster than column broadcasts.
         h = np.repeat(np.broadcast_to(h, n)[order, None], x.shape[1], axis=1)
         u = u[order] if u.ndim == 2 else u
-        w = None if w is None else w[order]
-    if w is not None and x.ndim == 2:
-        w = w.transpose(1, 0, 2)
+    w = None
+    if disturbed:
+        # Each segment's disturbances are scaled, in row order, only when
+        # the segment starts: no block of every segment is built.
+        low = -sys.disturbance
+        rows = Ellipsis if order is None else order
+        draws = np.asarray(draws, dtype=float)
+        w = ((sys.disturbance - low) * draws[rows, k, :] + low for k in range(segments))
     x = _integrate(sys, x, u, h, steps, w)
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergenceError("non-finite state in disturbed simulation")

@@ -17,14 +17,13 @@ on a one-level stack, the case the multi-layer protocols reduce to.
 
 from __future__ import annotations
 
-import functools
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import TransitionTable, UnexploredTransitionError, padded_strides, unsigned_for
+from .abstraction import TransitionTable, UnexploredTransitionError
 from .controller import LayerController, MultiLayeredController
 from .dynamics import ControlSystem
 from .grid import CellSet, LayerMismatchError, LayerStack, gamma_down, gamma_up
@@ -37,9 +36,9 @@ _SUFFIX = {SAFETY: "-safe", REACH_AVOID: "-reach"}
 # Cap on safety rounds and on reach-avoid layer switches.
 _MAX_SWITCHES = 100_000
 
-# Stored boxes that one summed-area ``counts`` call reads: a block's
-# corner temporaries stay in a core's L2 cache, where one call over a
-# whole layer-1 table would spill them.
+# Stored boxes whose window bits one lookup reads: a block's index
+# temporaries stay small, where one lookup over a whole layer-1 table
+# would hold them for every row.
 _BLOCK_ROWS = 16_384
 
 
@@ -88,73 +87,41 @@ class SynthesisResult:
     stats: SynthesisStats
 
 
-@functools.cache
-def _gray_walk(dim: int) -> tuple[tuple[int, bool, bool], ...]:
-    """The steps from a box's all-low corner through its other corners.
+def _windows(table: TransitionTable, bits: np.ndarray) -> np.ndarray:
+    """``windows[class, c]``: the box of width ``table.widths[class]``
+    with low corner ``c`` holds a set cell of ``bits``.
 
-    Corners follow the Gray code, so step ``j`` moves one axis, the
-    lowest set bit of ``j``.  Each step is ``(axis, up, plus)``: the axis
-    moves to its high end if ``up``, else back to its low end, and the
-    corner reached counts positively if ``plus``, that is if it takes an
-    even number of low ends.
+    A separable sliding OR (a binary dilation), one axis at a time: a
+    row of ``win`` is the window of some classes' widths on the axes
+    done, and on the next axis its width ``k`` is its width ``k - 1``
+    OR'd with the row shifted by ``k - 1`` cells, one pass each.  A
+    window reaching past the grid reads no cell there; no stored box does.
     """
-    steps = []
-    for j in range(1, 2**dim):
-        axis = (j & -j).bit_length() - 1
-        gray = j ^ (j >> 1)
-        steps.append((axis, bool(gray >> axis & 1), (dim - gray.bit_count()) % 2 == 0))
-    return tuple(steps)
-
-
-class _SummedArea:
-    """Counts of set cells in boxes of one grid, from an n-D prefix sum.
-
-    The sums are zero-padded in front of every axis, so the count of a
-    box is the signed sum of the padded sums at its 2^dim corners (Crow,
-    SIGGRAPH 1984).  A box is read as a transition table stores it: the
-    flat index ``base`` of its low corner in the padded grid and its
-    ``width`` per axis.  Its corners are visited in Gray-code order, so
-    each corner's index is the last one's plus or minus one axis's
-    extent ``width[a] * strides[a]``, in ``base``'s type.
-
-    The sums are kept in the narrowest unsigned type whose maximum is
-    at least the grid's cell count, so each sum, a count of at most
-    ``n_cells`` cells, fits.  The signed corner sum is taken in that
-    type too, so its partial results wrap modulo 2^k for a k-bit type.
-    The count is still exact: wrapping arithmetic is arithmetic modulo
-    2^k, so the corner sum comes out as the box's true count modulo 2^k,
-    and every true count lies in ``[0, n_cells]``, below 2^k.
-    """
-
-    def __init__(self, stack: LayerStack, layer: int, bits: np.ndarray):
-        dims = stack.dims(layer).tolist()
-        kind = unsigned_for(bits.size)
-        # Dimension 0 varies fastest, so the C-order view reverses the axes.
-        sums = np.zeros([d + 1 for d in reversed(dims)], dtype=kind)
-        sums[(slice(1, None),) * len(dims)] = bits.reshape(dims[::-1])
-        for axis in range(len(dims)):
-            np.cumsum(sums, axis=axis, dtype=kind, out=sums)
-        self.flat = sums.ravel()
-        self.strides = padded_strides(dims)
-
-    def counts(self, base: np.ndarray, width: np.ndarray) -> np.ndarray:
-        """Set cells in each box with low corner ``base[k]`` (a flat
-        padded index) and ``width[k]`` cells per axis, in the sums' type."""
-        extent = [
-            np.multiply(width[:, a], stride, dtype=base.dtype, casting="unsafe")
-            for a, stride in enumerate(self.strides)
-        ]
-        out = self.flat.take(base)
-        if len(extent) % 2:
-            # The all-low corner takes an odd number of low ends.
-            np.negative(out, out=out)
-        corner = base.copy()
-        read = np.empty_like(out)
-        for axis, up, plus in _gray_walk(len(extent)):
-            (np.add if up else np.subtract)(corner, extent[axis], out=corner)
-            self.flat.take(corner, out=read, mode="clip")
-            (np.add if plus else np.subtract)(out, read, out=out)
-        return out
+    widths, n_axes = table.widths, table.stack.dim
+    # Dimension 0 varies fastest: axis ``a`` is axis ``n_axes - 1 - a`` of a row.
+    win = bits.reshape((1,) + tuple(table.stack.dims(table.grid_layer)[::-1]))
+    rows = [0] * len(widths)
+    for axis in range(n_axes):
+        head = (slice(None),) * (n_axes - 1 - axis)
+        pairs = list(zip(rows, widths[:, axis].tolist()))
+        index = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
+        out = np.empty((len(index),) + win.shape[1:], dtype=bool)
+        last = None
+        for r, w in sorted(index):
+            row = out[index[r, w]]
+            src, done = (out[index[last]], last[1]) if last and last[0] == r else (win[r], 1)
+            if w == done:
+                row[...] = src
+            for k in range(done, w):
+                cut, tail = head + (slice(None, -k),), head + (slice(-k, None),)
+                np.bitwise_or(src[cut], win[r][head + (slice(k, None),)], out=row[cut])
+                if src is not row:
+                    row[tail] = src[tail]
+                src = row
+            last = (r, w)
+        win, rows = out, [index[p] for p in pairs]
+    # The last axis's pairs are the distinct widths, so row ``c`` is class ``c``.
+    return win.reshape(len(widths), table.n_cells)
 
 
 def _check_grid(table: TransitionTable, cells: CellSet) -> None:
@@ -165,22 +132,17 @@ def _check_grid(table: TransitionTable, cells: CellSet) -> None:
         )
 
 
-def _boxes_touching(table: TransitionTable, cells: CellSet, skip: np.ndarray | None = None):
+def _boxes_touching(table: TransitionTable, cells: CellSet):
     """``(keys, touches)`` for each block of the table's box store, in
     storage order, where ``touches`` marks the boxes holding a cell of
-    ``cells`` and ``keys`` is ``input * n_cells + cell`` of each box.
-    With ``skip``, one bool per key, a block leaves out the boxes of the
-    keys that ``skip`` marks when the block is read."""
+    ``cells``, one window bit per box, and ``keys`` is ``input * n_cells
+    + cell`` of each box."""
     _check_grid(table, cells)
-    sums = _SummedArea(table.stack, table.grid_layer, cells.bits)
-    keys, base, width = table.store()
+    keys, code = table.store()
+    windows = _windows(table, cells.bits).ravel()
     for start in range(0, keys.size, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        k, b, w = keys[block], base[block], width[block]
-        if skip is not None:
-            rows = np.flatnonzero(~skip.take(k))
-            k, b, w = k.take(rows), b.take(rows), w.take(rows, axis=0)
-        yield k, sums.counts(b, w) != 0
+        yield keys[block], windows.take(code[block])
 
 
 def _closing_inputs(
@@ -190,14 +152,12 @@ def _closing_inputs(
 
     The one containment test behind ``cpre`` and every stage's moves: a
     pair closes if it has a box and none of its boxes holds a cell
-    outside ``region``.  The mask has shape ``(n_inputs, n_cells)`` and
+    outside ``region``, one window bit of ``region``'s complement per
+    box.  The mask has shape ``(n_inputs, n_cells)`` and
     is never true for an unexplored pair or one that leaves the region
     of interest.  With ``cells``, every column outside ``cells`` is
-    False.  The boxes of ``cells`` alone are then counted if their
-    pairs are fewer than half the stored boxes (a computed table stores
-    at most one box per pair); with more, selecting those rows costs
-    more than counting every row.  Only a main table has closing masks:
-    an auxiliary table keeps the clipped boxes of pairs that leave it.
+    False.  Only a main table has closing masks: an auxiliary table
+    keeps the clipped boxes of pairs that leave it.
     """
     if table.kind != "main":
         raise ValueError("closing masks are defined on main tables only")
@@ -208,11 +168,7 @@ def _closing_inputs(
     if cells is not None:
         _check_grid(table, cells)
         np.logical_not(cells.bits, out=fails.reshape(n_inputs, n_cells))
-    # Selected rows skip the pairs already known: those outside
-    # ``cells``, and a preloaded pair whose unit boxes in an earlier
-    # block left ``region``.
-    few = cells is not None and 2 * np.count_nonzero(cells.bits) * n_inputs < table.store()[0].size
-    for keys, leaves in _boxes_touching(table, region.complement(), fails if few else None):
+    for keys, leaves in _boxes_touching(table, region.complement()):
         fails[keys[leaves]] = True
     # ``has_box > fails`` is ``has_box & ~fails``, in one pass.
     return np.greater(table.has_box, fails, out=fails).reshape(n_inputs, n_cells)
@@ -251,10 +207,12 @@ def upre(table: TransitionTable, target: CellSet) -> CellSet:
     """Cells with an input having some successor in ``target``.
 
     The cooperative predecessor: used only to over-approximate where
-    synthesis could make progress, never to decide winning.  Auxiliary
-    pairs that leave the region take part through their successors
-    clipped to it, since a finer cell inside the coarse one may reach
-    those cells without leaving the region.
+    synthesis could make progress, never to decide winning.  A pair
+    qualifies if one of its boxes holds a cell of ``target``, one window
+    bit of ``target`` per box.  Auxiliary pairs that leave the region
+    take part through their successors clipped to it, since a finer
+    cell inside the coarse one may reach those cells without leaving
+    the region.
     """
     hit = np.zeros(table.sys.n_inputs * table.n_cells, dtype=bool)
     for keys, hits in _boxes_touching(table, target):

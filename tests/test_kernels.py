@@ -1,22 +1,26 @@
-"""The summed-area box kernels against the gather-based reference.
+"""The window kernels against the gather-based reference.
 
-A transition table stores each box as the flat index of its low corner
-in the zero-padded prefix-sum grid and its width per axis;
-``synthesis._SummedArea.counts`` reads a box's count from its 2^dim
-corners in wrapping unsigned sums of the narrowest type, and must count
-exactly at the boundaries of those types.  ``synthesis._closing_inputs``
-and ``synthesis.upre`` build on it; the references in ``oracles.py``
-decode every box back to its corners (``TransitionTable.csr``),
-enumerate every successor and gather its bit.  They must agree on
-computed tables, on preloaded entries that are not boxes, on clipped
-auxiliary boxes at every face of the grid, and on grids whose corner
-indices need 32-bit integers, both at the kernels' block size and in
-blocks of a few rows, so that one pair's boxes fall in different
-blocks.  A closing mask restricted to some cells must equal the
-reference on their columns and be False elsewhere.  Neither the order
-in which a table stores its boxes nor the batches or blocks it explored
-them in may change what they return, and a cell explored alone stores
-the boxes it stores in a batch.
+A transition table stores each box as one code, ``class * n_cells +
+corner``: the cell of its low corner and its row among the table's
+distinct widths.  ``synthesis._windows`` builds, for a set of cells and
+every width class, the whole-grid bitmap of the boxes of that width
+that hold one of the cells, by sliding ORs along each axis; it must
+match a brute-force scan on grids of one to four axes.
+``synthesis._closing_inputs`` and ``synthesis.upre`` read one window bit
+per stored box; the references in ``oracles.py`` decode every box back
+to its corners (``TransitionTable.csr``), enumerate every successor and
+gather its bit.  They must agree on computed tables, on preloaded
+entries that are not boxes, on clipped auxiliary boxes at every face of
+the grid, on grids whose corner indices need 32-bit integers, and on a
+table that gains a width class after a kernel has read it, both at the
+kernels' block size and in blocks of a few rows, so that one pair's
+boxes fall in different blocks.  A closing mask restricted to some
+cells must equal the reference on their columns and be False
+elsewhere.  Codes are of the narrowest unsigned type that holds every
+code of the classes so far.  Neither the order in which a table stores
+its boxes nor the batches or blocks it explored them in may change what
+the kernels return, and a cell explored alone stores the boxes it
+stores in a batch.
 """
 
 from __future__ import annotations
@@ -70,8 +74,7 @@ def assert_kernels_match(table, region):
         want = closing_inputs_reference(table, region)
         np.testing.assert_array_equal(synthesis._closing_inputs(table, region), want)
         np.testing.assert_array_equal(small_blocks(synthesis._closing_inputs, table, region), want)
-        # restricted to a few cells (their rows selected) and to most
-        # cells (every row counted): other columns are False
+        # restricted to a few cells and to most cells: other columns are False
         for share in (0.05, 0.9):
             cells = CellSet(table.grid_layer, np.random.default_rng(7).random(table.n_cells) < share)
             got = small_blocks(synthesis._closing_inputs, table, region, cells)
@@ -92,90 +95,77 @@ def regions(rng, table, n=12):
         yield CellSet(table.grid_layer, rng.random(table.n_cells) < density)
 
 
-def narrowest_unsigned(n):
-    """The narrowest of uint8, uint16 and uint32 whose maximum is at least ``n``."""
-    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32) if n <= np.iinfo(t).max)
-
-
-def encoded(dims, lo, hi):
-    """Boxes ``[lo, hi]`` as ``(base, width)``: the flat index of the low
-    corner in the grid padded by one cell in front of every axis, in the
-    narrowest unsigned type holding every padded index, and the widths."""
-    padded = [d + 1 for d in dims]
-    strides = np.cumprod([1] + padded[:-1])
-    base = (lo.astype(np.int64) @ strides).astype(narrowest_unsigned(np.prod(padded) - 1))
-    return base, (hi - lo + 1).astype(np.int8 if max(dims) <= 127 else np.int32)
-
-
-def brute_counts(bits, dims, lo, hi):
+def brute_windows(bits, dims, widths):
+    """``out[k, c]``: some cell of ``bits`` lies in the box of width
+    ``widths[k]`` from cell ``c``, the box cut off at the grid's end."""
     view = bits.reshape(dims, order="F")
-    return [int(view[tuple(slice(x, y + 1) for x, y in zip(l, h))].sum())
-            for l, h in zip(lo.tolist(), hi.tolist())]
+    corners = np.stack(np.unravel_index(np.arange(bits.size), dims, order="F"), axis=1)
+    return np.array([
+        [view[tuple(slice(l, l + x) for l, x in zip(lo, w))].any() for lo in corners.tolist()]
+        for w in widths
+    ], dtype=bool).reshape(len(widths), bits.size)
 
 
-def random_boxes(rng, dims, n):
-    a = rng.integers(0, dims, size=(n, len(dims)))
-    b = rng.integers(0, dims, size=(n, len(dims)))
-    return np.minimum(a, b), np.maximum(a, b)
-
-
-def test_summed_area_counts_match_brute_force():
-    rng = np.random.default_rng(0)
-    for dims in ([7], [5, 3], [4, 6, 3], [3, 2, 4, 2]):
-        stack = LayerStack(1, [1.0] * len(dims), 1.0, [0.0] * len(dims), [float(d) for d in dims])
-        bits = rng.random(stack.cell_count(1)) < 0.5
-        lo, hi = random_boxes(rng, dims, 200)
-        got = synthesis._SummedArea(stack, 1, bits).counts(*encoded(dims, lo, hi))
-        assert got.tolist() == brute_counts(bits, dims, lo, hi)
-
-
-@pytest.mark.parametrize(
-    "dims",
-    [[255], [15, 17], [256], [16, 16], [65_535], [255, 257], [65_536], [256, 256]],
-    ids=lambda dims: "x".join(map(str, dims)),
-)
-def test_summed_area_counts_are_exact_at_the_type_boundaries(dims):
-    # The sums live in the narrowest unsigned type that holds the cell
-    # count, and the corner sums wrap in it: a grid of 255 cells sums in
-    # uint8, one of 256 in uint16.
-    n = int(np.prod(dims))
+@pytest.mark.parametrize("dims", [[7], [5, 3], [4, 6, 3], [3, 2, 4, 2]], ids=len)
+def test_windows_match_brute_force(dims):
+    rng = np.random.default_rng(len(dims))
     stack = LayerStack(1, [1.0] * len(dims), 1.0, [0.0] * len(dims), [float(d) for d in dims])
-    rng = np.random.default_rng(n)
-    lo, hi = random_boxes(rng, dims, 100)
-    # the whole grid, and a unit box at its first and last cell
-    last = np.array(dims) - 1
-    lo = np.vstack([lo, np.zeros_like(last), np.zeros_like(last), last])
-    hi = np.vstack([hi, last, np.zeros_like(last), last])
-    boxes = encoded(dims, lo, hi)
-    for bits in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), rng.random(n) < 0.5):
-        sums = synthesis._SummedArea(stack, 1, bits)
-        assert sums.flat.dtype == narrowest_unsigned(n)
-        got = sums.counts(*boxes)
-        assert got.tolist() == brute_counts(bits, dims, lo, hi)
-    assert got.tolist()[-3] == bits.sum()
+    table = TransitionTable(stationary_system(dim=len(dims)), stack, 1)
+    # unit widths, the whole grid, each axis whole alone, and random
+    # widths, several sharing their first axes' widths
+    widths = [[1] * len(dims), dims] + [
+        [d if a == b else 1 for b, d in enumerate(dims)] for a in range(len(dims))
+    ]
+    widths += [[int(rng.integers(1, d + 1)) for d in dims] for _ in range(6)]
+    widths += [[w[0]] + [int(rng.integers(1, d + 1)) for d in dims[1:]] for w in widths[-3:]]
+    table._classes(map(tuple, widths))
+    n = stack.cell_count(1)
+    for bits in [np.zeros(n, bool), np.ones(n, bool)] + [rng.random(n) < p for p in (0.1, 0.5)]:
+        want = brute_windows(bits, dims, table.widths.tolist())
+        np.testing.assert_array_equal(synthesis._windows(table, bits), want)
 
 
 @pytest.mark.parametrize(
-    "cells, want", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)]
+    "cells, want", [(128, np.uint8), (129, np.uint16), (32_768, np.uint16), (32_769, np.uint32)]
 )
-def test_store_base_is_the_narrowest_type_holding_the_padded_grid(cells, want):
-    # A 1-D grid of ``cells`` cells pads to ``cells + 1`` indices.
+def test_codes_widen_to_hold_every_class(cells, want):
+    # One class of codes below ``cells``, then a second one below
+    # ``2 * cells``: a 1-D grid of 128 cells still codes two classes in
+    # uint8, one of 129 cells in uint16.
     stack = LayerStack(1, [1.0], 1.0, [0.0], [float(cells)])
-    table = TransitionTable(stationary_system(dim=1), stack, 1)
+    table = TransitionTable(drift_system(velocity=0.5), stack, 1)
     table.preload(cells - 1, [[0, cells - 1]])
-    _, base, width = table.store()
-    assert base.dtype == want
-    assert base.tolist() == [0, cells - 1] and width.tolist() == [[1], [1]]
-    assert table.csr(0)[1].tolist() == [[0], [cells - 1]]
+    assert table.store()[1].dtype == abstraction.unsigned_for(cells - 1)
+    # cell ``cells - 2`` drifts to [cells - 1.5, cells - 0.5]: two cells wide
+    table.compute_region(CellSet.from_indices(stack, 1, [cells - 2]))
+    _, code = table.store()
+    assert code.dtype == want and table.widths.tolist() == [[1], [2]]
+    assert code.tolist() == [0, cells - 1, 2 * cells - 2]
+    cells_, lo, hi = table.csr(0)
+    assert cells_.tolist() == [cells - 1, cells - 1, cells - 2]
+    assert lo.tolist() == [[0], [cells - 1], [cells - 2]]
+    assert hi.tolist() == [[0], [cells - 1], [cells - 1]]
 
 
-def test_unicycle_store_base_is_uint16():
-    # 32^3, 16^3 and 8^3 cells pad to 35,937, 4,913 and 729 indices
-    config = parse_config(UNICYCLE_LAZY)
-    sys, stack = config.build_system(), config.build_stack()
-    for layer, side in ((1, 33), (2, 17), (3, 9)):
-        assert stack.dims(layer).tolist() == [side - 1] * 3
-        assert TransitionTable(sys, stack, layer).store()[1].dtype == np.uint16
+def assert_classes_in_order_of_first_box(table):
+    _, code = table.store()
+    _, first = np.unique(code // table.n_cells, return_index=True)
+    assert first.size == len(table.widths) and (np.diff(first) > 0).all()
+
+
+def test_width_classes_stay_few_on_workloads():
+    # A box spans one of two cell counts per axis for each radius, so a
+    # main table has at most 2**dim classes per distinct radius.
+    for doc in (UNICYCLE_LAZY, DCDC_SAFE):
+        config = parse_config(doc)
+        sys, stack = config.build_system(), config.build_stack()
+        sets = build_spec_sets(stack, config.build_spec())
+        for layer in range(1, stack.levels + 1):
+            table = TransitionTable(sys, stack, layer)
+            table.compute_region(sets.safe_at(layer))
+            radii = len(np.unique(table._radius, axis=0))
+            assert 0 < len(table.widths) <= 2**stack.dim * radii
+            assert_classes_in_order_of_first_box(table)
 
 
 @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
@@ -189,7 +179,7 @@ def test_sweep_kernels_match_reference_after_every_call(kind, monkeypatch):
         got = closing(table, region, cells)
         want = closing_inputs_reference(table, region)
         if cells is not None:
-            # only the given cells' columns are counted; the rest are False
+            # only the given cells' columns are read; the rest are False
             assert not got[:, ~cells.bits].any()
             want[:, ~cells.bits] = False
         np.testing.assert_array_equal(got, want)
@@ -292,6 +282,26 @@ def test_clipped_aux_boxes_touching_every_face(dim):
             assert_kernels_match(table, region)
 
 
+def test_table_gaining_a_class_after_a_kernel_call():
+    # Windows are built per call from the classes stored so far.
+    rng = np.random.default_rng(5)
+    stack = LayerStack(1, [1.0, 1.0], 1.0, [0.0, 0.0], [6.0, 6.0])
+    sys = spreading_system(2)
+    table = TransitionTable(sys, stack, 1)
+    table.compute_region(CellSet.from_indices(stack, 1, np.arange(24)))
+    computed = table.widths.tolist()
+    assert computed and [1, 1] not in computed
+    targets = list(regions(rng, table, n=3))
+    for region in targets:
+        assert_kernels_match(table, region)
+    # scattered successors are stored as unit boxes: a new class
+    table.preload(30, [rng.choice(36, size=3, replace=False) for _ in sys.inputs])
+    assert table.widths.tolist() == computed + [[1, 1]]
+    assert_classes_in_order_of_first_box(table)
+    for region in targets:
+        assert_kernels_match(table, region)
+
+
 def test_axis_past_int16_uses_wider_corners():
     n = 40_000
     stack = LayerStack(1, [1.0, 1.0], 1.0, [0.0, 0.0], [float(n), 2.0])
@@ -309,10 +319,10 @@ def permuted(table, rng):
     """A copy of ``table`` that stores its boxes in a random order,
     the inputs' boxes mixed."""
     out = copy.copy(table)
-    keys, base, width = table.store()
+    keys, code = table.store()
     order = rng.permutation(keys.size)
     out._batches = []
-    out._store = (keys[order], base[order], width[order])
+    out._store = (keys[order], code[order])
     return out
 
 
