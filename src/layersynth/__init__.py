@@ -7,7 +7,7 @@ synthesis frontier), and refines winning strategies into sample-and-hold
 controllers validated by closed-loop simulation.
 """
 
-from .abstraction import TransitionTable, UnexploredTransitionError
+from .abstraction import TransitionTable
 from .benchmarks import build_system, dcdc, default_config, unicycle
 from .config import ConfigError, ProblemConfig, load_config, parse_config
 from .controller import (
@@ -65,7 +65,6 @@ __all__ = [
     "SynthesisResult",
     "SynthesisStats",
     "TransitionTable",
-    "UnexploredTransitionError",
     "ValidationReport",
     "build_spec_sets",
     "build_system",

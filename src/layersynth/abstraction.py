@@ -18,20 +18,22 @@ Entries are computed in vectorized batches of cells, for all inputs at
 once, at most ``_BLOCK_CELLS`` cells at a time, and live in memory only,
 in one box store per table.  Each stored box is keyed by
 ``input * n_cells + cell``, so one batch appends the boxes of every input
-at once, and the solvers read every input's boxes in one pass over the
-store (:meth:`TransitionTable.store`), block by block.  A box is stored
-as the solvers read it, as one ``code``: ``class * n_cells + corner``,
+at once.  A box is stored as one ``code``: ``class * n_cells + corner``,
 where ``corner`` is the cell of its low corner and ``class`` indexes the
-table's distinct box widths (:attr:`TransitionTable.widths`), so a
-solver reads one bit per box from a whole-grid bitmap per width class.
-:meth:`TransitionTable.csr` selects one input's boxes and decodes their
-corners.  A batch factors per axis: cell centres are integrated once per
-distinct value of the read coordinates (``ControlSystem.field_reads``),
-and each axis the field does not read is integrated, snapped to the grid
-and tested against the region once per occurring (cell index on that
-axis, representative), in a small table; a row gathers its flags and its
-parts of the code from those tables.  A hand-built entry whose
-successors are not a box is preloaded as one unit box per successor.
+table's distinct box widths (:attr:`TransitionTable.widths`).  The
+solvers read the store through one method,
+:meth:`TransitionTable.mark_touching`: it marks every pair with a box
+that holds a cell of a given set, one bit per box from a whole-grid
+bitmap per width class (:func:`_windows`), over every input's boxes in
+one pass, block by block.  :meth:`TransitionTable.csr` selects one
+input's boxes and decodes their corners.  A batch factors per axis: cell
+centres are integrated once per distinct value of the read coordinates
+(``ControlSystem.field_reads``), and each axis the field does not read
+is integrated, snapped to the grid and tested against the region once
+per occurring (cell index on that axis, representative), in a small
+table; a row gathers its flags and its parts of the code from those
+tables.  A hand-built entry whose successors are not a box is preloaded
+as one unit box per successor.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ _INDEX = np.int32
 # the blocks store the boxes one batch would.
 _BLOCK_CELLS = 65_536
 
+# Stored boxes whose window bits one lookup reads: a block's index
+# temporaries stay small, where one lookup over a whole layer-1 table
+# would hold them for every row.
+_BLOCK_ROWS = 16_384
 
 _UNSIGNED = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16, np.uint32, np.uint64)]
 
@@ -59,20 +65,41 @@ def unsigned_for(n: int) -> np.dtype:
     return next(t for top, t in _UNSIGNED if n <= top)
 
 
-def _corner_dtype(dims: np.ndarray) -> np.dtype:
-    """Smallest signed integer type that holds every per-axis cell count.
+def _windows(table: TransitionTable, bits: np.ndarray) -> np.ndarray:
+    """``windows[class, c]``: the box of width ``table.widths[class]``
+    with low corner ``c`` holds a set cell of ``bits``.
 
-    Tables index at most ``_INDEX``'s largest value of cells, so
-    ``_INDEX`` always suffices.
+    A separable sliding OR (a binary dilation), one axis at a time: a
+    row of ``win`` is the window of some classes' widths on the axes
+    done, and on the next axis its width ``k`` is its width ``k - 1``
+    OR'd with the row shifted by ``k - 1`` cells, one pass each.  A
+    window reaching past the grid reads no cell there; no stored box does.
     """
-    for t in (np.int8, np.int16):
-        if int(dims.max()) <= np.iinfo(t).max:
-            return np.dtype(t)
-    return np.dtype(_INDEX)
-
-
-class UnexploredTransitionError(RuntimeError):
-    """A solver read a transition that the frontier never computed."""
+    widths, n_axes = table.widths, table.stack.dim
+    # Dimension 0 varies fastest: axis ``a`` is axis ``n_axes - 1 - a`` of a row.
+    win = bits.reshape((1,) + tuple(table.stack.dims(table.grid_layer)[::-1]))
+    rows = [0] * len(widths)
+    for axis in range(n_axes):
+        head = (slice(None),) * (n_axes - 1 - axis)
+        pairs = list(zip(rows, widths[:, axis].tolist()))
+        index = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
+        out = np.empty((len(index),) + win.shape[1:], dtype=bool)
+        last = None
+        for r, w in sorted(index):
+            row = out[index[r, w]]
+            src, done = (out[index[last]], last[1]) if last and last[0] == r else (win[r], 1)
+            if w == done:
+                row[...] = src
+            for k in range(done, w):
+                cut, tail = head + (slice(None, -k),), head + (slice(-k, None),)
+                np.bitwise_or(src[cut], win[r][head + (slice(k, None),)], out=row[cut])
+                if src is not row:
+                    row[tail] = src[tail]
+                src = row
+            last = (r, w)
+        win, rows = out, [index[p] for p in pairs]
+    # The last axis's pairs are the distinct widths, so row ``c`` is class ``c``.
+    return win.reshape(len(widths), table.n_cells)
 
 
 class TransitionTable:
@@ -100,8 +127,8 @@ class TransitionTable:
     plus the unit class of preloaded entries; an auxiliary table adds
     the widths of boxes clipped to the region.
 
-    ``has_box`` has one bit per pair ``input * n_cells + cell``, set
-    once a box of the pair is stored.  ``_explored`` has one bit per
+    ``has_box`` has one bool byte per pair ``input * n_cells + cell``, set
+    once a box of the pair is stored.  ``_explored`` has one bool per
     cell, set once the cell's entries for every input are stored;
     ``explored_count`` counts the explored pairs.  Stored entries are
     immutable; re-computation requests are no-ops.
@@ -136,14 +163,13 @@ class TransitionTable:
         # batches not yet merged into ``_store``.
         fits = n_inputs * n_cells <= np.iinfo(np.int32).max
         self._key = np.dtype(np.int32 if fits else np.int64)
-        self._corner = _corner_dtype(stack.dims(self.grid_layer))
         # Width classes: ``_class_of`` maps a width, as a tuple, to its row
         # of ``widths``.  A batch numbers a width ``w`` below ``_bound`` on
         # every axis as ``w @ _radix``; ``_offset`` maps a number to its
         # class's ``class * n_cells``, and ``_known`` marks the numbers of
         # stored widths.
         self._class_of: dict[tuple, int] = {}
-        self.widths = np.empty((0, stack.dim), dtype=self._corner)
+        self.widths = np.empty((0, stack.dim), dtype=_INDEX)
         self._code = unsigned_for(n_cells - 1)
         self._bound = np.ones(stack.dim, dtype=np.int64)
         self._renumber(self._bound)
@@ -172,16 +198,21 @@ class TransitionTable:
 
         ``succs`` holds one entry per input: ``None`` for a pair that
         leaves the region, or its successor cells, stored as one unit
-        box each.
+        box each.  The cell and every successor must be cells of the
+        table's grid.
         """
         if len(succs) != self.sys.n_inputs:
             raise ValueError(f"{len(succs)} entries for {self.sys.n_inputs} inputs")
         cell = int(cell)
+        if not 0 <= cell < self.n_cells:
+            raise ValueError(f"cell {cell} is not on a grid of {self.n_cells} cells")
         if self._explored[cell]:
             return
         succs = [None if s is None else np.unique(np.asarray(s, dtype=_INDEX)) for s in succs]
         if any(s is not None and s.size == 0 for s in succs):
             raise ValueError("computed entries must have at least one successor")
+        if any(s is not None and (s[0] < 0 or s[-1] >= self.n_cells) for s in succs):
+            raise ValueError(f"successors must be cells of a grid of {self.n_cells} cells")
         boxed = [(u_idx, arr) for u_idx, arr in enumerate(succs) if arr is not None]
         if boxed:
             keys = [np.full(arr.size, u_idx * self.n_cells + cell) for u_idx, arr in boxed]
@@ -194,11 +225,7 @@ class TransitionTable:
     def compute_region(self, region: CellSet) -> None:
         """Ensure every cell of ``region`` is explored for every input,
         at most ``_BLOCK_CELLS`` cells at a time."""
-        if region.layer != self.grid_layer:
-            raise LayerMismatchError(
-                f"region lives on layer {region.layer} but the table's grid "
-                f"is layer {self.grid_layer}"
-            )
+        self.check_grid(region)
         cells = np.flatnonzero(region.bits & ~self._explored)
         for start in range(0, cells.size, _BLOCK_CELLS):
             self._compute_cells(cells[start : start + _BLOCK_CELLS])
@@ -307,7 +334,7 @@ class TransitionTable:
         class, and the code type widens to hold its codes."""
         classes = [self._class_of.setdefault(w, len(self._class_of)) for w in widths]
         if len(self._class_of) > len(self.widths):
-            self.widths = np.array(list(self._class_of), dtype=self._corner)
+            self.widths = np.array(list(self._class_of), dtype=_INDEX)
             self._code = unsigned_for(len(self.widths) * self.n_cells - 1)
             self._renumber(self.widths.max(axis=0))
         return np.array(classes, dtype=np.int64)
@@ -330,6 +357,14 @@ class TransitionTable:
 
     # -- access ---------------------------------------------------------
 
+    def check_grid(self, cells: CellSet) -> None:
+        """Raise ``LayerMismatchError`` unless ``cells`` lives on the table's grid."""
+        if cells.layer != self.grid_layer:
+            raise LayerMismatchError(
+                f"cell set lives on layer {cells.layer} but the table's grid is "
+                f"layer {self.grid_layer}"
+            )
+
     def explored_cells(self) -> CellSet:
         """Cells whose entries are explored for every input."""
         return CellSet(self.grid_layer, self._explored.copy())
@@ -351,6 +386,24 @@ class TransitionTable:
             self._batches.clear()
         return self._store
 
+    def mark_touching(self, cells: CellSet, out: np.ndarray) -> None:
+        """Set ``out[u, c]`` for every pair with a stored box that holds a
+        cell of ``cells``; every other entry keeps its value.
+
+        ``out`` is a C-contiguous bool array of shape ``(n_inputs,
+        n_cells)``.  Each box reads one bit of ``cells``'s window of its
+        width class at its corner, ``_BLOCK_ROWS`` boxes at a time.  On
+        an auxiliary table the clipped boxes of pairs that leave the
+        region take part.
+        """
+        self.check_grid(cells)
+        keys, code = self.store()
+        windows = _windows(self, cells.bits).ravel()
+        flat = out.reshape(-1)
+        for start in range(0, keys.size, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            flat[keys[block][windows.take(code[block])]] = True
+
     def csr(self, u_idx: int):
         """Stored boxes of one input as (cells, lo, hi), selected from
         :meth:`store` and decoded to inclusive corners.
@@ -364,7 +417,7 @@ class TransitionTable:
         first = u_idx * self.n_cells
         rows = np.flatnonzero((keys >= first) & (keys < first + self.n_cells))
         classes, corner = np.divmod(code.take(rows), self.n_cells)
-        lo = self.stack.unlinearize(self.grid_layer, corner).astype(self._corner)
+        lo = self.stack.unlinearize(self.grid_layer, corner).astype(_INDEX)
         hi = lo + self.widths[classes]
         hi -= 1
         return (keys.take(rows) - first).astype(_INDEX), lo, hi

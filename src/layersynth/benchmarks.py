@@ -72,7 +72,6 @@ def dcdc(params: dict | None = None) -> ControlSystem:
         disturbance=np.asarray(p["disturbance"], dtype=float),
         inputs=[np.array([1.0]), np.array([2.0])],
         growth_matrix=growth,
-        name="dcdc",
     )
 
 
@@ -118,7 +117,6 @@ def unicycle(params: dict | None = None) -> ControlSystem:
         disturbance=np.asarray(p["disturbance"], dtype=float),
         inputs=inputs,
         growth_matrix=growth,
-        name="unicycle",
         field_reads=(2,),
     )
 

@@ -28,7 +28,7 @@ differ in that coordinate would move as their representative does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,7 +79,6 @@ class ControlSystem:
     disturbance: np.ndarray
     inputs: Sequence[np.ndarray]
     growth_matrix: Callable[[np.ndarray], np.ndarray]
-    name: str = field(default="system")
     field_reads: tuple[int, ...] | None = None
 
     def __post_init__(self):

@@ -1,7 +1,12 @@
 """Game-solving core over multi-layered abstractions.
 
 Safety is a greatest fixed point of the controllable-predecessor
-operator, reach-avoid a least one.  The multi-resolution protocols run
+operator, reach-avoid a least one.  :func:`cpre` is that operator, and
+the protocols read every step's winning cells and moves from the one
+closing mask it returns; :func:`upre` is the cooperative predecessor.
+Both are game logic over the transition table's box store
+(:meth:`TransitionTable.mark_touching` and
+:attr:`TransitionTable.has_box`).  The multi-resolution protocols run
 those fixed points one layer at a time, saving intermediate winning
 sets to the finest layer and re-loading them when switching layers.
 Both modes run the same protocols and explore the cells each step
@@ -23,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import TransitionTable, UnexploredTransitionError
+from .abstraction import TransitionTable
 from .controller import LayerController, MultiLayeredController
 from .dynamics import ControlSystem
-from .grid import CellSet, LayerMismatchError, LayerStack, gamma_down, gamma_up
+from .grid import CellSet, LayerStack, gamma_down, gamma_up
 from .problem import ProblemSpec, REACH_AVOID, SAFETY, SpecSets, build_spec_sets
 
 #: Names accepted by :func:`synthesize`.
@@ -35,11 +40,6 @@ _SUFFIX = {SAFETY: "-safe", REACH_AVOID: "-reach"}
 
 # Cap on safety rounds and on reach-avoid layer switches.
 _MAX_SWITCHES = 100_000
-
-# Stored boxes whose window bits one lookup reads: a block's index
-# temporaries stay small, where one lookup over a whole layer-1 table
-# would hold them for every row.
-_BLOCK_ROWS = 16_384
 
 
 class NonterminationError(RuntimeError):
@@ -87,93 +87,6 @@ class SynthesisResult:
     stats: SynthesisStats
 
 
-def _windows(table: TransitionTable, bits: np.ndarray) -> np.ndarray:
-    """``windows[class, c]``: the box of width ``table.widths[class]``
-    with low corner ``c`` holds a set cell of ``bits``.
-
-    A separable sliding OR (a binary dilation), one axis at a time: a
-    row of ``win`` is the window of some classes' widths on the axes
-    done, and on the next axis its width ``k`` is its width ``k - 1``
-    OR'd with the row shifted by ``k - 1`` cells, one pass each.  A
-    window reaching past the grid reads no cell there; no stored box does.
-    """
-    widths, n_axes = table.widths, table.stack.dim
-    # Dimension 0 varies fastest: axis ``a`` is axis ``n_axes - 1 - a`` of a row.
-    win = bits.reshape((1,) + tuple(table.stack.dims(table.grid_layer)[::-1]))
-    rows = [0] * len(widths)
-    for axis in range(n_axes):
-        head = (slice(None),) * (n_axes - 1 - axis)
-        pairs = list(zip(rows, widths[:, axis].tolist()))
-        index = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
-        out = np.empty((len(index),) + win.shape[1:], dtype=bool)
-        last = None
-        for r, w in sorted(index):
-            row = out[index[r, w]]
-            src, done = (out[index[last]], last[1]) if last and last[0] == r else (win[r], 1)
-            if w == done:
-                row[...] = src
-            for k in range(done, w):
-                cut, tail = head + (slice(None, -k),), head + (slice(-k, None),)
-                np.bitwise_or(src[cut], win[r][head + (slice(k, None),)], out=row[cut])
-                if src is not row:
-                    row[tail] = src[tail]
-                src = row
-            last = (r, w)
-        win, rows = out, [index[p] for p in pairs]
-    # The last axis's pairs are the distinct widths, so row ``c`` is class ``c``.
-    return win.reshape(len(widths), table.n_cells)
-
-
-def _check_grid(table: TransitionTable, cells: CellSet) -> None:
-    if cells.layer != table.grid_layer:
-        raise LayerMismatchError(
-            f"cell set lives on layer {cells.layer} but the table's grid is "
-            f"layer {table.grid_layer}"
-        )
-
-
-def _boxes_touching(table: TransitionTable, cells: CellSet):
-    """``(keys, touches)`` for each block of the table's box store, in
-    storage order, where ``touches`` marks the boxes holding a cell of
-    ``cells``, one window bit per box, and ``keys`` is ``input * n_cells
-    + cell`` of each box."""
-    _check_grid(table, cells)
-    keys, code = table.store()
-    windows = _windows(table, cells.bits).ravel()
-    for start in range(0, keys.size, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        yield keys[block], windows.take(code[block])
-
-
-def _closing_inputs(
-    table: TransitionTable, region: CellSet, cells: CellSet | None = None
-) -> np.ndarray:
-    """``mask[u, c]``: input ``u`` keeps every successor of cell ``c`` in ``region``.
-
-    The one containment test behind ``cpre`` and every stage's moves: a
-    pair closes if it has a box and none of its boxes holds a cell
-    outside ``region``, one window bit of ``region``'s complement per
-    box.  The mask has shape ``(n_inputs, n_cells)`` and
-    is never true for an unexplored pair or one that leaves the region
-    of interest.  With ``cells``, every column outside ``cells`` is
-    False.  Only a main table has closing masks: an auxiliary table
-    keeps the clipped boxes of pairs that leave it.
-    """
-    if table.kind != "main":
-        raise ValueError("closing masks are defined on main tables only")
-    n_inputs, n_cells = table.sys.n_inputs, table.n_cells
-    # The pairs known not to close: every pair outside ``cells``, then
-    # every pair with a box that leaves ``region``.
-    fails = np.zeros(n_inputs * n_cells, dtype=bool)
-    if cells is not None:
-        _check_grid(table, cells)
-        np.logical_not(cells.bits, out=fails.reshape(n_inputs, n_cells))
-    for keys, leaves in _boxes_touching(table, region.complement()):
-        fails[keys[leaves]] = True
-    # ``has_box > fails`` is ``has_box & ~fails``, in one pass.
-    return np.greater(table.has_box, fails, out=fails).reshape(n_inputs, n_cells)
-
-
 def _moves_into(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Moves of ``cells``: row ``k`` is the column of ``cells[k]`` in a closing-input mask."""
     moves = mask[:, cells].T
@@ -182,42 +95,42 @@ def _moves_into(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return moves
 
 
-def cpre(table: TransitionTable, target: CellSet, candidates: CellSet | None = None) -> CellSet:
-    """Cells with an input whose every successor lies in ``target``.
+def cpre(table: TransitionTable, region: CellSet, candidates: CellSet) -> np.ndarray:
+    """Closing mask: ``mask[u, c]`` if candidate ``c`` keeps, under input
+    ``u``, every successor in ``region``.
 
-    Pairs that leave the region of interest never qualify.
-    ``candidates`` restricts the cells under consideration; reading a
-    candidate whose transitions were never computed is a frontier bug
-    and raises.
+    The controllable predecessor, as the ``(n_inputs, n_cells)`` mask
+    that every step's winning cells and moves are read from: a pair
+    closes if it has a box and none of its boxes holds a cell outside
+    ``region``.  It is never true for an unexplored pair, one that
+    leaves the region of interest, or a cell outside ``candidates``.
+    Only a main table has closing masks: an auxiliary table keeps the
+    clipped boxes of pairs that leave it.
     """
-    if candidates is not None:
-        missing = candidates.difference(table.explored_cells())
-        if not missing.is_empty():
-            raise UnexploredTransitionError(
-                f"{missing.count()} candidate cells of layer {table.layer} "
-                f"({table.kind}) were never explored"
-            )
-    result = _closing_inputs(table, target).any(axis=0)
-    if candidates is not None:
-        result &= candidates.bits
-    return CellSet(target.layer, result)
+    if table.kind != "main":
+        raise ValueError("closing masks are defined on main tables only")
+    table.check_grid(candidates)
+    # The pairs known not to close: every pair outside ``candidates``,
+    # then every pair with a box that leaves ``region``.
+    fails = np.empty((table.sys.n_inputs, table.n_cells), dtype=bool)
+    np.logical_not(candidates.bits, out=fails)
+    table.mark_touching(region.complement(), fails)
+    # ``has_box > fails`` is ``has_box & ~fails``, in one pass.
+    return np.greater(table.has_box.reshape(fails.shape), fails, out=fails)
 
 
 def upre(table: TransitionTable, target: CellSet) -> CellSet:
     """Cells with an input having some successor in ``target``.
 
     The cooperative predecessor: used only to over-approximate where
-    synthesis could make progress, never to decide winning.  A pair
-    qualifies if one of its boxes holds a cell of ``target``, one window
-    bit of ``target`` per box.  Auxiliary pairs that leave the region
-    take part through their successors clipped to it, since a finer
-    cell inside the coarse one may reach those cells without leaving
-    the region.
+    synthesis could make progress, never to decide winning.  Auxiliary
+    pairs that leave the region take part through their successors
+    clipped to it, since a finer cell inside the coarse one may reach
+    those cells without leaving the region.
     """
-    hit = np.zeros(table.sys.n_inputs * table.n_cells, dtype=bool)
-    for keys, hits in _boxes_touching(table, target):
-        hit[keys[hits]] = True
-    return CellSet(target.layer, hit.reshape(table.sys.n_inputs, table.n_cells).any(axis=0))
+    hit = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
+    table.mark_touching(target, hit)
+    return CellSet(target.layer, hit.any(axis=0))
 
 
 def upre_m(table: TransitionTable, target: CellSet, m: int) -> tuple[CellSet, int]:
@@ -324,9 +237,9 @@ class SynthesisEngine:
         candidates = current if covered is None else current.difference(covered)
         self.explore(layer, candidates)
         self.stats.cpre_evals[layer - 1] += 1
-        mask = _closing_inputs(self.table(layer), current, candidates)
+        mask = cpre(self.table(layer), current, candidates)
         self.stats.fp_iterations[layer - 1] += 1
-        return CellSet(layer, mask.any(axis=0) & candidates.bits), mask
+        return CellSet(layer, mask.any(axis=0)), mask
 
     def reach_m(self, layer: int, target: CellSet, m: int | None) -> ReachOutcome:
         """Run the reach-avoid fixed point for ``m`` steps (None: converge).
@@ -349,8 +262,8 @@ class SynthesisEngine:
         iterations = 0
         while m is None or iterations < m:
             self.stats.cpre_evals[layer - 1] += 1
-            mask = _closing_inputs(table, w)
-            nxt = CellSet(layer, mask.any(axis=0) & candidates.bits).union(target)
+            mask = cpre(table, w, candidates)
+            nxt = CellSet(layer, mask.any(axis=0)).union(target)
             iterations += 1
             self.stats.fp_iterations[layer - 1] += 1
             if nxt == w:

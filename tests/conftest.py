@@ -65,7 +65,6 @@ def stationary_system(dim: int = 2, n_inputs: int = 1) -> ControlSystem:
         disturbance=np.zeros(dim),
         inputs=[np.array([float(k)]) for k in range(n_inputs)],
         growth_matrix=lambda u: zero,
-        name="stationary",
     )
 
 
@@ -79,11 +78,10 @@ def drift_system(velocity=1.0, dim: int = 1) -> ControlSystem:
         disturbance=np.zeros(dim),
         inputs=[np.array([0.0])],
         growth_matrix=lambda u: zero,
-        name="drift",
     )
 
 
-def linear_system(a, offsets, disturbance, name="linear") -> ControlSystem:
+def linear_system(a, offsets, disturbance) -> ControlSystem:
     """x' = A x + b_u with the standard linear growth matrix."""
     a = np.asarray(a, dtype=float)
     offsets = np.array(offsets, dtype=float)
@@ -108,7 +106,6 @@ def linear_system(a, offsets, disturbance, name="linear") -> ControlSystem:
         disturbance=np.asarray(disturbance, dtype=float),
         inputs=[np.array([float(k)]) for k in range(len(offsets))],
         growth_matrix=lambda u: growth,
-        name=name,
     )
 
 
@@ -166,7 +163,7 @@ def random_problem(seed: int, kind: str = REACH_AVOID, levels: int = 2):
     angles = rng.uniform(0.0, 2 * np.pi, size=n_u)
     speed = rng.uniform(0.4, 1.2)
     offsets = [speed * np.array([np.cos(t), np.sin(t)]) for t in angles]
-    sys = linear_system(a, offsets, rng.uniform(0.0, 0.03, size=dim), name=f"rand{seed}")
+    sys = linear_system(a, offsets, rng.uniform(0.0, 0.03, size=dim))
 
     extent = upper - lower
     boxes = []

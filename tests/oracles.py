@@ -80,8 +80,8 @@ def table_as_dict(table):
 def closing_inputs_reference(table, region) -> np.ndarray:
     """Closing mask from the region bit of every enumerated successor.
 
-    The reference for ``synthesis._closing_inputs`` on a main table: a
-    pair closes if it has rows and none of them leaves ``region``.
+    The reference for ``synthesis.cpre`` over the whole grid of a main
+    table: a pair closes if it has rows and none of them leaves ``region``.
     """
     mask = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
     for u in range(table.sys.n_inputs):

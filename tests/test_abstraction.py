@@ -125,6 +125,19 @@ class TestPreload:
             table.preload(0, [[1], []])
         assert table.explored_count == 0 and table.csr(0)[0].size == 0
 
+    @pytest.mark.parametrize(
+        "cell, succs",
+        [(-1, [[0], None]), (4, [[0], None]), (0, [[1], [-1]]), (0, [[1], [2, 4]])],
+        ids=["negative-cell", "cell-past-grid", "negative-successor", "successor-past-grid"],
+    )
+    def test_cells_off_the_grid_are_rejected_before_storing(self, cell, succs):
+        # -1 would mark cell 3 explored, and successor -1 would store code 255
+        table = TransitionTable(stationary_system(dim=1, n_inputs=2), line_stack(), 1)
+        with pytest.raises(ValueError, match="grid of 4 cells"):
+            table.preload(cell, succs)
+        assert table.explored_count == 0 and table.explored_cells().is_empty()
+        assert not table.has_box.any() and table.store()[0].size == 0
+
 
 class TestSuccessorsAccessor:
     def test_three_states(self):
@@ -172,7 +185,7 @@ class TestAuxiliaryTables:
         # a clipped box would close the pair, so an auxiliary table has no
         # controllable predecessor
         with pytest.raises(ValueError, match="main tables"):
-            cpre(aux, CellSet.full(stack, 2))
+            cpre(aux, CellSet.full(stack, 2), CellSet.full(stack, 2))
 
 
 class TestStorage:

@@ -37,7 +37,7 @@ def reach_box(sys, lower, upper, u, tau, substeps):
 
 def decay_system(dim=2, disturbance=0.0):
     a = -np.eye(dim)
-    return linear_system(a, [np.zeros(dim)], np.full(dim, disturbance), name="decay")
+    return linear_system(a, [np.zeros(dim)], np.full(dim, disturbance))
 
 
 class TestControlSystemValidation:

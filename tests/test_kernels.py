@@ -2,25 +2,26 @@
 
 A transition table stores each box as one code, ``class * n_cells +
 corner``: the cell of its low corner and its row among the table's
-distinct widths.  ``synthesis._windows`` builds, for a set of cells and
+distinct widths.  ``abstraction._windows`` builds, for a set of cells and
 every width class, the whole-grid bitmap of the boxes of that width
 that hold one of the cells, by sliding ORs along each axis; it must
 match a brute-force scan on grids of one to four axes.
-``synthesis._closing_inputs`` and ``synthesis.upre`` read one window bit
-per stored box; the references in ``oracles.py`` decode every box back
-to its corners (``TransitionTable.csr``), enumerate every successor and
-gather its bit.  They must agree on computed tables, on preloaded
-entries that are not boxes, on clipped auxiliary boxes at every face of
-the grid, on grids whose corner indices need 32-bit integers, and on a
-table that gains a width class after a kernel has read it, both at the
-kernels' block size and in blocks of a few rows, so that one pair's
-boxes fall in different blocks.  A closing mask restricted to some
-cells must equal the reference on their columns and be False
-elsewhere.  Codes are of the narrowest unsigned type that holds every
-code of the classes so far.  Neither the order in which a table stores
-its boxes nor the batches or blocks it explored them in may change what
-the kernels return, and a cell explored alone stores the boxes it
-stores in a batch.
+``synthesis.cpre`` and ``synthesis.upre`` read one window bit per
+stored box through ``TransitionTable.mark_touching``; the references in
+``oracles.py`` decode every box back to its corners
+(``TransitionTable.csr``), enumerate every successor and gather its
+bit.  They must agree on computed tables, on preloaded entries that are
+not boxes, on clipped auxiliary boxes at every face of the grid, on
+grids whose corner indices need 32-bit integers, and on a table that
+gains a width class after a kernel has read it, both at the kernels'
+block size and in blocks of a few rows, so that one pair's boxes fall
+in different blocks.  A closing mask over the whole grid must equal the
+reference, and one restricted to some candidate cells must equal it on
+their columns and be False elsewhere.  Codes are of the narrowest
+unsigned type that holds every code of the classes so far.  Neither the
+order in which a table stores its boxes nor the batches or blocks it
+explored them in may change what the kernels return, and a cell
+explored alone stores the boxes it stores in a batch.
 """
 
 from __future__ import annotations
@@ -65,23 +66,30 @@ SMALL_BLOCK = 13
 def small_blocks(kernel, table, region, *args):
     """``kernel(table, region, *args)`` reading the box store ``SMALL_BLOCK`` rows at a time."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(synthesis, "_BLOCK_ROWS", SMALL_BLOCK)
+        patch.setattr(abstraction, "_BLOCK_ROWS", SMALL_BLOCK)
         return kernel(table, region, *args)
+
+
+def grid_of(table):
+    """Every cell of the table's grid, as ``cpre`` candidates."""
+    return CellSet.full(table.stack, table.grid_layer)
 
 
 def assert_kernels_match(table, region):
     if table.kind == "main":
         want = closing_inputs_reference(table, region)
-        np.testing.assert_array_equal(synthesis._closing_inputs(table, region), want)
-        np.testing.assert_array_equal(small_blocks(synthesis._closing_inputs, table, region), want)
+        np.testing.assert_array_equal(synthesis.cpre(table, region, grid_of(table)), want)
+        np.testing.assert_array_equal(
+            small_blocks(synthesis.cpre, table, region, grid_of(table)), want
+        )
         # restricted to a few cells and to most cells: other columns are False
         for share in (0.05, 0.9):
             cells = CellSet(table.grid_layer, np.random.default_rng(7).random(table.n_cells) < share)
-            got = small_blocks(synthesis._closing_inputs, table, region, cells)
+            got = small_blocks(synthesis.cpre, table, region, cells)
             np.testing.assert_array_equal(got, want & cells.bits)
     else:
         with pytest.raises(ValueError, match="main tables"):
-            synthesis._closing_inputs(table, region)
+            synthesis.cpre(table, region, grid_of(table))
     want = upre_reference(table, region)
     assert upre(table, region) == want
     assert small_blocks(upre, table, region) == want
@@ -122,7 +130,7 @@ def test_windows_match_brute_force(dims):
     n = stack.cell_count(1)
     for bits in [np.zeros(n, bool), np.ones(n, bool)] + [rng.random(n) < p for p in (0.1, 0.5)]:
         want = brute_windows(bits, dims, table.widths.tolist())
-        np.testing.assert_array_equal(synthesis._windows(table, bits), want)
+        np.testing.assert_array_equal(abstraction._windows(table, bits), want)
 
 
 @pytest.mark.parametrize(
@@ -170,20 +178,19 @@ def test_width_classes_stay_few_on_workloads():
 
 @pytest.mark.parametrize("kind", [REACH_AVOID, SAFETY], ids=["reach", "safe"])
 def test_sweep_kernels_match_reference_after_every_call(kind, monkeypatch):
-    closing, cooperative = synthesis._closing_inputs, synthesis.upre
-    calls = {"closing": 0, "restricted": 0, "upre": 0}
+    closing, cooperative = synthesis.cpre, synthesis.upre
+    calls = {"cpre": 0, "restricted": 0, "upre": 0}
 
-    def checked_closing(table, region, cells=None):
-        calls["closing"] += 1
-        calls["restricted"] += cells is not None
-        got = closing(table, region, cells)
+    def checked_cpre(table, region, candidates=None):
+        calls["cpre"] += 1
+        calls["restricted"] += candidates is not None
+        got = closing(table, region, candidates)
         want = closing_inputs_reference(table, region)
-        if cells is not None:
-            # only the given cells' columns are read; the rest are False
-            assert not got[:, ~cells.bits].any()
-            want[:, ~cells.bits] = False
+        # only the candidates' columns are read; the rest are False
+        assert not got[:, ~candidates.bits].any()
+        want[:, ~candidates.bits] = False
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(small_blocks(closing, table, region, cells), want)
+        np.testing.assert_array_equal(small_blocks(closing, table, region, candidates), want)
         return got
 
     def checked_upre(table, target):
@@ -193,7 +200,7 @@ def test_sweep_kernels_match_reference_after_every_call(kind, monkeypatch):
         assert small_blocks(cooperative, table, target) == got
         return got
 
-    monkeypatch.setattr(synthesis, "_closing_inputs", checked_closing)
+    monkeypatch.setattr(synthesis, "cpre", checked_cpre)
     monkeypatch.setattr(synthesis, "upre", checked_upre)
     suffix = "-reach" if kind == REACH_AVOID else "-safe"
     with warnings.catch_warnings():
@@ -202,8 +209,8 @@ def test_sweep_kernels_match_reference_after_every_call(kind, monkeypatch):
             sys, stack, spec = random_problem(seed, kind=kind, levels=levels)
             for algorithm in ("eager" + suffix, "lazy" + suffix):
                 synthesize(sys, stack, spec, algorithm)
-    assert calls["closing"] > 0
-    assert (calls["restricted"] > 0) == (kind == SAFETY)
+    # every call, safety's and reach-avoid's, passes its candidates
+    assert calls["cpre"] > 0 and calls["restricted"] == calls["cpre"]
     assert (calls["upre"] > 0) == (kind == REACH_AVOID)
 
 
@@ -231,14 +238,14 @@ def test_preloaded_entry_straddling_a_block_boundary(outside, monkeypatch):
     # One pair's three unit boxes fill rows 0-2 of the store, and blocks
     # of two rows split them; the box outside the region lies in the
     # first block or in the second.  The pair does not close either way.
-    monkeypatch.setattr(synthesis, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(abstraction, "_BLOCK_ROWS", 2)
     stack = LayerStack(1, [1.0], 1.0, [0.0], [6.0])
     table = TransitionTable(stationary_system(dim=1), stack, 1)
     succs = np.array([1, 2, 3])
     table.preload(0, [succs])
     table.preload(4, [[4]])
     region = CellSet.from_indices(stack, 1, np.append(np.delete(succs, outside), 4))
-    mask = synthesis._closing_inputs(table, region)
+    mask = synthesis.cpre(table, region, grid_of(table))
     assert mask[0].tolist() == [False, False, False, False, True, False]
     assert_kernels_match(table, region)
 
@@ -340,10 +347,10 @@ def assert_storage_has_no_meaning(sys, stack, spec, layer, rng, n_regions):
     assert halves.explored_count == whole.explored_count
     shuffled = permuted(whole, rng)
     for target in regions(rng, whole, n=n_regions):
-        mask = synthesis._closing_inputs(whole, target)
+        mask = synthesis.cpre(whole, target, grid_of(whole))
         pre = upre(whole, target)
         for table in (halves, shuffled):
-            np.testing.assert_array_equal(synthesis._closing_inputs(table, target), mask)
+            np.testing.assert_array_equal(synthesis.cpre(table, target, grid_of(table)), mask)
             assert upre(table, target) == pre
 
 
@@ -401,7 +408,8 @@ def test_exploring_in_blocks_stores_the_boxes_of_one_batch(doc, layer, monkeypat
     rng = np.random.default_rng(layer)
     for target in regions(rng, blocks, n=3):
         np.testing.assert_array_equal(
-            synthesis._closing_inputs(blocks, target), synthesis._closing_inputs(batch, target)
+            synthesis.cpre(blocks, target, grid_of(blocks)),
+            synthesis.cpre(batch, target, grid_of(batch)),
         )
         assert upre(blocks, target) == upre(batch, target)
     assert_kernels_match(blocks, target)

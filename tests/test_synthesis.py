@@ -30,7 +30,6 @@ from layersynth import (
     ProblemSpec,
     SynthesisEngine,
     TransitionTable,
-    UnexploredTransitionError,
     cpre,
     gamma_down,
     gamma_up,
@@ -58,6 +57,13 @@ def cells(stack, layer, idx):
     return CellSet.from_indices(stack, layer, np.asarray(list(idx), dtype=np.int64))
 
 
+def cpre_cells(table, target):
+    """Cells of the table's grid with an input that keeps ``target``: the
+    columns of ``cpre``'s closing mask over every cell."""
+    mask = cpre(table, target, CellSet.full(table.stack, table.grid_layer))
+    return CellSet(target.layer, mask.any(axis=0))
+
+
 def self_loop_engine(spec_kind=SAFETY, n=4, obstacles=(), targets=()):
     """Engine over a preloaded pure self-loop table (1-D, single layer)."""
     stack = LayerStack(1, [1.0], 1.0, [0.0], [float(n)])
@@ -76,12 +82,12 @@ def self_loop_engine(spec_kind=SAFETY, n=4, obstacles=(), targets=()):
 class TestCpre:
     def test_two_state_example(self):
         stack, table = two_state_table()
-        got = cpre(table, cells(stack, 1, [0]))
+        got = cpre_cells(table, cells(stack, 1, [0]))
         assert got.indices().tolist() == [0]
 
     def test_empty_target(self):
         stack, table = two_state_table()
-        assert cpre(table, CellSet.empty(stack, 1)).is_empty()
+        assert cpre_cells(table, CellSet.empty(stack, 1)).is_empty()
 
     def test_full_grid_keeps_cells_with_a_usable_input(self):
         stack = LayerStack(1, [1.0], 1.0, [0.0], [3.0])
@@ -89,7 +95,7 @@ class TestCpre:
         table.preload(0, [[0, 1]])
         table.preload(1, [None])
         table.preload(2, [[2]])
-        got = cpre(table, CellSet.full(stack, 1))
+        got = cpre_cells(table, CellSet.full(stack, 1))
         assert got.indices().tolist() == [0, 2]
 
     def test_matches_oracle_on_random_tables(self):
@@ -109,18 +115,21 @@ class TestCpre:
         tdict = table_as_dict(table)
         for _ in range(100):
             target = set(int(c) for c in np.flatnonzero(rng.random(12) < 0.4))
-            got = set(cpre(table, cells(stack, 1, target)).indices().tolist())
+            got = set(cpre_cells(table, cells(stack, 1, target)).indices().tolist())
             assert got == cpre_oracle(tdict, target)
             got_u = set(upre(table, cells(stack, 1, target)).indices().tolist())
             assert got_u == upre_oracle(tdict, target)
             assert got <= got_u
 
-    def test_unexplored_candidate_raises(self):
+    def test_unexplored_candidate_never_closes(self):
+        # cells 1 and 2 are candidates with no stored entry: the mask is
+        # False on their columns, whatever the region
         stack = LayerStack(1, [1.0], 1.0, [0.0], [3.0])
         table = TransitionTable(stationary_system(dim=1), stack, 1)
         table.preload(0, [[0]])
-        with pytest.raises(UnexploredTransitionError):
-            cpre(table, cells(stack, 1, [0]), candidates=CellSet.full(stack, 1))
+        for region in (cells(stack, 1, [0]), CellSet.full(stack, 1)):
+            mask = cpre(table, region, CellSet.full(stack, 1))
+            assert mask.tolist() == [[True, False, False]]
 
 
 class TestUpre:
