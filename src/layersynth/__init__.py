@@ -17,12 +17,7 @@ from .controller import (
     ValidationReport,
     validate,
 )
-from .dynamics import (
-    ControlSystem,
-    IntegrationDivergenceError,
-    integrate_nominal,
-    sample_disturbed_step,
-)
+from .dynamics import ControlSystem, IntegrationDivergenceError, sample_disturbed_step
 from .grid import (
     CellSet,
     LayerMismatchError,
@@ -76,7 +71,6 @@ __all__ = [
     "export_cellset_csv",
     "gamma_down",
     "gamma_up",
-    "integrate_nominal",
     "load_config",
     "parse_config",
     "sample_disturbed_step",

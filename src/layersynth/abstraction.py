@@ -26,7 +26,8 @@ solvers read the store through one method,
 that holds a cell of a given set, one bit per box from a whole-grid
 bitmap per width class (:func:`_windows`), over every input's boxes in
 one pass, block by block.  :meth:`TransitionTable.csr` selects one
-input's boxes and decodes their corners.  A batch factors per axis: cell
+input's boxes and decodes their corners.  A batch gets its reach boxes
+from :func:`~layersynth.dynamics.reach_boxes` and factors per axis: cell
 centres are integrated once per distinct value of the read coordinates
 (``ControlSystem.field_reads``), and each axis the field does not read
 is integrated, snapped to the grid and tested against the region once
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ControlSystem, integrate_shared, radius_dynamics
+from .dynamics import ControlSystem, radius_dynamics, reach_boxes
 from .grid import CellSet, LayerMismatchError, LayerStack
 
 # Integer type of stored cell indices; LayerStack caps a grid's cell count at its maximum.
@@ -199,18 +200,22 @@ class TransitionTable:
         ``succs`` holds one entry per input: ``None`` for a pair that
         leaves the region, or its successor cells, stored as one unit
         box each.  The cell and every successor must be cells of the
-        table's grid.
+        table's grid, given as integers.
         """
         if len(succs) != self.sys.n_inputs:
             raise ValueError(f"{len(succs)} entries for {self.sys.n_inputs} inputs")
+        if np.asarray(cell).dtype.kind not in "iu":
+            raise ValueError(f"cell {cell!r} is not an integer")
         cell = int(cell)
         if not 0 <= cell < self.n_cells:
             raise ValueError(f"cell {cell} is not on a grid of {self.n_cells} cells")
         if self._explored[cell]:
             return
-        succs = [None if s is None else np.unique(np.asarray(s, dtype=_INDEX)) for s in succs]
+        succs = [None if s is None else np.unique(np.asarray(s)) for s in succs]
         if any(s is not None and s.size == 0 for s in succs):
             raise ValueError("computed entries must have at least one successor")
+        if any(s is not None and s.dtype.kind not in "iu" for s in succs):
+            raise ValueError("successors must be integer cells")
         if any(s is not None and (s[0] < 0 or s[-1] >= self.n_cells) for s in succs):
             raise ValueError(f"successors must be cells of a grid of {self.n_cells} cells")
         boxed = [(u_idx, arr) for u_idx, arr in enumerate(succs) if arr is not None]
@@ -254,37 +259,36 @@ class TransitionTable:
                     of * dims[a] + idx[:, a], return_index=True, return_inverse=True
                 )
                 free.append((a, stack.centers(gl, cells[at])[:, a], of[at]))
-        ends, tables = integrate_shared(
-            sys, stack.centers(gl, cells[first]), sys.inputs, self.tau, self.substeps, free
-        )
-        # Every axis's end values as one column per input, padded.
-        width = max([first.size] + [t.shape[1] for t in tables])
-        values = np.zeros((sys.n_inputs, width, stack.dim))
-        values[:, : first.size, reads] = ends[:, :, reads]
+        (lo, hi), tables = reach_boxes(sys, stack.centers(gl, cells[first]), self._radius,
+                                       sys.inputs, self.tau, self.substeps, free)
+        # Every axis's corners as one column per input, padded.
+        width = max([first.size] + [t[0].shape[1] for t in tables])
+        corners = np.zeros((2, sys.n_inputs, width, stack.dim))
+        corners[:, :, : first.size, reads] = np.stack([lo, hi])[..., reads]
         for (a, _, _), t in zip(free, tables):
-            values[:, : t.shape[1], a] = t
-        self._store_boxes(cells, entry, values)
+            corners[:, :, : t[0].shape[1], a] = t
+        # Only the padded corners stay alive while the boxes are stored.
+        del lo, hi, tables
+        self._store_boxes(cells, entry, *corners)
         self._explored[cells] = True
         self.explored_count += cells.size * sys.n_inputs
 
-    def _store_boxes(self, cells: np.ndarray, entry: np.ndarray, c: np.ndarray) -> None:
+    def _store_boxes(self, cells: np.ndarray, entry: np.ndarray, lo, hi) -> None:
         """Store the grid boxes of ``cells`` under every input.
 
-        ``c`` ``(n_inputs, width, dim)`` holds per-axis end centres, one
-        block per input; under input ``u``, row ``i`` of the batch reads
-        ``c[u, entry[i, a], a]`` on axis ``a``.  Each value is snapped,
-        floored, clipped and tested against the region on its axis
-        alone, in that small table.  A row keeps the AND of its axes'
-        flags, and sums its axes' parts of its corner cell and of its
-        width's number.  The boxes of every input are stored in one
-        batch, input by input.
+        ``lo`` and ``hi`` ``(n_inputs, width, dim)`` hold per-axis box
+        corners, one block per input; under input ``u``, row ``i`` of the
+        batch reads entry ``[u, entry[i, a], a]`` on axis ``a``.  Each
+        value is snapped, floored, clipped and tested against the region
+        on its axis alone, in that small table.  A row keeps the AND of
+        its axes' flags, and sums its axes' parts of its corner cell and
+        of its width's number.  The boxes of every input are stored in
+        one batch, input by input.
         """
         stack, gl = self.stack, self.grid_layer
         dims = stack.dims(gl)
-        n_inputs, _, dim = c.shape
-        radius = self._radius[:, None, :]
-        q_lo = stack.grid_coords(gl, c - radius)
-        q_hi = stack.grid_coords(gl, c + radius)
+        n_inputs, _, dim = lo.shape
+        q_lo, q_hi = stack.grid_coords(gl, lo), stack.grid_coords(gl, hi)
         floor_lo = np.floor(q_lo).astype(np.int64)
         floor_hi = np.floor(q_hi).astype(np.int64)
         # Bit 0: inside the region on this axis; bit 1 (aux): meets it.

@@ -1,11 +1,11 @@
 """Continuous-time control systems and reachable-set over-approximation.
 
 A control system couples a nominal vector field with a box-bounded
-additive disturbance and a finite input alphabet.  Reachable sets of
-boxes over one sampling period are over-approximated by integrating the
-nominal dynamics from the box center together with a radius vector that
-obeys the linear growth dynamics ``r' = L(u) r + w``, where ``L(u)`` is a
-user-supplied growth matrix valid for the dynamics on the region of
+additive disturbance and a finite input alphabet.  The reach box of a
+cell over one sampling period (:func:`reach_boxes`) is its centre's
+nominal end plus and minus a radius vector that obeys the linear growth
+dynamics ``r' = L(u) r + w`` (:func:`radius_dynamics`), where ``L(u)`` is
+a user-supplied growth matrix valid for the dynamics on the region of
 interest and ``w`` is the disturbance bound.
 
 A vector field binds one input per row, and every integrator binds it
@@ -16,14 +16,14 @@ A system may declare ``field_reads``, the state coordinates its nominal
 field reads.  Every output component must then depend on those
 coordinates only, so a coordinate it does not read (a free axis) ends
 an RK4 step as its start value plus an increment that depends on the
-read coordinates alone.  :func:`integrate_shared`, the integration core
-of transition tables, integrates one representative state per distinct
-value of the read coordinates, and each free axis as a table of start
-values that add their representative's increments: a free axis is
-integrated once per (start value, representative).  Every value ends
-bit for bit where a lone state's integration ends it.  A declaration
-that leaves out a coordinate the field reads is unsound: states that
-differ in that coordinate would move as their representative does.
+read coordinates alone.  :func:`reach_boxes`, the integrator of
+transition tables, integrates one centre per distinct value of the read
+coordinates, and each free axis as a table of start values that add
+their centre's increments: a free axis is integrated once per (start
+value, centre).  Every value ends bit for bit where a lone state's
+integration ends it.  A declaration that leaves out a coordinate the
+field reads is unsound: states that differ in that coordinate would
+move as their centre does.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ControlSystem:
     ``field_reads`` names the state coordinates that every output
     component of ``f`` depends on, under every input; ``None`` means all
     of them.  States that agree bit for bit on those coordinates get
-    bit-identical derivatives, so :func:`integrate_shared` integrates
+    bit-identical derivatives, so :func:`reach_boxes` integrates
     each distinct value once, and a coordinate left out (a free axis)
     once per (start value, representative).  Nothing checks the
     declaration itself: a coordinate the field reads but the declaration
@@ -194,61 +194,6 @@ def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.nda
     return x
 
 
-def _check_period(tau: float, substeps: int) -> None:
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-
-
-def integrate_shared(sys: ControlSystem, reps, inputs, tau: float, substeps: int, free=()):
-    """Nominal endpoints of representative states under each input,
-    and of the free-axis tables that share their increments.
-
-    ``reps`` ``(K, n)`` are states whose read coordinates
-    (``sys.field_reads``) differ.  Each item of ``free`` is
-    ``(axis, start, rep)``: a coordinate the field does not read, start
-    values ``(P,)`` on it, and the representative ``(P,)`` of each entry.
-    Entry ``p`` adds, at every RK4 step, the increment of
-    ``reps[rep[p]]`` on that axis, so it ends bit for bit where a state
-    that starts at ``start[p]`` on the axis, and agrees with
-    ``reps[rep[p]]`` on the read coordinates, ends on it.
-
-    Every input is integrated in one sweep that binds one input per row.
-    Returns ``(ends, tables)``: ``ends`` ``(len(inputs), K, n)`` and one
-    ``(len(inputs), P)`` table per item of ``free``.
-    """
-    _check_period(tau, substeps)
-    h = tau / substeps
-    us = np.stack([np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs])
-    reps = np.asarray(reps, dtype=float)
-    m, (k, n) = len(us), reps.shape
-    # Input i's copy of representative r is row i * K + r of the sweep.
-    block = np.arange(m)[:, None] * k
-    tables = [np.tile(np.asarray(start, dtype=float), (m, 1)) for _, start, _ in free]
-    at = [(block + rep) * n + axis for axis, _, rep in free]
-    y = _rk4(sys.vector_field(np.repeat(us, k, axis=0)), np.tile(reps, (m, 1)), h, substeps,
-             list(zip(tables, at)))
-    ends = y.reshape(m, k, n)
-    if not (np.all(np.isfinite(ends)) and all(np.all(np.isfinite(t)) for t in tables)):
-        raise IntegrationDivergenceError(
-            f"non-finite state while integrating {k} representative states"
-        )
-    return ends, tables
-
-
-def integrate_nominal(sys: ControlSystem, x0, u, tau: float, substeps: int) -> np.ndarray:
-    """Endpoint of the nominal trajectory from ``x0`` under constant input."""
-    _check_period(tau, substeps)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = _integrate(sys, np.array(x0, dtype=float), u, tau / substeps, substeps)
-    if not np.all(np.isfinite(x)):
-        raise IntegrationDivergenceError(
-            f"non-finite state while integrating from {np.asarray(x0)} with input {u}"
-        )
-    return x
-
-
 def radius_dynamics(sys: ControlSystem, u, r0, tau: float, substeps: int) -> np.ndarray:
     """Endpoint of the radius dynamics ``r' = L(u) r + w`` from ``r0``."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -260,26 +205,40 @@ def radius_dynamics(sys: ControlSystem, u, r0, tau: float, substeps: int) -> np.
     return r
 
 
-def reach_boxes(
-    sys: ControlSystem,
-    centers: np.ndarray,
-    radius: np.ndarray,
-    u,
-    tau: float,
-    substeps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched reach-box computation for identically sized cells.
+def reach_boxes(sys: ControlSystem, centers, radius, inputs, tau: float, substeps: int, free=()):
+    """Growth-bound reach boxes of cells under each input, in one sweep.
 
-    ``centers`` has shape ``(N, n)``; all cells share ``radius``, the
-    :func:`radius_dynamics` endpoint from their half-width under ``u``.
-    This is the per-row view of the factored core: every center is
-    integrated on its own (:func:`integrate_nominal`), and transition
-    tables get the same boxes from :func:`integrate_shared`, which
-    shares each representative's increments across cells.
-    Returns lower and upper corners of the over-approximating boxes.
+    ``centers`` ``(K, n)`` are cell centres whose read coordinates
+    (``sys.field_reads``) differ.  ``radius`` is a cell's growth radius
+    (:func:`radius_dynamics`) under each input, ``(len(inputs), n)``, or
+    one ``(n,)`` for every input.  Each item of ``free`` is
+    ``(axis, start, rep)``: a coordinate the field does not read, start
+    values ``(P,)`` on it, and the centre ``(P,)`` of each entry.
+    Entry ``p`` adds, at every RK4 step, the increment of
+    ``centers[rep[p]]`` on that axis, so it ends bit for bit where a state
+    that starts at ``start[p]`` on the axis, and agrees with
+    ``centers[rep[p]]`` on the read coordinates, ends on it.
+
+    Every input is integrated in one sweep that binds one input per row.
+    Returns ``((lo, hi), tables)``: the box corners ``(len(inputs), K,
+    n)``, each end centre minus and plus its input's radius, and one such
+    pair ``(len(inputs), P)`` per item of ``free``, on its axis.
     """
-    c = integrate_nominal(sys, centers, u, tau, substeps)
-    return c - radius, c + radius
+    us = np.stack([np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs])
+    centers = np.asarray(centers, dtype=float)
+    m, (k, n) = len(us), centers.shape
+    # Input i's copy of centre r is row i * K + r of the sweep.
+    block = np.arange(m)[:, None] * k
+    tables = [np.tile(np.asarray(start, dtype=float), (m, 1)) for _, start, _ in free]
+    at = [(block + rep) * n + axis for axis, _, rep in free]
+    y = _rk4(sys.vector_field(np.repeat(us, k, axis=0)), np.tile(centers, (m, 1)),
+             tau / substeps, substeps, list(zip(tables, at)))
+    ends = y.reshape(m, k, n)
+    if not (np.all(np.isfinite(ends)) and all(np.all(np.isfinite(t)) for t in tables)):
+        raise IntegrationDivergenceError(f"non-finite state while integrating {k} cell centres")
+    r = np.broadcast_to(np.asarray(radius, dtype=float), (m, n))
+    boxes = [(t - r[:, [a]], t + r[:, [a]]) for (a, _, _), t in zip(free, tables)]
+    return (ends - r[:, None], ends + r[:, None]), boxes
 
 
 def sample_disturbed_step(
@@ -308,9 +267,8 @@ def sample_disturbed_step(
     like per-segment ``rng.uniform(-w, w)`` draws.  Rows are sorted by
     step count, longest first, and extra steps run on a prefix of the
     rows, so every row takes the steps it would take alone.  With a zero
-    disturbance bound each row takes exactly the steps of
-    ``integrate_nominal`` with its own period and substeps, and ``draws``
-    is not read.
+    disturbance bound each row takes exactly the nominal RK4 steps of
+    its own period and substeps, and ``draws`` is not read.
     """
     x = np.array(x0, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -163,7 +163,10 @@ class ReachOutcome:
 
 
 class SynthesisEngine:
-    """Holds the abstraction layers and runs the synthesis protocols."""
+    """Holds the abstraction layers and runs the synthesis protocols.
+
+    ``m`` and ``substeps`` must be integers >= 1 (not bools).
+    """
 
     def __init__(
         self,
@@ -173,6 +176,9 @@ class SynthesisEngine:
         m: int = 2,
         substeps: int = 5,
     ):
+        for name, value in (("m", m), ("substeps", substeps)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         self.sys = sys
         self.stack = stack
         self.spec = spec

@@ -322,6 +322,27 @@ def start_states_oracle(mlc, runs, seed):
     return states
 
 
+def integrate_nominal(sys, x0, u, tau, substeps):
+    """Nominal end of a state ``(n,)`` or of states ``(N, n)`` under a
+    held input, one or one per row: ``substeps`` classic RK4 steps of
+    length ``tau / substeps``, the field bound once, one input per row.
+
+    A row's derivative does not depend on its batch, so every row ends
+    where it ends integrated alone.
+    """
+    x = np.atleast_2d(np.asarray(x0, dtype=float))
+    u = np.broadcast_to(np.asarray(u, dtype=float), (len(x), sys.inputs[0].size))
+    field = sys.vector_field(u)
+    h = tau / substeps
+    for _ in range(substeps):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x.reshape(np.shape(x0))
+
+
 def sample_disturbed_step_reference(sys, x0, u, tau, rngs, substeps=5):
     """Disturbed steps of the rows of ``x0``, drawn one segment at a time.
 

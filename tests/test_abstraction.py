@@ -3,18 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import UNICYCLE_LAZY, drift_system, stationary_system
+from conftest import DCDC_SAFE, UNICYCLE_LAZY, drift_system, stationary_system
 from layersynth import (
     CellSet,
     LayerMismatchError,
     LayerStack,
+    SynthesisEngine,
     TransitionTable,
+    abstraction,
     build_spec_sets,
     cpre,
     parse_config,
     upre,
 )
 from layersynth.benchmarks import dcdc
+from layersynth.dynamics import reach_boxes
 from oracles import BLOCKED, successors, table_as_dict
 
 
@@ -105,6 +108,43 @@ class TestComputeRegion:
             table.compute_region(CellSet.empty(stack, 2))
 
 
+class TestExploresThroughReachBoxes:
+    """Every exploration batch integrates through one ``reach_boxes`` call."""
+
+    def counted_engine(self, doc, monkeypatch):
+        centers, compute_cells = [], TransitionTable._compute_cells
+
+        def counted_reach_boxes(sys, cells, *args):
+            centers.append(len(cells))
+            return reach_boxes(sys, cells, *args)
+
+        def one_call_per_batch(table, cells):
+            calls = len(centers)
+            compute_cells(table, cells)
+            assert len(centers) == calls + 1
+
+        monkeypatch.setattr(abstraction, "reach_boxes", counted_reach_boxes)
+        monkeypatch.setattr(TransitionTable, "_compute_cells", one_call_per_batch)
+        config = parse_config(doc)
+        engine = SynthesisEngine(config.build_system(), config.build_stack(),
+                                 config.build_spec(), config.m, config.substeps)
+        return engine, centers
+
+    def test_dcdc_safe_integrates_every_explored_cell(self, monkeypatch):
+        # The dcdc field reads every axis: each cell is its own centre.
+        engine, centers = self.counted_engine(DCDC_SAFE, monkeypatch)
+        engine.safe_iteration()
+        explored = sum(t.explored_count // engine.sys.n_inputs for t in engine.main)
+        assert not engine.aux and sum(centers) == explored == 2388
+
+    def test_unicycle_lazy_integrates_fewer_centres_than_cells(self, monkeypatch):
+        engine, centers = self.counted_engine(UNICYCLE_LAZY, monkeypatch)
+        engine.reach_iteration(lazy=True)
+        tables = engine.main + list(engine.aux.values())
+        explored = sum(t.explored_count // engine.sys.n_inputs for t in tables)
+        assert 0 < sum(centers) < explored
+
+
 class TestPreload:
     def test_takes_one_entry_per_input(self):
         stack = line_stack()
@@ -135,6 +175,18 @@ class TestPreload:
         table = TransitionTable(stationary_system(dim=1, n_inputs=2), line_stack(), 1)
         with pytest.raises(ValueError, match="grid of 4 cells"):
             table.preload(cell, succs)
+        assert table.explored_count == 0 and table.explored_cells().is_empty()
+        assert not table.has_box.any() and table.store()[0].size == 0
+
+
+    @pytest.mark.parametrize(
+        "cell, succ", [(1.9, [2]), (1, [2.7])], ids=["float-cell", "float-successor"]
+    )
+    def test_non_integer_cells_are_rejected_before_storing(self, cell, succ):
+        # int() would store cell 1 with a box at cell 2
+        table = TransitionTable(stationary_system(dim=1, n_inputs=2), line_stack(), 1)
+        with pytest.raises(ValueError, match="integer"):
+            table.preload(cell, [succ, succ])
         assert table.explored_count == 0 and table.explored_cells().is_empty()
         assert not table.has_box.any() and table.store()[0].size == 0
 

@@ -10,7 +10,7 @@ EXPORTS = {
     "SynthesisEngine", "SynthesisResult", "SynthesisStats", "TransitionTable",
     "ValidationReport", "build_spec_sets", "build_system",
     "cells_inside_box", "cells_intersecting_box", "cpre", "dcdc", "default_config",
-    "export_cellset_csv", "gamma_down", "gamma_up", "integrate_nominal", "load_config",
+    "export_cellset_csv", "gamma_down", "gamma_up", "load_config",
     "parse_config", "sample_disturbed_step", "synthesize", "unicycle", "upre", "upre_m",
     "validate",
 }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import warnings
 
 import pytest
@@ -152,3 +153,13 @@ def test_missing_required_field_is_named():
     doc = {key: value for key, value in DCDC_SAFE.items() if key != "tau1"}
     with pytest.raises(ConfigError, match="^tau1: required field 'tau1' missing"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "name, doc", [("dcdc-safe", DCDC_SAFE), ("unicycle-lazy", UNICYCLE_LAZY)]
+)
+def test_workload_documents_are_the_benchmark_problems(name, doc):
+    # The GOLDEN workload rows are computed on these documents.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads" / f"{name}.json"
+    workload = json.loads(path.read_text(encoding="utf-8"))["config"]
+    assert parse_config(doc).to_dict() == parse_config(workload).to_dict()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import UNICYCLE_LAZY, UNICYCLE_PARAMS, drift_system, linear_system, stationary_system
-from oracles import sample_disturbed_step_reference
+from oracles import integrate_nominal, sample_disturbed_step_reference
 from layersynth import (
     ControlSystem,
     IntegrationDivergenceError,
@@ -14,13 +14,10 @@ from layersynth import (
     LayerStack,
     SynthesisEngine,
     TransitionTable,
-    integrate_nominal,
     parse_config,
     sample_disturbed_step,
 )
-from layersynth.dynamics import (
-    DISTURBANCE_SEGMENTS, integrate_shared, radius_dynamics, reach_boxes,
-)
+from layersynth.dynamics import DISTURBANCE_SEGMENTS, radius_dynamics, reach_boxes
 from layersynth.benchmarks import dcdc, default_config, unicycle
 from layersynth.controller import serialize, validate
 from layersynth.synthesis import synthesize
@@ -31,8 +28,14 @@ def reach_box(sys, lower, upper, u, tau, substeps):
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     center, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
     radius = radius_dynamics(sys, u, half_width, tau, substeps)
-    lo, hi = reach_boxes(sys, center[None, :], radius, u, tau, substeps)
-    return lo[0], hi[0]
+    (lo, hi), _ = reach_boxes(sys, center[None, :], radius, [u], tau, substeps)
+    return lo[0, 0], hi[0, 0]
+
+
+def nominal_end(sys, x0, u, tau, substeps):
+    """End of the state ``x0`` under ``u``: a zero-radius ``reach_boxes`` box."""
+    (lo, _), _ = reach_boxes(sys, [x0], 0.0, [u], tau, substeps)
+    return lo[0, 0]
 
 
 def decay_system(dim=2, disturbance=0.0):
@@ -122,20 +125,22 @@ class TestControlSystemValidation:
 
 
 class TestIntegrateNominal:
+    """The program's nominal integration: zero-radius reach boxes."""
+
     def test_zero_field_is_stationary(self):
         sys = stationary_system()
-        out = integrate_nominal(sys, [1.0, 2.0], sys.inputs[0], 0.5, 4)
+        out = nominal_end(sys, [1.0, 2.0], sys.inputs[0], 0.5, 4)
         assert np.allclose(out, [1.0, 2.0], atol=0.0)
 
     def test_linear_decay_matches_closed_form(self):
         sys = decay_system()
-        out = integrate_nominal(sys, [1.0, 1.0], sys.inputs[0], 1.0, 100)
+        out = nominal_end(sys, [1.0, 1.0], sys.inputs[0], 1.0, 100)
         assert np.allclose(out, [math.exp(-1.0)] * 2, atol=1e-6)
 
     def test_unicycle_straight_line(self):
         sys = unicycle()
         u = np.array([1.0, 0.0])
-        out = integrate_nominal(sys, [0.0, 0.0, 0.0], u, 0.225, 5)
+        out = nominal_end(sys, [0.0, 0.0, 0.0], u, 0.225, 5)
         assert np.allclose(out, [0.225, 0.0, 0.0], atol=1e-9)
 
     def test_divergence_raises(self):
@@ -148,7 +153,7 @@ class TestIntegrateNominal:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationDivergenceError):
-                integrate_nominal(blow, [50.0], blow.inputs[0], 50.0, 3)
+                nominal_end(blow, [50.0], blow.inputs[0], 50.0, 3)
 
     def test_rk4_is_fourth_order(self):
         # halving the step scales the error by ~1/16 over a decade of substeps
@@ -156,7 +161,7 @@ class TestIntegrateNominal:
         exact = math.exp(-1.0)
         errors = []
         for steps in (2, 4, 8, 16, 32, 64):
-            out = integrate_nominal(sys, [1.0], sys.inputs[0], 1.0, steps)
+            out = nominal_end(sys, [1.0], sys.inputs[0], 1.0, steps)
             errors.append(abs(out[0] - exact))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         for r in ratios:
@@ -357,11 +362,11 @@ class TestBoundFields:
         config = parse_config(default_config("dcdc-desk"))
         sys, stack = config.build_system(), config.build_stack()
         centers = stack.centers(1, np.arange(stack.cell_count(1)))
-        ends, _ = integrate_shared(sys, centers, sys.inputs, stack.tau(1), config.substeps)
+        (ends, _), _ = reach_boxes(sys, centers, 0.0, sys.inputs, stack.tau(1), config.substeps)
         rows = np.random.default_rng(25).choice(len(centers), size=512, replace=False)
         for i in rows.tolist():
-            alone, _ = integrate_shared(
-                sys, centers[i : i + 1], sys.inputs, stack.tau(1), config.substeps
+            (alone, _), _ = reach_boxes(
+                sys, centers[i : i + 1], 0.0, sys.inputs, stack.tau(1), config.substeps
             )
             assert same_bits(alone[:, 0], ends[:, i]), f"center {i}"
 
@@ -462,12 +467,12 @@ class TestFieldReads:
         _, first, of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         of = of.reshape(-1)
         free = [(a, states[:, a], of) for a in range(sys.dim) if a not in reads]
-        ends, tables = integrate_shared(sys, states[first], sys.inputs, tau, substeps, free)
+        (ends, _), tables = reach_boxes(sys, states[first], 0.0, sys.inputs, tau, substeps, free)
         assert first.size < len(states) or len(states) == 1
         for i, u in enumerate(sys.inputs):
             alone = integrate_nominal(sys, states, u, tau, substeps)
             assert same_bits(ends[i][of][:, reads], alone[:, reads])
-            for (a, _, _), t in zip(free, tables):
+            for (a, _, _), (t, _) in zip(free, tables):
                 assert same_bits(t[i], alone[:, a])
 
     def test_every_cell_center_of_the_unicycle_lazy_stack(self):

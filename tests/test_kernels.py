@@ -273,10 +273,10 @@ def test_clipped_aux_boxes_touching_every_face(dim):
     for u_idx, u in enumerate(sys.inputs):
         # a stored box is clipped where its unclipped reach box leaves the region
         cells, lo, hi = aux.csr(u_idx)
-        reach_lo, reach_hi = reach_boxes(
-            sys, stack.centers(2, cells), aux._radius[u_idx], u, aux.tau, aux.substeps
+        (reach_lo, reach_hi), _ = reach_boxes(
+            sys, stack.centers(2, cells), aux._radius[u_idx], [u], aux.tau, aux.substeps
         )
-        q_lo, q_hi = stack.grid_coords(2, reach_lo), stack.grid_coords(2, reach_hi)
+        q_lo, q_hi = stack.grid_coords(2, reach_lo[0]), stack.grid_coords(2, reach_hi[0])
         leaves = np.any(q_lo < 0.0, axis=1) | np.any(q_hi > dims, axis=1)
         clipped_lo.append(lo[leaves])
         clipped_hi.append(hi[leaves])

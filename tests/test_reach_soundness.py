@@ -67,10 +67,10 @@ def check_table(sys, stack, table, cells, rng):
         w = np.tile(draws, (cells.size * n_states, 1, 1))
         x1 = sample_disturbed_step(sys, x0, u, table.tau, w, FINER * table.substeps)
         q = ((x1 - stack.y_lower) / stack.eta(gl)).reshape(cells.size, -1, sys.dim)
-        reach_lo, reach_hi = reach_boxes(
-            sys, stack.centers(gl, cells), table._radius[u_idx], u, table.tau, table.substeps
+        (reach_lo, reach_hi), _ = reach_boxes(
+            sys, stack.centers(gl, cells), table._radius[u_idx], [u], table.tau, table.substeps
         )
-        q_lo, q_hi = stack.grid_coords(gl, reach_lo), stack.grid_coords(gl, reach_hi)
+        q_lo, q_hi = stack.grid_coords(gl, reach_lo[0]), stack.grid_coords(gl, reach_hi[0])
         for i, cell in enumerate(cells.tolist()):
             ends = q[i]
             if table.kind == "aux":

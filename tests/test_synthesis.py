@@ -25,6 +25,7 @@ from oracles import (
     upre_oracle,
 )
 from layersynth import (
+    ALGORITHMS,
     CellSet,
     LayerStack,
     ProblemSpec,
@@ -564,3 +565,18 @@ class TestDegenerateInputs:
         for algorithm in ("eager-safe", "lazy-safe", "bogus"):
             with pytest.raises(ValueError, match="algorithm"):
                 synthesize(sys, stack, spec, algorithm)
+
+    @pytest.mark.parametrize(
+        "m, substeps", [(0, 5), (1.5, 5), (True, 5), (2, 0)],
+        ids=["m-0", "m-1.5", "m-bool", "substeps-0"],
+    )
+    def test_m_and_substeps_must_be_positive_integers(self, m, substeps):
+        # m=0 once spun eager-reach through every layer switch it allows
+        runs = {REACH_AVOID: ("eager-reach", "lazy-reach", "single-layer"),
+                SAFETY: ("eager-safe", "lazy-safe", "single-layer")}
+        assert {a for algorithms in runs.values() for a in algorithms} == set(ALGORITHMS)
+        for kind, algorithms in runs.items():
+            sys, stack, spec = random_problem(2, kind=kind, levels=2)
+            for algorithm in algorithms:
+                with pytest.raises(ValueError, match="must be an integer >= 1"):
+                    synthesize(sys, stack, spec, algorithm, m, substeps)
