@@ -66,6 +66,12 @@ def unsigned_for(n: int) -> np.dtype:
     return next(t for top, t in _UNSIGNED if n <= top)
 
 
+def check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _windows(table: TransitionTable, bits: np.ndarray) -> np.ndarray:
     """``windows[class, c]``: the box of width ``table.widths[class]``
     with low corner ``c`` holds a set cell of ``bits``.
@@ -132,7 +138,8 @@ class TransitionTable:
     once a box of the pair is stored.  ``_explored`` has one bool per
     cell, set once the cell's entries for every input are stored;
     ``explored_count`` counts the explored pairs.  Stored entries are
-    immutable; re-computation requests are no-ops.
+    immutable; re-computation requests are no-ops.  ``substeps_base``
+    must be an integer >= 1 (not a bool).
     """
 
     def __init__(
@@ -145,6 +152,7 @@ class TransitionTable:
     ):
         if kind not in ("main", "aux"):
             raise ValueError("kind must be 'main' or 'aux'")
+        check_count("substeps_base", substeps_base)
         stack._check_layer(layer)
         self.sys = sys
         self.stack = stack

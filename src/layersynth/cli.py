@@ -251,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--horizon", type=int, default=200)
     p_val.add_argument(
         "--seed", type=int, default=0,
-        help="seeds every random draw; run i's start state and disturbances "
-             "depend on the seed and i alone",
+        help="seeds every random draw, in [0, 2**64); each draw is keyed by "
+             "the seed, its stream and a counter, so run i's start state and "
+             "disturbances depend on the seed and i alone",
     )
     p_val.add_argument("--out")
     p_val.set_defaults(func=_cmd_validate)

@@ -9,15 +9,17 @@ decrease along every closed-loop run until the target is entered.
 Execution is sample-and-hold with the period of the acting stage's
 layer, so trajectories have non-uniform sampling times.
 
-Monte Carlo validation keys every random draw by run index: each random
-stream is a child of ``SeedSequence(seed)`` that draws one block for all
-runs, row ``i`` for run ``i``, so a run's trajectory depends on the seed
-and its index alone, not on how many runs there are or how they are
-batched.
+Monte Carlo validation keys every random draw by (seed, stream,
+counter) with the SplitMix64 mixer (Steele, Lea & Flood, OOPSLA 2014),
+counter-based as in Salmon et al. (SC 2011): no generator state is
+kept, and run ``i`` reads its own counters of every stream, so its
+trajectory depends on the seed and its index alone, not on how many
+runs there are or how they are batched.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -154,9 +156,48 @@ def rank_budget(mlc: MultiLayeredController) -> int:
     return max(2 * total, 10)
 
 
-def _stream(seed: int, k: int) -> np.random.Generator:
-    """Generator of child ``k`` of ``SeedSequence(seed)`` (see :func:`validate`)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+# SplitMix64: the golden-ratio increment and the 64-bit mask.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _mix(z):
+    """SplitMix64's finalizer of a Python int below ``2**64``, or of a
+    ``uint64`` array in place (array products wrap, so the masks are
+    no-ops there)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK
+    z ^= z >> 31
+    return z
+
+
+def _unit_draws(seed: int, stream: int, runs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the unit doubles in ``[0, 1)`` of validation runs
+    ``runs`` on stream ``stream``, row ``r`` for run ``runs[r]``.
+
+    A run takes ``w`` doubles of a stream, ``w`` the size of a row of
+    ``out``: run ``i`` takes those with counters ``j = i * w`` to ``i * w
+    + w - 1``, in row-major order.
+    Double ``j`` of stream ``k`` is ``(mix(key + (j + 1) * GAMMA) >> 11) *
+    2**-53`` with ``key = mix(mix(seed) + (k + 1) * GAMMA)``: element
+    ``j`` of a SplitMix64 sequence started at ``key``.  ``out`` is C
+    contiguous ``float64``; the counters are mixed in its own memory.
+    """
+    key = _mix((_mix(seed) + (stream + 1) * _GAMMA) & _MASK)
+    w = math.prod(out.shape[1:])
+    rows = out.reshape(len(out), w)
+    z = rows.view(np.uint64)
+    np.add.outer(runs.astype(np.uint64) * np.uint64(w), np.arange(1, w + 1, dtype=np.uint64), out=z)
+    z *= _GAMMA
+    z += np.uint64(key)
+    _mix(z)
+    z >>= 11
+    np.multiply(z, 2.0**-53, out=rows)
+    return out
 
 
 def _closed_loop(
@@ -175,17 +216,17 @@ def _closed_loop(
     Each round applies one sample-and-hold step to every run still
     going, in one :func:`sample_disturbed_step` call: each run holds the
     input of its acting stage for that stage's layer's period.  Round
-    ``k`` draws its unit disturbances from child ``k + 2`` of
-    ``SeedSequence(seed)`` as one block ``(last + 1,
-    DISTURBANCE_SEGMENTS, n)``, ``last`` the highest run index still
-    going; run ``i`` takes row ``i``.  So any subset of runs steps as it
-    would in the full batch.  Every round draws into, and gathers from,
-    the leading rows of two buffers allocated once.  A run stops on a
-    violation, on target entry (reach-avoid) or on leaving the
-    controller domain; the specification is checked at sampling
-    instants.  The input tie-break within a stage is the lowest input
-    index, so runs are reproducible; each step reads the stage, move
-    and rank of all its runs at once.
+    ``k`` draws its unit disturbances from stream ``k + 2`` (see
+    :func:`_unit_draws`): run ``i`` takes element ``(s, a)`` of its
+    ``(DISTURBANCE_SEGMENTS, n)`` block from counter ``j = (i *
+    DISTURBANCE_SEGMENTS + s) * n + a``.  So any subset of runs steps as
+    it would in the full batch.  Every round draws only the runs still
+    going, in place, into the leading rows of one buffer allocated once.
+    A run stops on a violation, on target entry (reach-avoid) or on
+    leaving the controller domain; the specification is checked at
+    sampling instants.  The input tie-break within a stage is the lowest
+    input index, so runs are reproducible; each step reads the stage,
+    move and rank of all its runs at once.
 
     Returns the status, final state and step count of every row, and
     whether its (stage, rank) measure strictly decreased at every step.
@@ -200,8 +241,7 @@ def _closed_loop(
     measure = np.full((len(x), 2), np.iinfo(np.int64).max)  # last (stage, rank)
     active = np.arange(len(x))
     inputs = np.stack(sys.inputs)
-    drawn = np.empty((runs.max(initial=-1) + 1, DISTURBANCE_SEGMENTS, sys.dim))
-    taken = np.empty((len(runs), DISTURBANCE_SEGMENTS, sys.dim))
+    drawn = np.empty((len(runs), DISTURBANCE_SEGMENTS, sys.dim))
     # Indexed by layer.
     periods = np.array([0.0] + [mlc.stack.tau(layer) for layer in range(1, mlc.stack.levels + 1)])
 
@@ -230,11 +270,7 @@ def _closed_loop(
             (now[:, 0] == prev[:, 0]) & (now[:, 1] < prev[:, 1])
         )
         measure[active] = now
-        ids = runs[active]
-        block = _stream(seed, k + 2).random(out=drawn[: ids.max() + 1])
-        # Every id is a row of ``block``, so clipping changes none; unlike
-        # "raise", it writes into ``out`` without a temporary.
-        draws = np.take(block, ids, axis=0, out=taken[: ids.size], mode="clip")
+        draws = _unit_draws(seed, k + 2, runs[active], drawn[: active.size])
         x[active] = sample_disturbed_step(
             sys, x[active], inputs[moves], periods[layers], draws,
             substeps=substeps_base * 2 ** (layers - 1),
@@ -276,13 +312,16 @@ class ValidationReport:
 
 def check_run_arguments(runs: int, horizon: int, seed: int) -> None:
     """Raise ``ValueError`` naming the first of ``runs``, ``horizon`` and
-    ``seed`` that :func:`validate` cannot take."""
+    ``seed`` that :func:`validate` cannot take.  The seed is mixed as a
+    64-bit word, so it must lie in ``[0, 2**64)``."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if seed > _MASK:
+        raise ValueError("seed must be < 2**64")
 
 
 def validate(
@@ -297,14 +336,15 @@ def validate(
     """Monte Carlo closed-loop check over the controller domain.
 
     Initial states are sampled uniformly from the layer-1 projection of
-    the domain.  Every draw is keyed by run index: child 0 of
-    ``SeedSequence(seed)`` draws the start cells of all runs in one call,
-    child 1 their offsets in the cell, and child ``k + 2`` round ``k``'s
-    disturbances (see :func:`_closed_loop`), each row-major, row ``i``
-    for run ``i``.  So run ``i`` depends on ``seed`` and ``i`` alone: the
-    first runs of a longer validation are those of a shorter one.  All
-    runs are simulated together.  An empty domain yields a vacuous pass
-    with zero runs.
+    the domain.  Every draw is keyed by run index (see
+    :func:`_unit_draws`): run ``i`` starts in cell ``floor(u * size)`` of
+    the ``size`` domain cells, ``u`` double ``i`` of stream 0, at the
+    offset in the cell that doubles ``i * n`` to ``i * n + n - 1`` of
+    stream 1 give, and stream ``k + 2`` draws round ``k``'s disturbances
+    (see :func:`_closed_loop`).  So run ``i`` depends on ``seed`` and
+    ``i`` alone: the first runs of a longer validation are those of a
+    shorter one.  All runs are simulated together.  An empty domain
+    yields a vacuous pass with zero runs.
     """
     check_run_arguments(runs, horizon, seed)
     if any(st.moves[:, sys.n_inputs :].any() for st in mlc.stages):
@@ -314,12 +354,13 @@ def validate(
         return ValidationReport(runs, 0, 0, {}, horizon, seed, 0.0,
                                 None if mlc.kind == SAFETY else True)
     eta1 = mlc.stack.eta(1)
-    start = cells[_stream(seed, 0).integers(cells.size, size=runs)]
-    offset = _stream(seed, 1).random((runs, mlc.stack.dim))
+    ids = np.arange(runs)
+    # u <= 1 - 2**-53, and (1 - 2**-53) * size rounds to a double below
+    # size for every size up to 2**53: each index names a domain cell.
+    start = cells[(_unit_draws(seed, 0, ids, np.empty(runs)) * cells.size).astype(np.int64)]
+    offset = _unit_draws(seed, 1, ids, np.empty((runs, mlc.stack.dim)))
     x0 = mlc.stack.centers(1, start) - 0.5 * eta1 + offset * eta1
-    status, _, steps, monotone = _closed_loop(
-        mlc, sys, spec, x0, horizon, seed, np.arange(runs), substeps_base
-    )
+    status, _, steps, monotone = _closed_loop(mlc, sys, spec, x0, horizon, seed, ids, substeps_base)
 
     ok = {"safe-horizon-complete"} if mlc.kind == SAFETY else {"target-reached"}
     counts: dict[str, int] = {}
@@ -337,6 +378,8 @@ _VERSION = 1
 # follow it as little-endian uint16 input indices, ascending.
 _RECORD = np.dtype([("cell", "<i8"), ("rank", "<i4"), ("n", "<u2")])
 _MAX_INPUTS = 0xFFFF
+# Cell records encoded per piece of the file.
+_BLOCK_CELLS = 1 << 16
 
 
 def _grid_format(dim: int) -> str:
@@ -374,34 +417,44 @@ def _walk(words: memoryview, start: int, count: int):
     yield start
 
 
-def _encode_stage(stage: LayerController, position: int) -> bytes:
-    if stage.moves.shape[1] > _MAX_INPUTS:
+def _encode_stage(stage: LayerController, position: int):
+    """The stage's header, then its cell records, ``_BLOCK_CELLS`` cells
+    per piece, so no piece grows with the stage."""
+    yield struct.pack("<BIq", stage.layer, position, stage.cells.size)
+    for first in range(0, stage.cells.size, _BLOCK_CELLS):
+        block = slice(first, first + _BLOCK_CELLS)
+        cells = stage.cells[block]
+        rows, inputs = np.nonzero(stage.moves[block])
+        head = np.empty(cells.size, dtype=_RECORD)
+        head["cell"] = cells
+        head["rank"] = -1 if stage.ranks is None else stage.ranks[block]
+        head["n"] = np.bincount(rows, minlength=cells.size)
+        before = np.cumsum(head["n"], dtype=np.int64) - head["n"]
+        starts = _RECORD.itemsize * np.arange(cells.size) + 2 * before
+        body = np.empty(head.nbytes + 2 * inputs.size, dtype=np.uint8)
+        is_head = _record_bytes(starts, body.size)
+        body[is_head] = head.view(np.uint8)
+        body[~is_head] = inputs.astype("<u2").view(np.uint8)
+        yield body
+
+
+def _pieces(mlc: MultiLayeredController):
+    """The bytes of :func:`serialize`, piece by piece."""
+    if any(stage.moves.shape[1] > _MAX_INPUTS for stage in mlc.stages):
         raise ValueError(f"a stage names more than {_MAX_INPUTS} inputs")
-    rows, inputs = np.nonzero(stage.moves)
-    head = np.empty(stage.cells.size, dtype=_RECORD)
-    head["cell"] = stage.cells
-    head["rank"] = -1 if stage.ranks is None else stage.ranks
-    head["n"] = np.bincount(rows, minlength=stage.cells.size)
-    before = np.cumsum(head["n"], dtype=np.int64) - head["n"]
-    starts = _RECORD.itemsize * np.arange(stage.cells.size) + 2 * before
-    body = np.empty(head.nbytes + 2 * inputs.size, dtype=np.uint8)
-    is_head = _record_bytes(starts, body.size)
-    body[is_head] = head.view(np.uint8)
-    body[~is_head] = inputs.astype("<u2").view(np.uint8)
-    return struct.pack("<BIq", stage.layer, position, stage.cells.size) + body.tobytes()
+    st = mlc.stack
+    yield _MAGIC + struct.pack("<IBBB", _VERSION, 1 if mlc.kind == REACH_AVOID else 0,
+                               st.levels, st.dim)
+    yield struct.pack(
+        _grid_format(st.dim), *st.eta1, st.tau1, *st.y_lower, *st.y_upper, len(mlc.stages)
+    )
+    for position, stage in enumerate(mlc.stages):
+        yield from _encode_stage(stage, position)
 
 
 def serialize(mlc: MultiLayeredController) -> bytes:
     """Versioned binary encoding; byte-identical for equal controllers."""
-    st = mlc.stack
-    out = bytearray(_MAGIC)
-    out += struct.pack("<IBBB", _VERSION, 1 if mlc.kind == REACH_AVOID else 0, st.levels, st.dim)
-    out += struct.pack(
-        _grid_format(st.dim), *st.eta1, st.tau1, *st.y_lower, *st.y_upper, len(mlc.stages)
-    )
-    for position, stage in enumerate(mlc.stages):
-        out += _encode_stage(stage, position)
-    return bytes(out)
+    return b"".join(_pieces(mlc))
 
 
 def deserialize(data: bytes) -> MultiLayeredController:
@@ -478,8 +531,11 @@ def _decode(data: bytes) -> MultiLayeredController:
 
 
 def save(mlc: MultiLayeredController, path) -> None:
+    """Write :func:`serialize`'s bytes one piece at a time, so the file
+    costs no memory beyond a block of cell records."""
     with open(path, "wb") as fh:
-        fh.write(serialize(mlc))
+        for piece in _pieces(mlc):
+            fh.write(piece)
 
 
 def load(path) -> MultiLayeredController:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abstraction import TransitionTable
+from .abstraction import TransitionTable, check_count
 from .controller import LayerController, MultiLayeredController
 from .dynamics import ControlSystem
 from .grid import CellSet, LayerStack, gamma_down, gamma_up
@@ -176,9 +176,8 @@ class SynthesisEngine:
         m: int = 2,
         substeps: int = 5,
     ):
-        for name, value in (("m", m), ("substeps", substeps)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_count("m", m)
+        check_count("substeps", substeps)
         self.sys = sys
         self.stack = stack
         self.spec = spec

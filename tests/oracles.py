@@ -7,6 +7,7 @@ at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 
@@ -232,9 +233,26 @@ class TrajectoryLog:
         return len(self.entries)
 
 
-def child_rng(seed, k):
-    """Generator of the ``k``-th child spawned from ``SeedSequence(seed)``."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's output function of a 64-bit state, on Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def unit_draw(seed: int, stream: int, j: int) -> float:
+    """Double ``j`` of validation stream ``stream``, one element at a time.
+
+    Stream ``k`` of ``seed`` is the SplitMix64 sequence started at
+    ``mix(mix(seed) + (k + 1) * GAMMA)``; its element ``j`` keeps the
+    top 53 bits of ``mix(key + (j + 1) * GAMMA)``.
+    """
+    key = splitmix64_mix((splitmix64_mix(seed) + (stream + 1) * _GAMMA) & _MASK)
+    return (splitmix64_mix((key + (j + 1) * _GAMMA) & _MASK) >> 11) / 2.0**53
 
 
 def seeded_draws(seed, dim):
@@ -247,11 +265,12 @@ def seeded_draws(seed, dim):
 
 
 def run_draws(seed, run, dim):
-    """The disturbance stream of validation run ``run``: step ``k`` is
-    row ``run`` of the row-major block that child ``k + 2`` of
-    ``SeedSequence(seed)`` draws for runs ``0`` to ``run``."""
+    """The disturbance stream of validation run ``run``: element ``(s,
+    a)`` of step ``k`` is double ``(run * DISTURBANCE_SEGMENTS + s) * dim
+    + a`` of stream ``k + 2``."""
     for k in count():
-        yield child_rng(seed, k + 2).random((run + 1, DISTURBANCE_SEGMENTS, dim))[run]
+        yield np.array([[unit_draw(seed, k + 2, (run * DISTURBANCE_SEGMENTS + s) * dim + a)
+                         for a in range(dim)] for s in range(DISTURBANCE_SEGMENTS)])
 
 
 def simulate_oracle(mlc, sys, spec, x0, horizon, draws, substeps_base=5):
@@ -308,17 +327,19 @@ def check_rank_progress(log: TrajectoryLog) -> bool:
 def start_states_oracle(mlc, runs, seed):
     """Initial states of :func:`validate_oracle`, one run at a time.
 
-    Run ``i`` takes entry ``i`` of the layer-1 cell indices that child 0
-    of ``SeedSequence(seed)`` draws for runs ``0`` to ``i``, and row ``i``
-    of the unit offsets in the cell that child 1 draws for them.
+    Run ``i`` starts in domain cell ``floor(u * size)``, ``u`` double
+    ``i`` of stream 0, at the unit offsets in the cell that doubles ``i *
+    dim`` to ``i * dim + dim - 1`` of stream 1 give.
     """
     cells = mlc.domain_projection().indices()
     eta1 = mlc.stack.eta(1)
+    dim = mlc.stack.dim
     states = []
     for i in range(runs):
-        cell = int(cells[child_rng(seed, 0).integers(cells.size, size=i + 1)[i]])
+        cell = int(cells[math.floor(unit_draw(seed, 0, i) * cells.size)])
         lo = mlc.stack.centers(1, np.asarray([cell]))[0] - 0.5 * eta1
-        states.append(lo + child_rng(seed, 1).random((i + 1, mlc.stack.dim))[i] * eta1)
+        offset = np.array([unit_draw(seed, 1, i * dim + a) for a in range(dim)])
+        states.append(lo + offset * eta1)
     return states
 
 

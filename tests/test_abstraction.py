@@ -78,6 +78,15 @@ class TestComputeTransition:
         assert successors(table, 1, 0).indices().tolist() == before
 
 
+@pytest.mark.parametrize("substeps_base", [0, 1.5, True, -2])
+def test_substeps_base_must_be_a_positive_integer(substeps_base):
+    # 0 once raised ZeroDivisionError, 1.5 TypeError, and True took 1 substep
+    for kind in ("main", "aux"):
+        with pytest.raises(ValueError, match="^substeps_base must be an integer >= 1"):
+            TransitionTable(drift_system(), line_stack(), 1, kind, substeps_base)
+    assert TransitionTable(drift_system(), line_stack(2), 2, "main", np.int64(3)).substeps == 6
+
+
 class TestComputeRegion:
     def test_empty_region_is_noop(self):
         stack = line_stack()

@@ -117,8 +117,8 @@ def test_algorithm_choices_are_the_synthesis_algorithms(capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [(["--runs", "0"], "runs must be >= 1"), (["--horizon", "-1"], "horizon must be >= 0"),
-     (["--seed", "-1"], "seed must be >= 0")],
-    ids=["runs", "horizon", "seed"],
+     (["--seed", "-1"], "seed must be >= 0"), (["--seed", str(2**64)], "seed must be < 2**64")],
+    ids=["runs", "horizon", "seed", "seed-too-large"],
 )
 def test_bad_validation_arguments_exit_1_and_name_them(tmp_path, capsys, extra, message):
     # checked before the controller is loaded: there is none to load

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from oracles import (
     quantize_oracle,
     run_draws,
     simulate_oracle,
+    splitmix64_mix,
     start_states_oracle,
+    unit_draw,
     validate_oracle,
 )
 from layersynth import controller
@@ -166,6 +173,19 @@ def test_mutated_controller_decodes_or_raises_format_error(source, edits):
     except ControllerFormatError:
         return
     assert isinstance(mlc, MultiLayeredController)
+
+
+@pytest.mark.parametrize("source", FUZZED)
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_save_writes_serialize_bytes_in_blocks_of_cells(monkeypatch, tmp_path, source, block):
+    # Stages larger than a block are written in several pieces.
+    data = encoded(source)
+    mlc = solved(*source)[2]
+    assert max(st.cells.size for st in mlc.stages) > block
+    monkeypatch.setattr(controller, "_BLOCK_CELLS", block)
+    assert serialize(mlc) == data
+    controller.save(mlc, tmp_path / "controller.mlc")
+    assert (tmp_path / "controller.mlc").read_bytes() == data
 
 
 def _with(data: bytes, offset: int, fmt: str, value) -> bytes:
@@ -377,7 +397,7 @@ def test_workload_controllers_hold_under_finer_substeps(name, runs, horizon):
 @pytest.mark.parametrize("name, runs, horizon", [("unicycle-lazy", 48, 200), ("dcdc-safe", 12, 40)])
 def test_closed_loop_rows_step_as_they_would_alone(name, runs, horizon):
     # Any subset of runs, in any row order, steps as it does in the
-    # full batch: each run draws from its own row of every round's block.
+    # full batch: each run draws its own counters of every round's stream.
     sys_, spec, mlc, substeps = workload(name)
     x0, ids = workload_starts(name, runs, 3), np.arange(runs)
     status, x, steps, monotone = controller._closed_loop(mlc, sys_, spec, x0, horizon, 3, ids, substeps)
@@ -427,23 +447,112 @@ def test_closed_loop_steps_every_run_of_a_round_in_one_call(monkeypatch):
     assert max(periods for periods, _ in calls) > 1 and max(inputs for _, inputs in calls) > 1
 
 
-def test_validation_builds_one_generator_per_stream_not_per_run(monkeypatch):
-    # The start cells, the offsets and each round's disturbances are
-    # one stream each, drawn for all runs at once.
-    built, rounds = [], []
+def test_validate_does_not_import_numpy_random(tmp_path):
+    # In a fresh process: numpy 2 imports ``numpy.random`` lazily (numpy 1
+    # at its own import), and the counter-keyed draws need none of it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(DCDC_SAFE), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from layersynth import cli\n"
+        "config, out = sys.argv[1:]\n"
+        "codes = [cli.main(['synthesize', '--config', config, '--out', out]),\n"
+        "         cli.main(['validate', '--config', config, '--controller', out + '/controller.mlc',\n"
+        "                   '--runs', '30', '--horizon', '100', '--out', out + '/validation.json'])]\n"
+        "print(codes, eager, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(controller.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    codes, eager, loaded = done.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert codes == "[0, 0]" and loaded == eager
 
-    def building(*args, **kwargs):
-        built.append(args)
-        return make(*args, **kwargs)
 
-    def stepping(*args, **kwargs):
-        rounds.append(len(args[1]))
-        return step(*args, **kwargs)
+# -- counter-keyed draws -----------------------------------------------------------
 
-    make, step = np.random.default_rng, controller.sample_disturbed_step
-    monkeypatch.setattr(np.random, "default_rng", building)
-    monkeypatch.setattr(controller, "sample_disturbed_step", stepping)
-    sys_, spec, mlc, substeps = workload("unicycle-lazy")
-    report = validate(mlc, sys_, spec, 1600, 200, 7, substeps)
-    assert report.executed == 1600 and rounds[0] > 1000
-    assert len(built) <= len(rounds) + 2
+
+def test_mixer_gives_the_published_splitmix64_outputs():
+    # The first outputs of SplitMix64 from state 0: mix((j + 1) * GAMMA).
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    states = [(j + 1) * controller._GAMMA & controller._MASK for j in range(3)]
+    assert [splitmix64_mix(z) for z in states] == published
+    assert [controller._mix(z) for z in states] == published
+    assert controller._mix(np.array(states, dtype=np.uint64)).tolist() == published
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+def test_unit_draws_match_the_one_element_reference(seed):
+    # Any rows, in any order, far counters included; no overflow warning.
+    runs = np.array([5, 0, 3, 2**40 + 1, 1])
+    out = np.empty((runs.size, 2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stream in (0, 1, 9):
+            got = controller._unit_draws(seed, stream, runs, out)
+            assert got is out
+            want = [[unit_draw(seed, stream, i * 6 + c) for c in range(6)] for i in runs.tolist()]
+            assert got.reshape(runs.size, 6).tolist() == want
+
+
+def test_unit_draws_are_uniform_and_streams_independent():
+    # A fixed sample, so a fixed statistic: chi-square over 20 bins (19
+    # degrees of freedom, 0.1% critical value 43.82) and over the 10 x 10
+    # bins of adjacent runs and of adjacent streams (99 degrees, 148.23).
+    n = 20_000
+
+    def chi2(bin_of_draw, bins):
+        counts = np.bincount(bin_of_draw, minlength=bins)
+        expected = bin_of_draw.size / bins
+        return float(((counts - expected) ** 2).sum() / expected)
+
+    rows = np.arange(n)
+    streams = [controller._unit_draws(3, k, rows, np.empty(n)) for k in range(2, 5)]
+    for u in streams:
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert chi2((u * 20).astype(int), 20) < 43.82
+    runs = streams[0]
+    pairs = [(runs[0::2], runs[1::2])] + list(zip(streams, streams[1:]))
+    for a, b in pairs:
+        assert not np.any(a == b)
+        assert chi2((a * 10).astype(int) * 10 + (b * 10).astype(int), 100) < 148.23
+    other_seed = controller._unit_draws(4, 2, rows, np.empty(n))
+    assert not np.any(other_seed == runs)
+
+
+def test_the_largest_unit_draw_picks_a_domain_cell(monkeypatch):
+    # u = 1 - 2**-53 is the largest draw: it must map to the last cell.
+    sizes = [1, 2, 3, 5, 7, 2**20 + 1, 2**31 - 1, 2**40 + 3, 2**52 + 1, 2**53 - 1, 2**53]
+    largest = 1.0 - 2.0**-53
+    assert all(int(largest * size) == size - 1 for size in sizes)
+
+    class Started(Exception):
+        pass
+
+    def started(mlc, sys, spec, x0, *rest):
+        raise Started(x0)
+
+    def largest_draws(seed, stream, runs, out):
+        # the largest start cell draw; offsets at the cell's centre
+        out[...] = largest if stream == 0 else 0.5
+        return out
+
+    sys_, spec, mlc = solved(SAFETY, 2, 12)
+    monkeypatch.setattr(controller, "_closed_loop", started)
+    monkeypatch.setattr(controller, "_unit_draws", largest_draws)
+    with pytest.raises(Started) as got:
+        validate(mlc, sys_, spec, 3, 5, 0)
+    last = mlc.domain_projection().indices()[-1]
+    assert np.all(mlc.stack.quantize(got.value.args[0], 1) == last)
+
+
+@pytest.mark.parametrize("kind, levels, seed", [(SAFETY, 2, 12), (REACH_AVOID, 3, 2)])
+def test_seed_must_fit_64_bits(kind, levels, seed):
+    sys_, spec, mlc = solved(kind, levels, seed)
+    for bad in (mlc, MultiLayeredController(mlc.kind, mlc.stack, [])):
+        with pytest.raises(ValueError, match=r"^seed must be < 2\*\*64$"):
+            validate(bad, sys_, spec, runs=5, horizon=5, seed=2**64)
+    args = (mlc, sys_, spec, 5, 5, 2**64 - 1)
+    assert validate(*args).to_dict() == validate_oracle(*args).to_dict()

@@ -192,29 +192,29 @@ GOLDEN = {
     ('unicycle-lazy', 'lazy-reach'): ('77efa33ef70a985b', 'a1970be5b312dddc', 11782, '7f2ce206390b279f'),
 }
 VALIDATION = {
-    ('random-reach-avoid-L2-s2', 'eager-reach'): ('e31841b7c162ba4b', '6264a3d8aec12880'),
-    ('random-reach-avoid-L2-s2', 'lazy-reach'): ('e31841b7c162ba4b', '6264a3d8aec12880'),
-    ('random-reach-avoid-L2-s2', 'single-layer'): ('e31841b7c162ba4b', '6264a3d8aec12880'),
-    ('random-reach-avoid-L2-s4', 'eager-reach'): ('673322c9da4f6014', 'c070ae58871dbbdd'),
-    ('random-reach-avoid-L2-s4', 'lazy-reach'): ('673322c9da4f6014', 'c070ae58871dbbdd'),
-    ('random-reach-avoid-L2-s4', 'single-layer'): ('673322c9da4f6014', 'c070ae58871dbbdd'),
-    ('random-reach-avoid-L2-s8', 'eager-reach'): ('528ad388c2f88198', 'd084a6085ab16310'),
-    ('random-reach-avoid-L2-s8', 'lazy-reach'): ('528ad388c2f88198', 'd084a6085ab16310'),
-    ('random-reach-avoid-L2-s8', 'single-layer'): ('528ad388c2f88198', 'b7caf1ce651fe112'),
-    ('random-reach-avoid-L3-s2', 'eager-reach'): ('c7861d0f7563451d', '254d0f81280a9546'),
-    ('random-reach-avoid-L3-s2', 'lazy-reach'): ('c7861d0f7563451d', '254d0f81280a9546'),
-    ('random-reach-avoid-L3-s2', 'single-layer'): ('4cac7709caedce75', 'dacd70d328e04cfd'),
-    ('random-reach-avoid-L3-s4', 'eager-reach'): ('1599344af7f60436', '74581fb6134d83c0'),
-    ('random-reach-avoid-L3-s4', 'lazy-reach'): ('1599344af7f60436', '74581fb6134d83c0'),
+    ('random-reach-avoid-L2-s2', 'eager-reach'): ('673322c9da4f6014', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s2', 'lazy-reach'): ('673322c9da4f6014', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s2', 'single-layer'): ('673322c9da4f6014', '6264a3d8aec12880'),
+    ('random-reach-avoid-L2-s4', 'eager-reach'): ('2020228e56000efa', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s4', 'lazy-reach'): ('2020228e56000efa', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s4', 'single-layer'): ('2020228e56000efa', 'c070ae58871dbbdd'),
+    ('random-reach-avoid-L2-s8', 'eager-reach'): ('37740f029e2e9714', 'd084a6085ab16310'),
+    ('random-reach-avoid-L2-s8', 'lazy-reach'): ('37740f029e2e9714', 'd084a6085ab16310'),
+    ('random-reach-avoid-L2-s8', 'single-layer'): ('37740f029e2e9714', 'b7caf1ce651fe112'),
+    ('random-reach-avoid-L3-s2', 'eager-reach'): ('e31841b7c162ba4b', '254d0f81280a9546'),
+    ('random-reach-avoid-L3-s2', 'lazy-reach'): ('e31841b7c162ba4b', '254d0f81280a9546'),
+    ('random-reach-avoid-L3-s2', 'single-layer'): ('37740f029e2e9714', 'dacd70d328e04cfd'),
+    ('random-reach-avoid-L3-s4', 'eager-reach'): ('c7861d0f7563451d', '74581fb6134d83c0'),
+    ('random-reach-avoid-L3-s4', 'lazy-reach'): ('c7861d0f7563451d', '74581fb6134d83c0'),
     ('random-reach-avoid-L3-s4', 'single-layer'): ('4cac7709caedce75', '17860a0302f39551'),
-    ('random-reach-avoid-L3-s8', 'eager-reach'): ('a14820eee484a44c', 'd91f07338c3b12f5'),
-    ('random-reach-avoid-L3-s8', 'lazy-reach'): ('a14820eee484a44c', 'd91f07338c3b12f5'),
-    ('random-reach-avoid-L3-s8', 'single-layer'): ('c7861d0f7563451d', 'c8acd74da763d675'),
+    ('random-reach-avoid-L3-s8', 'eager-reach'): ('e31841b7c162ba4b', 'd91f07338c3b12f5'),
+    ('random-reach-avoid-L3-s8', 'lazy-reach'): ('e31841b7c162ba4b', 'd91f07338c3b12f5'),
+    ('random-reach-avoid-L3-s8', 'single-layer'): ('528ad388c2f88198', 'c8acd74da763d675'),
     ('dcdc-safe', 'eager-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
     ('dcdc-safe', 'lazy-safe'): ('9717401fbb4c46de', 'cb7b09f60f5010c5'),
     ('dcdc-safe', 'single-layer'): ('9717401fbb4c46de', 'de34699bddc5c5a9'),
-    ('unicycle-lazy', 'eager-reach'): ('a77e3b56cafe4afe', '8f1b90a405c9e758'),
-    ('unicycle-lazy', 'lazy-reach'): ('a77e3b56cafe4afe', '8f1b90a405c9e758'),
+    ('unicycle-lazy', 'eager-reach'): ('977894ac2b99f470', '8f1b90a405c9e758'),
+    ('unicycle-lazy', 'lazy-reach'): ('977894ac2b99f470', '8f1b90a405c9e758'),
 }
 # fmt: on
 
