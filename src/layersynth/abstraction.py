@@ -17,24 +17,29 @@ those cells without leaving the region.
 Entries are computed in vectorized batches of cells, for all inputs at
 once, at most ``_BLOCK_CELLS`` cells at a time, and live in memory only,
 in one box store per table.  Each stored box is keyed by
-``input * n_cells + cell``, so one batch appends the boxes of every input
-at once.  A box is stored as one ``code``: ``class * n_cells + corner``,
-where ``corner`` is the cell of its low corner and ``class`` indexes the
-table's distinct box widths (:attr:`TransitionTable.widths`).  The
-solvers read the store through one method,
-:meth:`TransitionTable.mark_touching`: it marks every pair with a box
-that holds a cell of a given set, one bit per box from a whole-grid
-bitmap per width class (:func:`_windows`), over every input's boxes in
-one pass, block by block.  :meth:`TransitionTable.csr` selects one
-input's boxes and decodes their corners.  A batch gets its reach boxes
-from :func:`~layersynth.dynamics.reach_boxes` and factors per axis: cell
+``input * n_cells + cell``, so one batch stores the boxes of every input.
+A box is stored as one ``code``: ``class * n_cells + corner``, where
+``corner`` is the cell of its low corner and ``class`` indexes the
+table's distinct box widths (:attr:`TransitionTable.widths`).  The store
+is a list of fixed-size blocks of ``_BLOCK_ROWS`` boxes, written in
+place in storage order; only the last block is open, and only the open
+block's codes widen when a new class needs a wider type.  The solvers
+read the store through one method, :meth:`TransitionTable.mark_touching`:
+it marks every pair with a box that holds a cell of a given set, one bit
+per box from a whole-grid bitmap per width class (:func:`_windows`),
+over every input's boxes in one pass, block by block.
+:meth:`TransitionTable.csr` selects one input's boxes and decodes their
+corners.  A batch gets its reach boxes from
+:func:`~layersynth.dynamics.reach_boxes` and factors per axis: cell
 centres are integrated once per distinct value of the read coordinates
 (``ControlSystem.field_reads``), and each axis the field does not read
 is integrated, snapped to the grid and tested against the region once
 per occurring (cell index on that axis, representative), in a small
-table; a row gathers its flags and its parts of the code from those
-tables.  A hand-built entry whose successors are not a box is preloaded
-as one unit box per successor.
+table of integer parts.  A batch then expands its (cell, input) rows at
+most ``_BLOCK_ROWS`` at a time, in groups of whole inputs: a row gathers
+its flags and its parts of the code from those tables, and each group's
+kept boxes go straight into the store.  A hand-built entry whose
+successors are not a box is preloaded as one unit box per successor.
 """
 
 from __future__ import annotations
@@ -48,14 +53,15 @@ from .grid import CellSet, LayerMismatchError, LayerStack
 _INDEX = np.int32
 
 # Cells that one exploration step integrates, snaps and stores at once:
-# a step holds several arrays of all its rows, so a larger region is
+# a step holds a few arrays of all its cells, so a larger region is
 # explored block by block.  A row's box does not depend on its batch, so
 # the blocks store the boxes one batch would.
 _BLOCK_CELLS = 65_536
 
-# Stored boxes whose window bits one lookup reads: a block's index
-# temporaries stay small, where one lookup over a whole layer-1 table
-# would hold them for every row.
+# Boxes per block of the store, and (cell, input) rows that a batch
+# expands at once unless one input has more: the block and row
+# temporaries of a lookup or a batch stay small, where one over a whole
+# layer-1 table would hold them for every row.
 _BLOCK_ROWS = 16_384
 
 _UNSIGNED = [(np.iinfo(t).max, np.dtype(t)) for t in (np.uint8, np.uint16, np.uint32, np.uint64)]
@@ -70,6 +76,23 @@ def check_count(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer >= 1 (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _distinct(key: np.ndarray, size: int):
+    """``np.unique(key, return_index=True, return_inverse=True)``'s
+    inverse and index for keys in ``[0, size)``, by a table over the keys
+    in place of a sort: the rank of each key among the distinct keys, of
+    the narrowest unsigned type that holds ``size``, and the first row
+    of each distinct key."""
+    seen = np.zeros(size, dtype=bool)
+    seen[key] = True
+    rank = np.cumsum(seen, dtype=unsigned_for(size))
+    # Wraps below the least key, where no key reads it.
+    rank -= 1
+    of = rank[key]
+    first = np.full(int(rank[-1]) + 1, key.size)
+    np.minimum.at(first, of, np.arange(key.size))
+    return of, first
 
 
 def _windows(table: TransitionTable, bits: np.ndarray) -> np.ndarray:
@@ -121,9 +144,16 @@ class TransitionTable:
     corner``: ``corner`` is the cell of its low corner, linearized like
     the grid, and row ``class`` of ``widths`` holds its width in cells
     per axis.  ``widths`` has one row per distinct width, in the order
-    the widths first occur, and only grows.  Codes are of the narrowest
-    unsigned type that holds every code of the classes so far; a batch
-    that adds a class past that type widens it.
+    the widths first occur, and only grows.
+
+    The store is a list of blocks of ``_BLOCK_ROWS`` (keys, code) rows,
+    filled in place in storage order: a batch's boxes input by input,
+    each input's in cell order, and a preloaded cell's input by input.
+    The last block is open, with ``_fill`` rows written; a new block is
+    opened when it is full.  The open block's codes are of the narrowest
+    unsigned type that holds every code of the classes so far, and a
+    class past that type widens the open block only; a full block keeps
+    the type it was filled with.  :meth:`store` concatenates the blocks.
 
     Width classes are few.  Every cell of a table has its input's
     growth-bound radius ``r``, so on axis ``a`` a computed box is an
@@ -167,9 +197,7 @@ class TransitionTable:
         n_inputs = sys.n_inputs
         self.n_cells = n_cells
         self._explored = np.zeros(n_cells, dtype=bool)
-        # Every input's boxes, keyed by ``input * n_cells + cell``, in the
-        # order they were stored; ``_batches`` holds the (keys, code)
-        # batches not yet merged into ``_store``.
+        # A box's key is ``input * n_cells + cell``.
         fits = n_inputs * n_cells <= np.iinfo(np.int32).max
         self._key = np.dtype(np.int32 if fits else np.int64)
         # Width classes: ``_class_of`` maps a width, as a tuple, to its row
@@ -179,11 +207,15 @@ class TransitionTable:
         # stored widths.
         self._class_of: dict[tuple, int] = {}
         self.widths = np.empty((0, stack.dim), dtype=_INDEX)
-        self._code = unsigned_for(n_cells - 1)
+        # A batch's cells are of the narrowest type that holds a cell,
+        # as are the codes of the first class.
+        self._cell = unsigned_for(n_cells - 1)
+        self._code = self._cell
         self._bound = np.ones(stack.dim, dtype=np.int64)
         self._renumber(self._bound)
-        self._batches: list[tuple] = []
-        self._store = (np.empty(0, dtype=self._key), np.empty(0, dtype=self._code))
+        # The box store: (keys, code) blocks, the last one open.
+        self._blocks: list[tuple] = []
+        self._fill = 0
         self.has_box = np.zeros(n_inputs * n_cells, dtype=bool)
         # Growth-bound radius of a grid cell, one row per input.  It
         # depends on the input only through its growth matrix, so each
@@ -239,7 +271,7 @@ class TransitionTable:
         """Ensure every cell of ``region`` is explored for every input,
         at most ``_BLOCK_CELLS`` cells at a time."""
         self.check_grid(region)
-        cells = np.flatnonzero(region.bits & ~self._explored)
+        cells = np.flatnonzero(region.bits & ~self._explored).astype(self._cell)
         for start in range(0, cells.size, _BLOCK_CELLS):
             self._compute_cells(cells[start : start + _BLOCK_CELLS])
 
@@ -249,97 +281,132 @@ class TransitionTable:
         dims = stack.dims(gl)
         reads = list(range(stack.dim) if sys.field_reads is None else sys.field_reads)
         # A row's representative is the first row with its indices on the
-        # read axes: when the field reads every axis, the row itself.  On
-        # axis ``a`` the row reads entry ``entry[i, a]`` of that axis's
-        # end values: its representative's on a read axis, its (index,
-        # representative) pair's on a free one.
+        # read axes (``of``): when the field reads every axis, the row
+        # itself.  On a free axis a row reads the end value of its (index,
+        # representative) pair (``entry``).
         if len(reads) == stack.dim:
-            first = of = np.arange(cells.size)
+            first = np.arange(cells.size)
+            of = first.astype(unsigned_for(cells.size - 1))
         else:
-            idx = stack.unlinearize(gl, cells)
-            key = np.ravel_multi_index(tuple(idx[:, reads].T), dims[reads], order="F")
-            _, first, of = np.unique(key, return_index=True, return_inverse=True)
-        entry = np.repeat(of[:, None], stack.dim, axis=1)
-        free = []
+            index = [cells // s % d for s, d in zip(np.cumprod(dims) // dims, dims)]
+            key, size = 0, 1
+            for a in reads:
+                key, size = key + index[a] * size, size * dims[a]
+            of, first = _distinct(key, size)
+            del key
+        entry, free = [], []
         for a in range(stack.dim):
             if a not in reads:
-                _, at, entry[:, a] = np.unique(
-                    of * dims[a] + idx[:, a], return_index=True, return_inverse=True
-                )
+                pair = index[a] + of * dims[a]
+                e, at = _distinct(pair, first.size * dims[a])
+                entry.append(e)
                 free.append((a, stack.centers(gl, cells[at])[:, a], of[at]))
-        (lo, hi), tables = reach_boxes(sys, stack.centers(gl, cells[first]), self._radius,
-                                       sys.inputs, self.tau, self.substeps, free)
-        # Every axis's corners as one column per input, padded.
-        width = max([first.size] + [t[0].shape[1] for t in tables])
-        corners = np.zeros((2, sys.n_inputs, width, stack.dim))
-        corners[:, :, : first.size, reads] = np.stack([lo, hi])[..., reads]
-        for (a, _, _), t in zip(free, tables):
-            corners[:, :, : t[0].shape[1], a] = t
-        # Only the padded corners stay alive while the boxes are stored.
-        del lo, hi, tables
-        self._store_boxes(cells, entry, *corners)
+                del pair, e, at
+        index = None
+        (lo, hi), ends = reach_boxes(sys, stack.centers(gl, cells[first]), self._radius,
+                                     sys.inputs, self.tau, self.substeps, free)
+        # One table per free axis, one row per input; the read axes' end
+        # values join the first, at each entry's representative.  With no
+        # free axis, one table of the representatives.
+        rep = free[0][2] if free else slice(None)
+        axes = [[(a, ends.pop(0))] for a, _, _ in free] or [[]]
+        axes[0] += [(a, (lo[:, rep, a], hi[:, rep, a])) for a in reads]
+        entry = entry or [of]
+        del of, free, lo, hi
+        self._store_boxes(cells, entry, axes)
         self._explored[cells] = True
         self.explored_count += cells.size * sys.n_inputs
 
-    def _store_boxes(self, cells: np.ndarray, entry: np.ndarray, lo, hi) -> None:
+    def _store_boxes(self, cells: np.ndarray, entry: list, axes: list) -> None:
         """Store the grid boxes of ``cells`` under every input.
 
-        ``lo`` and ``hi`` ``(n_inputs, width, dim)`` hold per-axis box
-        corners, one block per input; under input ``u``, row ``i`` of the
-        batch reads entry ``[u, entry[i, a], a]`` on axis ``a``.  Each
-        value is snapped, floored, clipped and tested against the region
-        on its axis alone, in that small table.  A row keeps the AND of
-        its axes' flags, and sums its axes' parts of its corner cell and
-        of its width's number.  The boxes of every input are stored in
-        one batch, input by input.
+        Each item of ``axes`` is a table of box corners: under input
+        ``u``, row ``i`` of the batch reads entry ``[u, entry[j][i]]`` of
+        table ``j``, which lists ``(a, (lo, hi))``, the ``(n_inputs,
+        width)`` box corners on each of its axes ``a``.  Each value is
+        snapped, floored, clipped and tested against the region on its
+        axis alone, in its small table, and only the integer parts are
+        kept: ``axes`` is emptied on the way.  A row keeps the AND of its
+        axes' flags, and sums its axes' parts of its corner cell and of
+        its width's number.  Rows are expanded and stored in groups of
+        whole inputs, at most ``_BLOCK_ROWS`` rows a group unless one
+        input has more, so the boxes are stored input by input, each
+        input's in cell order.
         """
+        top = np.ones(self.stack.dim, dtype=np.int64)
+        flags, corner, width = [], [], []
+        for table in axes:
+            flags.append(np.uint8(3))
+            corner.append(self._cell.type(0))
+            width.append([])
+            while table:
+                a, flag, part, w = self._axis_parts(*table.pop())
+                top[a] = w.max()
+                flags[-1] = flags[-1] & flag
+                corner[-1] = corner[-1] + part
+                width[-1].append((a, w))
+        del flag, part, w
+        if np.any(top >= self._bound):
+            self._renumber(top)
+        radix = self._radix.tolist()
+        number = [sum(w * radix[a] for a, w in parts).astype(self._number) for parts in width]
+        del width
+
+        def per_row(parts, inputs, dtype, op=np.add):
+            # Row ``(u, i)`` is cell ``cells[i]`` under input ``u``: ``op``
+            # over the tables of ``parts[j][u, entry[j][i]]``.
+            out = parts[0][inputs].astype(dtype, copy=False)[:, entry[0]]
+            for j in range(1, len(parts)):
+                op(out, parts[j][inputs].astype(dtype, copy=False)[:, entry[j]], out=out)
+            return out
+
+        n_inputs = self.sys.n_inputs
+        step = max(1, _BLOCK_ROWS // cells.size)
+        for first in range(0, n_inputs, step):
+            inputs = slice(first, first + step)
+            keep = per_row(flags, inputs, np.uint8, np.bitwise_and).astype(bool)
+            numbers = per_row(number, inputs, self._number)[keep]
+            known = self._known[numbers]
+            if not known.all():
+                # New widths get classes in the order of their first row.
+                fresh, new = numbers[~known], []
+                while fresh.size:
+                    new.append(int(fresh[0]))
+                    fresh = fresh[fresh != fresh[0]]
+                bound = self._bound.tolist()
+                self._classes(tuple(n // r % b for r, b in zip(radix, bound)) for n in new)
+            code = self._offset[numbers]
+            del numbers, known
+            code += per_row(corner, inputs, self._code)[keep]
+            keys = np.arange(n_inputs, dtype=self._key)[inputs, None] * self.n_cells
+            keys = np.add(keys, cells, dtype=self._key)[keep]
+            del keep
+            self._append(keys, code)
+
+    def _axis_parts(self, a: int, ends: tuple):
+        """Box corners ``ends = (lo, hi)`` on axis ``a`` snapped, floored
+        and clipped to the grid: ``(a, flag, part, width)``, with the
+        axis's part of the corner cell, linearized like the grid, and its
+        width in cells."""
         stack, gl = self.stack, self.grid_layer
         dims = stack.dims(gl)
-        n_inputs, _, dim = lo.shape
-        q_lo, q_hi = stack.grid_coords(gl, lo), stack.grid_coords(gl, hi)
-        floor_lo = np.floor(q_lo).astype(np.int64)
-        floor_hi = np.floor(q_hi).astype(np.int64)
+        q_lo, q_hi = (stack.grid_coords(gl, e, a) for e in ends)
+        floor_lo, floor_hi = (np.floor(q).astype(np.int64) for q in (q_lo, q_hi))
         # Bit 0: inside the region on this axis; bit 1 (aux): meets it.
         # A row keeps its box if every axis sets bit 0, or every axis bit 1.
-        flags = ((q_lo >= 0.0) & (q_hi <= dims)).astype(np.uint8)
+        flag = ((q_lo >= 0.0) & (q_hi <= dims[a])).astype(np.uint8)
+        del q_lo, q_hi
         if self.kind == "aux":
             # Boxes that leave the region but meet it, clipped, for the
             # cooperative predecessor.
-            flags[(floor_lo < dims) & (floor_hi >= 0)] |= 2
-        lo = np.clip(floor_lo, 0, dims - 1)
-        width = np.clip(floor_hi, 0, dims - 1) - lo + 1
-        # Each axis's part of the corner cell, linearized like the grid.
-        lo *= np.cumprod(dims) // dims
+            flag[(floor_lo < dims[a]) & (floor_hi >= 0)] |= 2
+        lo = np.clip(floor_lo, 0, dims[a] - 1)
+        width = np.clip(floor_hi, 0, dims[a] - 1) - lo + 1
         # No kept row reads an entry without a flag: it takes width 1, so
         # that only the widths of stored boxes are numbered.
-        width[flags == 0] = 1
-        top = width.max(axis=(0, 1))
-        if np.any(top >= self._bound):
-            self._renumber(top)
-
-        def per_row(parts, dtype, op=np.add):
-            # Row ``u * len(cells) + i`` is cell ``cells[i]`` under input
-            # ``u``: ``op`` over the axes of ``parts[a][u, entry[i, a]]``.
-            out = parts[0].astype(dtype, copy=False)[:, entry[:, 0]]
-            for a in range(1, dim):
-                op(out, parts[a].astype(dtype, copy=False)[:, entry[:, a]], out=out)
-            return out
-
-        keep = per_row(flags.transpose(2, 0, 1), np.uint8, np.bitwise_and).astype(bool)
-        number = per_row((width * self._radix).transpose(2, 0, 1), self._number)[keep]
-        known = self._known[number]
-        if not known.all():
-            # New widths get classes in the order of their first row.
-            fresh, new = number[~known], []
-            while fresh.size:
-                new.append(int(fresh[0]))
-                fresh = fresh[fresh != fresh[0]]
-            radix, bound = self._radix.tolist(), self._bound.tolist()
-            self._classes(tuple(n // r % b for r, b in zip(radix, bound)) for n in new)
-        code = self._offset[number]
-        code += per_row(lo.transpose(2, 0, 1), self._code)[keep]
-        keys = np.arange(n_inputs, dtype=self._key)[:, None] * self.n_cells
-        self._append((keys + cells.astype(self._key))[keep], code)
+        width[flag == 0] = 1
+        lo *= (np.cumprod(dims) // dims)[a]
+        return a, flag, lo.astype(self._cell), width
 
     def _classes(self, widths) -> np.ndarray:
         """Class of each width tuple; a width not yet stored gets the next
@@ -364,8 +431,33 @@ class TransitionTable:
         self._known[at] = True
 
     def _append(self, keys: np.ndarray, code: np.ndarray) -> None:
-        self._batches.append((keys.astype(self._key, copy=False), code))
+        """Write boxes into the open block, and open a new block whenever
+        it is full.  The open block takes the code type of the classes so
+        far; full blocks keep theirs."""
         self.has_box[keys] = True
+        done = 0
+        while done < keys.size:
+            if not self._blocks or self._fill == self._blocks[-1][0].size:
+                self._blocks.append((np.empty(_BLOCK_ROWS, self._key),
+                                     np.empty(_BLOCK_ROWS, self._code)))
+                self._fill = 0
+            block_keys, block_code = self._blocks[-1]
+            if block_code.dtype != self._code:
+                block_code = block_code.astype(self._code)
+                self._blocks[-1] = (block_keys, block_code)
+            rows = slice(self._fill, min(block_keys.size, self._fill + keys.size - done))
+            n = rows.stop - rows.start
+            block_keys[rows] = keys[done : done + n]
+            block_code[rows] = code[done : done + n]
+            self._fill, done = rows.stop, done + n
+
+    def _filled(self):
+        """The stored (keys, code) blocks, the open one cut to its rows."""
+        blocks = self._blocks[:-1]
+        if self._blocks:
+            keys, code = self._blocks[-1]
+            blocks.append((keys[: self._fill], code[: self._fill]))
+        return blocks
 
     # -- access ---------------------------------------------------------
 
@@ -382,7 +474,8 @@ class TransitionTable:
         return CellSet(self.grid_layer, self._explored.copy())
 
     def store(self):
-        """Every stored box as (keys, code), in storage order.
+        """Every stored box as (keys, code), in storage order: the blocks
+        concatenated, codes of the widest type.
 
         Box ``k`` belongs to input ``keys[k] // n_cells`` and cell
         ``keys[k] % n_cells``.  Its low corner is the cell ``code[k] %
@@ -391,12 +484,10 @@ class TransitionTable:
         the region; an auxiliary table also keeps, clipped to the
         region, the boxes of pairs that leave it.
         """
-        if self._batches:
-            self._store = tuple(
-                np.concatenate(parts) for parts in zip(self._store, *self._batches)
-            )
-            self._batches.clear()
-        return self._store
+        blocks = self._filled()
+        keys = np.concatenate([np.empty(0, self._key)] + [k for k, _ in blocks])
+        code = np.concatenate([np.empty(0, self._code)] + [c for _, c in blocks])
+        return keys, code
 
     def mark_touching(self, cells: CellSet, out: np.ndarray) -> None:
         """Set ``out[u, c]`` for every pair with a stored box that holds a
@@ -404,17 +495,15 @@ class TransitionTable:
 
         ``out`` is a C-contiguous bool array of shape ``(n_inputs,
         n_cells)``.  Each box reads one bit of ``cells``'s window of its
-        width class at its corner, ``_BLOCK_ROWS`` boxes at a time.  On
+        width class at its corner, one block of the store at a time.  On
         an auxiliary table the clipped boxes of pairs that leave the
         region take part.
         """
         self.check_grid(cells)
-        keys, code = self.store()
         windows = _windows(self, cells.bits).ravel()
         flat = out.reshape(-1)
-        for start in range(0, keys.size, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            flat[keys[block][windows.take(code[block])]] = True
+        for keys, code in self._filled():
+            flat[keys[windows.take(code)]] = True
 
     def csr(self, u_idx: int):
         """Stored boxes of one input as (cells, lo, hi), selected from

@@ -468,6 +468,15 @@ def deserialize(data: bytes) -> MultiLayeredController:
         raise ControllerFormatError(f"malformed controller file: {exc}") from exc
 
 
+def _widened(moves: np.ndarray, width: int) -> np.ndarray:
+    """``moves`` with columns of no move appended up to ``width``."""
+    if moves.shape[1] >= width:
+        return moves
+    out = np.zeros((len(moves), width), dtype=bool)
+    out[:, : moves.shape[1]] = moves
+    return out
+
+
 def _decode(data: bytes) -> MultiLayeredController:
     if data[:4] != _MAGIC:
         raise ControllerFormatError("bad magic; not a controller file")
@@ -491,42 +500,48 @@ def _decode(data: bytes) -> MultiLayeredController:
         if stage_idx != len(decoded):
             raise ControllerFormatError(f"stage record {len(decoded)} has index {stage_idx}")
         # Each record's length is in its header, so only the walk to the
-        # next record is sequential; the fields are read all at once.
+        # next record is sequential; the fields are read all at once, in
+        # blocks of ``_BLOCK_CELLS`` records, as they were written.
         # Records start at even distances from the stage: walk the words
         # of the stage's byte parity.
         parity = off % 2
         if parity not in words:
             words[parity] = _words(data, parity)
-        first = off // 2
-        try:
-            starts = np.fromiter(_walk(words[parity], first, n_cells), np.int64, n_cells + 1)
-        except IndexError:
-            raise ControllerFormatError("truncated cell record") from None
-        end = parity + 2 * int(starts[-1])
-        if end > len(data):
-            raise ControllerFormatError("truncated cell record")
-        body = np.frombuffer(data, dtype=np.uint8, count=end - off, offset=off)
-        is_head = _record_bytes(2 * (starts[:-1] - first), body.size)
-        off = end
-        head = body[is_head].view(_RECORD)
-        inputs = body[~is_head].view("<u2").astype(np.int64)
-        cells = head["cell"]
         n_layer = stack.cell_count(layer)
-        bad = cells[(cells < 0) | (cells >= n_layer)]
-        if bad.size:
-            raise ControllerFormatError(f"cell {bad[0]} outside layer {layer}'s {n_layer} cells")
-        rows = np.repeat(np.arange(cells.size), head["n"])
-        ranks = head["rank"] if kind_flag else None
-        decoded.append((layer, cells, rows, inputs, ranks))
+        cells = np.empty(n_cells, dtype=np.int64)
+        ranks = np.empty(n_cells, dtype=np.int32) if kind_flag else None
+        moves = np.zeros((n_cells, 0), dtype=bool)
+        for first in range(0, n_cells, _BLOCK_CELLS):
+            block = slice(first, min(first + _BLOCK_CELLS, n_cells))
+            count = block.stop - first
+            try:
+                starts = np.fromiter(_walk(words[parity], off // 2, count), np.int64, count + 1)
+            except IndexError:
+                raise ControllerFormatError("truncated cell record") from None
+            end = parity + 2 * int(starts[-1])
+            if end > len(data):
+                raise ControllerFormatError("truncated cell record")
+            body = np.frombuffer(data, dtype=np.uint8, count=end - off, offset=off)
+            is_head = _record_bytes(2 * (starts[:-1] - off // 2), body.size)
+            off = end
+            head = body[is_head].view(_RECORD)
+            cells[block] = head["cell"]
+            bad = cells[block][(cells[block] < 0) | (cells[block] >= n_layer)]
+            if bad.size:
+                raise ControllerFormatError(f"cell {bad[0]} outside layer {layer}'s {n_layer} cells")
+            if ranks is not None:
+                ranks[block] = head["rank"]
+            inputs = body[~is_head].view("<u2")
+            if inputs.size:
+                moves = _widened(moves, int(inputs.max()) + 1)
+            moves[np.repeat(np.arange(first, block.stop), head["n"]), inputs] = True
+        decoded.append((layer, cells, moves, ranks))
     if off != len(data):
         raise ControllerFormatError(f"{len(data) - off} trailing bytes after the last stage")
     # Moves are as wide as the largest input index in the file.
-    width = max((int(d[3].max()) + 1 for d in decoded if d[3].size), default=0)
-    stages = []
-    for layer, cells, rows, inputs, ranks in decoded:
-        moves = np.zeros((cells.size, width), dtype=bool)
-        moves[rows, inputs] = True
-        stages.append(LayerController(layer, cells, moves, ranks))
+    width = max((d[2].shape[1] for d in decoded), default=0)
+    stages = [LayerController(layer, cells, _widened(moves, width), ranks)
+              for layer, cells, moves, ranks in decoded]
     return MultiLayeredController(REACH_AVOID if kind_flag else SAFETY, stack, stages)
 
 

@@ -143,9 +143,13 @@ class LayerStack:
         index = np.where(inside[..., None], q, 0).astype(np.int64)
         return np.where(inside, self.linearize(layer, index), -1)
 
-    def grid_coords(self, layer: int, coords) -> np.ndarray:
-        """Coordinates in grid units, snapped onto near-exact grid lines."""
-        q = (np.asarray(coords, dtype=float) - self.y_lower) / self.eta(layer)
+    def grid_coords(self, layer: int, coords, axis: int | None = None) -> np.ndarray:
+        """Coordinates in grid units, snapped onto near-exact grid lines.
+
+        ``coords`` are points ``(..., n)``, or values on ``axis`` alone.
+        """
+        at = slice(None) if axis is None else axis
+        q = (np.asarray(coords, dtype=float) - self.y_lower[at]) / self.eta(layer)[at]
         qr = np.rint(q)
         snap = np.abs(q - qr) <= _SNAP_REL * np.maximum(1.0, np.abs(qr))
         return np.where(snap, qr, q)

@@ -16,7 +16,7 @@ from layersynth import (
     parse_config,
     upre,
 )
-from layersynth.benchmarks import dcdc
+from layersynth.benchmarks import dcdc, default_config
 from layersynth.dynamics import reach_boxes
 from oracles import BLOCKED, successors, table_as_dict
 
@@ -268,3 +268,30 @@ class TestStorage:
             tracemalloc.stop()
         assert table.explored_count == sys.n_inputs * safe.count() > 100_000
         assert grown <= 24 * table.explored_count, grown / table.explored_count
+
+    def test_exploration_memory_does_not_grow_with_the_rows(self):
+        # One batch of 4,096 and one of 16,384 unicycle-desk layer-1
+        # cells, 10 inputs each.  A batch expands its (cell, input) rows
+        # at most a block at a time; what it holds for each cell is its
+        # index and one entry per free axis, about 6 bytes, and its small
+        # per-axis tables grow with the pairs of cell index and
+        # representative.  Expanding every row at once holds about 8
+        # bytes per row.
+        config = parse_config(default_config("unicycle-desk"))
+        sys, stack = config.build_system(), config.build_stack()
+
+        def transient(n):
+            table = TransitionTable(sys, stack, 1)
+            region = CellSet.from_indices(stack, 1, np.arange(n))
+            tracemalloc.start()
+            try:
+                table.compute_region(region)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert table.explored_count == n * sys.n_inputs
+            return peak - kept
+
+        rows = (16_384 - 4_096) * sys.n_inputs
+        grown = transient(16_384) - transient(4_096)
+        assert grown < rows, grown / rows

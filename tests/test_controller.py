@@ -285,10 +285,10 @@ def test_validate_start_states_match_oracle_draws(monkeypatch, kind, levels, see
 @pytest.mark.parametrize("kind, levels, seed", [(SAFETY, 2, 12), (REACH_AVOID, 3, 2)])
 def test_negative_seed_is_rejected_before_anything_is_drawn(monkeypatch, kind, levels, seed):
     def drawn(*args, **kwargs):
-        raise AssertionError("a generator was built")
+        raise AssertionError("a validation draw was made")
 
     sys_, spec, mlc = solved(kind, levels, seed)
-    monkeypatch.setattr(np.random, "default_rng", drawn)
+    monkeypatch.setattr(controller, "_unit_draws", drawn)
     for bad in (mlc, MultiLayeredController(mlc.kind, mlc.stack, [])):
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             validate(bad, sys_, spec, runs=5, horizon=5, seed=-1)

@@ -18,10 +18,11 @@ block size and in blocks of a few rows, so that one pair's boxes fall
 in different blocks.  A closing mask over the whole grid must equal the
 reference, and one restricted to some candidate cells must equal it on
 their columns and be False elsewhere.  Codes are of the narrowest
-unsigned type that holds every code of the classes so far.  Neither the
-order in which a table stores its boxes nor the batches or blocks it
-explored them in may change what the kernels return, and a cell
-explored alone stores the boxes it stores in a batch.
+unsigned type that holds every code of the classes so far; a full block
+of the store keeps the type it was filled with.  Neither the order in
+which a table stores its boxes nor the batches it explored them in nor
+the blocks it stores them in may change what the kernels return, and a
+cell explored alone stores the boxes it stores in a batch.
 """
 
 from __future__ import annotations
@@ -63,11 +64,24 @@ from layersynth.problem import REACH_AVOID, SAFETY
 SMALL_BLOCK = 13
 
 
-def small_blocks(kernel, table, region, *args):
-    """``kernel(table, region, *args)`` reading the box store ``SMALL_BLOCK`` rows at a time."""
+def restored(table, rows, order=None):
+    """A copy of ``table`` that stores the same boxes, in ``order`` of its
+    storage order (default: unchanged), in blocks of ``rows`` boxes."""
+    out = copy.copy(table)
+    keys, code = table.store()
+    if order is not None:
+        keys, code = keys[order], code[order]
+    out._blocks, out._fill = [], 0
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(abstraction, "_BLOCK_ROWS", SMALL_BLOCK)
-        return kernel(table, region, *args)
+        patch.setattr(abstraction, "_BLOCK_ROWS", rows)
+        out._append(keys, code)
+    return out
+
+
+def small_blocks(kernel, table, region, *args):
+    """``kernel(table, region, *args)`` reading the boxes of ``table`` stored
+    in blocks of ``SMALL_BLOCK`` rows."""
+    return kernel(restored(table, SMALL_BLOCK), region, *args)
 
 
 def grid_of(table):
@@ -153,6 +167,26 @@ def test_codes_widen_to_hold_every_class(cells, want):
     assert cells_.tolist() == [cells - 1, cells - 1, cells - 2]
     assert lo.tolist() == [[0], [cells - 1], [cells - 2]]
     assert hi.tolist() == [[0], [cells - 1], [cells - 1]]
+
+
+def test_full_blocks_keep_their_code_type(monkeypatch):
+    # Blocks of two rows.  Cell 128's three unit boxes fill the first
+    # block and open the second with uint8 codes; the two-cell box of
+    # cell 127 adds a class whose code needs uint16, which only the open
+    # block takes.
+    monkeypatch.setattr(abstraction, "_BLOCK_ROWS", 2)
+    cells = 129
+    stack = LayerStack(1, [1.0], 1.0, [0.0], [float(cells)])
+    table = TransitionTable(drift_system(velocity=0.5), stack, 1)
+    table.preload(cells - 1, [[0, 1, cells - 1]])
+    assert [code.dtype for _, code in table._blocks] == [np.uint8, np.uint8]
+    table.compute_region(CellSet.from_indices(stack, 1, [cells - 2]))
+    assert [code.dtype for _, code in table._blocks] == [np.uint8, np.uint16]
+    keys, code = table.store()
+    assert keys.tolist() == [cells - 1] * 3 + [cells - 2]
+    assert code.dtype == np.uint16 and code.tolist() == [0, 1, cells - 1, 2 * cells - 2]
+    for region in regions(np.random.default_rng(0), table, n=4):
+        assert_kernels_match(table, region)
 
 
 def assert_classes_in_order_of_first_box(table):
@@ -325,24 +359,38 @@ def test_axis_past_int16_uses_wider_corners():
 def permuted(table, rng):
     """A copy of ``table`` that stores its boxes in a random order,
     the inputs' boxes mixed."""
-    out = copy.copy(table)
-    keys, code = table.store()
-    order = rng.permutation(keys.size)
-    out._batches = []
-    out._store = (keys[order], code[order])
-    return out
+    return restored(table, abstraction._BLOCK_ROWS, rng.permutation(table.store()[0].size))
 
 
 def assert_storage_has_no_meaning(sys, stack, spec, layer, rng, n_regions):
-    """One call, two disjoint halves and permuted storage agree on random regions."""
+    """One call, two disjoint halves and permuted storage agree on random
+    regions, with one cell's entries preloaded in each.  The call stores
+    its boxes in several blocks, and the preloaded pair's unit boxes
+    straddle a block boundary."""
     region = build_spec_sets(stack, spec).safe_at(layer)
     cells = rng.permutation(region.indices())
-    assert cells.size >= 4
-    whole = TransitionTable(sys, stack, layer)
-    whole.compute_region(region)
+    assert cells.size >= 5
+    n_cells = stack.cell_count(layer)
+    # Blocks of about a 64th of the pairs, at least SMALL_BLOCK rows and
+    # fewer than the grid's cells, so that a pair can hold one more unit
+    # box than a block.
+    rows = min(max(SMALL_BLOCK, cells.size * sys.n_inputs // 64), n_cells - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abstraction, "_BLOCK_ROWS", rows)
+        whole = TransitionTable(sys, stack, layer)
+        whole.compute_region(CellSet.from_indices(stack, layer, cells[1:]))
+        # Input 0's boxes of cells[0] run from the next free row to the
+        # first row of the next block.
+        stored = whole.store()[0].size
+        succs = [rng.choice(n_cells, size=rows - stored % rows + 1, replace=False)]
+        succs += [None] * (sys.n_inputs - 1)
+        whole.preload(cells[0], succs)
+    pair = np.flatnonzero(whole.store()[0] == cells[0])
+    assert pair.size == succs[0].size and pair[-1] // rows > pair[0] // rows
     # halves of two or more cells: a one-row dcdc batch rounds differently
     halves = TransitionTable(sys, stack, layer)
-    for part in np.array_split(cells, 2):
+    halves.preload(cells[0], succs)
+    for part in np.array_split(cells[1:], 2):
         halves.compute_region(CellSet.from_indices(stack, layer, part))
     assert halves.explored_count == whole.explored_count
     shuffled = permuted(whole, rng)
@@ -421,5 +469,5 @@ def test_storage_order_and_batch_split_have_no_meaning_on_the_sweep(kind):
     for levels, seed in SWEEP:
         sys, stack, spec = random_problem(seed, kind=kind, levels=levels)
         for layer in (1, 2):
-            if build_spec_sets(stack, spec).safe_at(layer).count() >= 4:
+            if build_spec_sets(stack, spec).safe_at(layer).count() >= 5:
                 assert_storage_has_no_meaning(sys, stack, spec, layer, rng, 2)
