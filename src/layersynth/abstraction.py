@@ -114,6 +114,7 @@ def _windows(table: TransitionTable, bits: np.ndarray) -> np.ndarray:
         pairs = list(zip(rows, widths[:, axis].tolist()))
         index = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
         out = np.empty((len(index),) + win.shape[1:], dtype=bool)
+        # Each (row, width) grows from the last: in-place ORs on overlapping views make temporaries.
         last = None
         for r, w in sorted(index):
             row = out[index[r, w]]

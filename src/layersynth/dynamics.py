@@ -68,10 +68,12 @@ class ControlSystem:
     of them.  States that agree bit for bit on those coordinates get
     bit-identical derivatives, so :func:`reach_boxes` integrates
     each distinct value once, and a coordinate left out (a free axis)
-    once per (start value, representative).  Nothing checks the
-    declaration itself: a coordinate the field reads but the declaration
-    leaves out makes reach boxes unsound.  A declaration of every
-    coordinate is stored as ``None``.
+    once per (start value, representative).  A coordinate the field reads
+    but the declaration leaves out makes reach boxes unsound, so
+    construction binds the probe batch again with every undeclared
+    coordinate moved to other values and raises ``ValueError`` unless the
+    derivatives are bit-equal; the probe cannot see a read outside its
+    states.  A declaration of every coordinate is stored as ``None``.
     """
 
     dim: int
@@ -134,6 +136,13 @@ class ControlSystem:
                 "vector_field must compute every row of a batch bit for bit as it "
                 "computes that row alone"
             )
+        if self.field_reads is not None:
+            free = [i for i in range(self.dim) if i not in self.field_reads]
+            moved = probe.copy()
+            moved[:, free] = probe[::-1, free] + 2.0
+            derivs = np.asarray(self.vector_field(us)(moved), dtype=float)
+            if not np.array_equal(derivs.view(np.int64), batch.view(np.int64)):
+                raise ValueError(f"field_reads {self.field_reads!r} leaves out a read coordinate")
 
     @property
     def n_inputs(self) -> int:
@@ -160,38 +169,6 @@ def _rk4(deriv, y: np.ndarray, h, steps: int, tables=()) -> np.ndarray:
         for table, at in tables:
             table += inc.take(at)
     return y
-
-
-def _integrate(sys: ControlSystem, x: np.ndarray, u, h, steps, w=None) -> np.ndarray:
-    """RK4 of the states ``x`` under the input ``u``, in place.
-
-    A single state ``(n,)`` is integrated as one row, and a shared input
-    ``(m,)`` is bound to every row.  ``w`` yields one disturbance per
-    segment, of the shape of ``x``; without ``w`` there is one segment.
-    Segment ``k`` adds the ``k``-th disturbance to the field and takes
-    ``steps`` steps of length ``h``.  Per-row ``steps`` ``(N,)`` must
-    descend, with ``h`` ``(N, n)``: all rows take the fewest steps
-    together, and each larger step count runs its extra steps on the
-    prefix of rows that need them.  The field is bound once per prefix.
-    """
-    y = np.atleast_2d(x)
-    u = np.broadcast_to(u, (len(y), u.shape[-1]))
-    if np.ndim(steps) == 0:
-        tiers = [(slice(None), int(steps))]
-    else:
-        counts = sorted(set(steps.tolist()))
-        tiers = [(slice(int(np.count_nonzero(steps >= c))), c) for c in counts]
-    fields = [sys.vector_field(u[rows]) for rows, _ in tiers]
-    for wk in [None] if w is None else w:
-        done = 0
-        for (rows, count), f in zip(tiers, fields):
-            deriv = f
-            if wk is not None:
-                wr = np.atleast_2d(wk)[rows]
-                deriv = lambda y, f=f, wr=wr: f(y) + wr
-            y[rows] = _rk4(deriv, y[rows], h[rows] if np.ndim(h) else h, count - done)
-            done = count
-    return x
 
 
 def radius_dynamics(sys: ControlSystem, u, r0, tau: float, substeps: int) -> np.ndarray:
@@ -251,10 +228,10 @@ def sample_disturbed_step(
 ) -> np.ndarray:
     """One disturbed sample-and-hold step of a state ``(n,)`` or of states ``(N, n)``.
 
-    A single state takes one input ``u`` ``(m,)``, one period ``tau`` and
-    one substep count.  A batch takes each of them shared or given per
-    row (``(N, m)``, ``(N,)``, ``(N,)``), so runs on different layers and
-    inputs advance in one call.
+    Every call steps a batch: a single state is a batch of one, and the
+    input ``u``, the period ``tau`` and the substep count, each given once
+    or per row (``(N, m)``, ``(N,)``, ``(N,)``), are broadcast to one per
+    row, so runs on different layers and inputs advance in one call.
 
     The period is cut into ``DISTURBANCE_SEGMENTS`` equal segments of
     ``ceil(substeps / DISTURBANCE_SEGMENTS)`` RK4 steps each, and the
@@ -264,48 +241,51 @@ def sample_disturbed_step(
     ``i`` is disturbed by ``low + (high - low) * draws[i, k]`` on the
     disturbance box, which is how ``Generator.uniform`` maps them, so
     ``rng.random((DISTURBANCE_SEGMENTS, n))`` disturbs a state bit for bit
-    like per-segment ``rng.uniform(-w, w)`` draws.  Rows are sorted by
-    step count, longest first, and extra steps run on a prefix of the
-    rows, so every row takes the steps it would take alone.  With a zero
-    disturbance bound each row takes exactly the nominal RK4 steps of
-    its own period and substeps, and ``draws`` is not read.
+    like per-segment ``rng.uniform(-w, w)`` draws.  The rows are copied
+    once, stable-sorted by step count, longest first: in each segment all
+    rows take the fewest steps together, and each larger count runs its
+    extra steps on the prefix of rows that need them, the field bound
+    once per prefix.  So every row takes the steps it would take alone.
+    With a zero disturbance bound each row takes exactly the nominal RK4
+    steps of its own period and substeps, and ``draws`` is not read.
+    Returns a fresh array of the shape of ``x0``.
     """
-    x = np.array(x0, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    tau, substeps = np.asarray(tau, dtype=float), np.asarray(substeps)
+    x = np.asarray(x0, dtype=float)
+    n = x.shape[-1]
+    rows = x.size // n
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), rows)
+    substeps = np.broadcast_to(substeps, rows)
     if np.any(tau <= 0.0):
         raise ValueError("tau must be positive")
     if np.any(substeps < 1):
         raise ValueError("substeps must be >= 1")
     disturbed = bool(np.any(sys.disturbance > 0.0))
     segments = DISTURBANCE_SEGMENTS if disturbed else 1
-    steps = -(-substeps // segments)
-    h = tau / segments / steps
     if disturbed:
-        shape = x.shape[:-1] + (segments, x.shape[-1])
+        shape = x.shape[:-1] + (segments, n)
         if np.shape(draws) != shape:
             raise ValueError(f"draws must have shape {shape}, one block per state")
-    order = None
-    if steps.ndim or h.ndim:
-        n = len(x)
-        order = np.argsort(-np.broadcast_to(steps, n), kind="stable")
-        x, steps = x[order], np.broadcast_to(steps, n)[order]
-        # Full width: same-shape products are faster than column broadcasts.
-        h = np.repeat(np.broadcast_to(h, n)[order, None], x.shape[1], axis=1)
-        u = u[order] if u.ndim == 2 else u
-    w = None
-    if disturbed:
-        # Each segment's disturbances are scaled, in row order, only when
-        # the segment starts: no block of every segment is built.
-        low = -sys.disturbance
-        rows = Ellipsis if order is None else order
-        draws = np.asarray(draws, dtype=float)
-        w = ((sys.disturbance - low) * draws[rows, k, :] + low for k in range(segments))
-    x = _integrate(sys, x, u, h, steps, w)
-    if not np.all(np.isfinite(x)):
+        draws = np.asarray(draws, dtype=float).reshape(rows, segments, n)
+    steps = -(-substeps // segments)
+    order = np.argsort(-steps, kind="stable")
+    y, steps = x.reshape(rows, n)[order], steps[order]
+    # Full width: same-shape products are faster than column broadcasts.
+    h = np.repeat((tau[order] / segments / steps)[:, None], n, axis=1)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (rows, sys.inputs[0].size))[order]
+    tiers = [(int(np.count_nonzero(steps >= c)), c) for c in sorted(set(steps.tolist()))]
+    fields = [sys.vector_field(u[:k]) for k, _ in tiers]
+    low = -sys.disturbance
+    for s in range(segments):
+        # A segment's disturbances are scaled, in row order, only when it
+        # starts: no block of every segment is built.
+        w = (sys.disturbance - low) * draws[order, s] + low if disturbed else None
+        done = 0
+        for (k, count), f in zip(tiers, fields):
+            deriv = f if w is None else lambda y, f=f, w=w[:k]: f(y) + w
+            y[:k] = _rk4(deriv, y[:k], h[:k], count - done)
+            done = count
+    if not np.all(np.isfinite(y)):
         raise IntegrationDivergenceError("non-finite state in disturbed simulation")
-    if order is None:
-        return x
-    out = np.empty_like(x)
-    out[order] = x
-    return out
+    out = np.empty_like(y)
+    out[order] = y
+    return out.reshape(x.shape)

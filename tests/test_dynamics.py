@@ -119,6 +119,12 @@ class TestControlSystemValidation:
         with pytest.raises(ValueError, match="field_reads"):
             dataclasses.replace(unicycle(), field_reads=reads)
 
+    @pytest.mark.parametrize("reads", [(0,), (0, 1)])
+    def test_rejects_field_reads_that_leave_out_a_read_coordinate(self, reads):
+        # the unicycle field reads the heading, coordinate 2
+        with pytest.raises(ValueError, match=r"field_reads .* leaves out a read coordinate"):
+            dataclasses.replace(unicycle(), field_reads=reads)
+
     @pytest.mark.parametrize("reads", [(0, 1, 2), (2, 0, 1)])
     def test_declaring_every_coordinate_is_no_declaration(self, reads):
         assert dataclasses.replace(unicycle(), field_reads=reads).field_reads is None
@@ -239,6 +245,22 @@ class TestSampleDisturbedStep:
         for bad in (draws[:8], draws[:, :, :2], draws[0]):
             with pytest.raises(ValueError, match="one block per state"):
                 sample_disturbed_step(sys, x0, sys.inputs[4], 0.225, bad)
+        # A single state and a mixed-period batch keep the bits of their
+        # arguments and return fresh memory; a one-row batch of any row
+        # ends on the single state's bits, and on the batch's.
+        layer = np.array([3, 1, 2, 1, 3, 2, 2, 1, 3])
+        u = np.stack(sys.inputs)[np.arange(9) % sys.n_inputs]
+        tau, substeps = 0.225 * 2.0 ** (layer - 1), 5 * 2 ** (layer - 1)
+        for args in ((x0[4], u[4], tau[4], draws[4], substeps[4]), (x0, u, tau, draws, substeps)):
+            x_was, draws_was = args[0].copy(), args[3].copy()
+            out = sample_disturbed_step(sys, *args)
+            assert same_bits(args[0], x_was) and same_bits(args[3], draws_was)
+            assert not np.shares_memory(out, args[0])
+        for i in range(9):
+            alone = sample_disturbed_step(sys, x0[i], u[i], tau[i], draws[i], substeps[i])
+            rows = slice(i, i + 1)
+            one = sample_disturbed_step(sys, x0[rows], u[rows], tau[rows], draws[rows], substeps[rows])
+            assert one.shape == (1, 3) and same_bits(one[0], alone) and same_bits(out[i], alone)
 
     @pytest.mark.parametrize("system", [dcdc, unicycle])
     def test_draw_stream_matches_per_segment_uniform_reference(self, system):

@@ -12,20 +12,26 @@ closed-loop runs at a fixed seed, and the sha256 of the (stage,
 layer, input, rank) sequence and status of closed-loop runs from fixed
 states spread over the controller domain, stepped one state at a time
 by ``simulate_oracle``, which covers the stages and the moves that the
-controller picks.
+controller picks.  ``WORK`` pins, for the workload configs under their
+own algorithm, the tracemalloc peak in bytes of ``synthesize`` and of
+``validate`` at the perfbench workload's runs and horizon, each measured
+after one untraced warm-up call and a full collection; a peak may move
+by ``WORK_TOLERANCE`` of its pin.
 
-A refactor must leave every value unchanged. A change that is meant to
-alter a result prints the new table with
-``PYTHONPATH=src python tests/test_reference.py``, pastes it below and
-says why.  Each printed row that differs from the pinned one ends with
+A refactor must leave every digest unchanged and every peak within its
+tolerance. A change that is meant to alter a result or a peak prints the
+new tables with ``PYTHONPATH=src python tests/test_reference.py``,
+pastes them below and says why.  Each printed row that differs from the pinned one ends with
 ``# was <pinned value>``.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -64,6 +70,11 @@ CONFIGS = {
 # and how many fixed initial states the trajectory digest follows.
 VALIDATION_RUNS = (4, 20, 7)
 TRAJECTORY_STARTS = 8
+
+# Closed-loop (runs, horizon) of each workload behind WORK, as perfbench
+# validates it, at the seed of VALIDATION_RUNS.
+WORK_RUNS = {"dcdc-safe": (30, 100), "unicycle-lazy": (1600, 200)}
+WORK_TOLERANCE = 0.01
 
 
 def run(sys_, stack, spec, algorithm):
@@ -136,6 +147,37 @@ def validation_digest(sys_, spec, result) -> tuple[str, str]:
     return (
         _digest(json.dumps(report.to_dict(), sort_keys=True).encode()),
         _digest(json.dumps(runs_seen).encode()),
+    )
+
+
+def traced_peak(call) -> int:
+    """tracemalloc peak of ``call()`` in bytes, after one untraced
+    warm-up call and a full collection, which empties the free lists."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def work_cases():
+    """(name, algorithm) of every WORK row: each workload's own algorithm."""
+    for name in WORK_RUNS:
+        yield name, CONFIGS[name][0]["algorithm"]
+
+
+def work(name: str, algorithm: str) -> tuple[int, int]:
+    """(synthesize peak, validate peak) of a workload, in bytes."""
+    sys_, stack, spec = problem(name)
+    result = _solved(name, algorithm, name)[2]
+    runs, horizon = WORK_RUNS[name]
+    seed = VALIDATION_RUNS[2]
+    return (
+        traced_peak(lambda: run(sys_, stack, spec, algorithm)),
+        traced_peak(lambda: validate(result.controller, sys_, spec, runs, horizon, seed)),
     )
 
 
@@ -216,6 +258,10 @@ VALIDATION = {
     ('unicycle-lazy', 'eager-reach'): ('977894ac2b99f470', '8f1b90a405c9e758'),
     ('unicycle-lazy', 'lazy-reach'): ('977894ac2b99f470', '8f1b90a405c9e758'),
 }
+WORK = {
+    ('dcdc-safe', 'lazy-safe'): (528455, 83596),
+    ('unicycle-lazy', 'lazy-reach'): (4600510, 1418204),
+}
 # fmt: on
 
 
@@ -237,6 +283,14 @@ def test_validation_matches_golden_reference(name, algorithm, source):
     assert got == VALIDATION[(name, algorithm)]
 
 
+@pytest.mark.parametrize("name, algorithm", list(work_cases()), ids=[n for n, _ in work_cases()])
+def test_work_matches_pinned_peaks(name, algorithm):
+    got = work(name, algorithm)
+    pinned = WORK[(name, algorithm)]
+    for what, peak, pin in zip(("synthesize", "validate"), got, pinned):
+        assert abs(peak - pin) <= WORK_TOLERANCE * pin, (what, peak, pin)
+
+
 def _row(key, value, pinned) -> str:
     """One printed table row, marked with the pinned value it replaces."""
     old = pinned.get(key)
@@ -254,4 +308,8 @@ if __name__ == "__main__":
     for name, algorithm, source in validation_cases():
         value = validation_digest(*_solved(name, algorithm, source))
         print(_row((name, algorithm), value, VALIDATION))
+    print("}")
+    print("WORK = {")
+    for name, algorithm in work_cases():
+        print(_row((name, algorithm), work(name, algorithm), WORK))
     print("}")

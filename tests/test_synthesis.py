@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     DCDC_SAFE,
     SWEEP,
+    UNICYCLE_LAZY,
     chain_table,
     drift_system,
     random_problem,
@@ -545,6 +546,39 @@ class TestStructuralInvariants:
                     succ = successors(engine.table(st.layer), cell, u)
                     assert bool(allowed[succ.bits].all())
             prior.union_update(gamma_down(stack, cells(stack, st.layer, st.cells), 1))
+
+
+def translated(doc, shift):
+    """A unicycle config document with its region, obstacles and target
+    moved by ``shift`` in x and y; the heading axis stays."""
+    step = np.array([*shift, 0.0])
+
+    def move(corner):
+        return (np.asarray(corner, dtype=float) + step).tolist()
+
+    def boxes(key):
+        return [{"lower": move(b["lower"]), "upper": move(b["upper"])} for b in doc[key]]
+
+    return {**doc, "y_lower": move(doc["y_lower"]), "y_upper": move(doc["y_upper"]),
+            "obstacle_boxes": boxes("obstacle_boxes"), "target_boxes": boxes("target_boxes")}
+
+
+def test_translating_a_unicycle_layout_keeps_its_stages():
+    # The unicycle field reads only the heading, so moving the whole
+    # layout in x and y, by whole cells or not, leaves lazy-reach's stages
+    # and winning bits bit for bit as they were.
+    def solved(doc):
+        config = parse_config(doc)
+        result = synthesize(config.build_system(), config.build_stack(), config.build_spec(),
+                            "lazy-reach")
+        stages = [(st.layer, st.cells.tobytes(), st.moves.tobytes(), st.ranks.tobytes())
+                  for st in result.controller.stages]
+        return stages, np.packbits(result.winning.bits).tobytes()
+
+    want = solved(UNICYCLE_LAZY)
+    assert len(want[0]) > 1
+    for shift in ((1.6, 0.0), (0.0, 3.2), (0.2, 0.6), (100.0, -40.0), (0.3, 0.1)):
+        assert solved(translated(UNICYCLE_LAZY, shift)) == want, shift
 
 
 class TestDegenerateInputs:
