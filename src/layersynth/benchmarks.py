@@ -47,8 +47,9 @@ def dcdc(params: dict | None = None) -> ControlSystem:
     # Keyed by the exact input values of ``inputs`` below.
     modes = {1.0: a1, 2.0: a2}
     keys = np.array(list(modes))
-    # Column j of every mode's matrix, in the order of ``keys``.
-    col0, col1 = (np.stack([a[:, j] for a in modes.values()]) for j in (0, 1))
+    # Per mode, in the order of ``keys``: (a_00, a_11), (a_01, a_10) and b.
+    diag, off = (np.stack([np.diag(a[:, ::s]) for a in modes.values()]) for s in (1, -1))
+    bias, swap = np.stack([b for _ in modes]), np.array([1, 0])
 
     def field(u):
         # Each row is computed from itself alone: a matrix product may
@@ -59,8 +60,9 @@ def dcdc(params: dict | None = None) -> ControlSystem:
         if not known.all():
             raise KeyError(f"unknown dcdc input {u[~known][0].tolist()}")
         mode = match.argmax(axis=1)
-        k0, k1 = col0[mode], col1[mode]
-        return lambda x: x[:, :1] * k0 + x[:, 1:] * k1 + b
+        d, o, c = diag[mode], off[mode], bias[mode]
+        # Same-shape operands beat broadcasts; output i sums the column form's products.
+        return lambda x: x * d + x.take(swap, axis=1) * o + c
 
     def growth(u):
         a = modes[u[0]]

@@ -242,8 +242,9 @@ def _closed_loop(
     active = np.arange(len(x))
     inputs = np.stack(sys.inputs)
     drawn = np.empty((len(runs), DISTURBANCE_SEGMENTS, sys.dim))
-    # Indexed by layer.
+    # Period and substep count of each layer, indexed by layer.
     periods = np.array([0.0] + [mlc.stack.tau(layer) for layer in range(1, mlc.stack.levels + 1)])
+    substeps = substeps_base * np.array([0] + [2**i for i in range(mlc.stack.levels)])
 
     def stop(rows, what: str) -> None:
         for i in rows.tolist():
@@ -272,8 +273,7 @@ def _closed_loop(
         measure[active] = now
         draws = _unit_draws(seed, k + 2, runs[active], drawn[: active.size])
         x[active] = sample_disturbed_step(
-            sys, x[active], inputs[moves], periods[layers], draws,
-            substeps=substeps_base * 2 ** (layers - 1),
+            sys, x[active], inputs[moves], periods[layers], draws, substeps[layers]
         )
         steps[active] += 1
 

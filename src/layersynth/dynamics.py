@@ -149,34 +149,46 @@ class ControlSystem:
         return len(self.inputs)
 
 
-def _rk4(deriv, y: np.ndarray, h, steps: int, tables=()) -> np.ndarray:
-    """``steps`` classic Runge-Kutta-4 steps of length ``h`` from ``y``.
+def _lengths(h):
+    """``(h, h / 2, h / 6)``: the step lengths that :func:`_rk4` reads."""
+    return h, 0.5 * h, h / 6.0
 
-    ``h`` is a number, or per-row lengths of the shape of ``y``.  Each
-    ``(table, at)`` of ``tables`` holds two arrays of one shape: every
-    step adds to ``table`` in place the increments at the flat positions
-    ``at`` of ``y``, the same float addition a state that shares those
-    derivatives makes on that coordinate.
+
+def _rk4(deriv, y: np.ndarray, lengths, steps: int, tables=()) -> None:
+    """Advance ``y`` in place by ``steps`` classic Runge-Kutta-4 steps.
+
+    ``lengths`` is :func:`_lengths` of a step length, a number or per-row
+    lengths of the shape of ``y``.  A step rounds as ``y + h / 6 * (k1 + 2
+    k2 + 2 k3 + k4)``, and derivatives are read only: ``deriv`` may return
+    its argument or a view of it.  Each ``(table, at)`` of ``tables`` holds
+    two arrays of one shape: every step adds to ``table`` in place the
+    increments at the flat positions ``at`` of ``y``, as a state that shares
+    those derivatives adds them on that coordinate.
     """
-    half, sixth = 0.5 * h, h / 6.0
+    h, half, sixth = lengths
+    t, inc = np.empty_like(y), np.empty_like(y)
     for _ in range(steps):
+        # Each derivative is read before ``t`` is written (it may be a view of it), then dropped.
         k1 = deriv(y)
-        k2 = deriv(y + half * k1)
-        k3 = deriv(y + half * k2)
-        k4 = deriv(y + h * k3)
-        inc = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = y + inc
+        k = deriv(np.add(y, np.multiply(half, k1, t), t))
+        np.add(np.add(k, k, inc), k1, inc)
+        del k1
+        k = deriv(np.add(y, np.multiply(half, k, t), t))
+        inc += k + k
+        np.add(y, np.multiply(h, k, t), t)
+        del k
+        inc += deriv(t)
+        y += np.multiply(sixth, inc, inc)
         for table, at in tables:
             table += inc.take(at)
-    return y
 
 
 def radius_dynamics(sys: ControlSystem, u, r0, tau: float, substeps: int) -> np.ndarray:
     """Endpoint of the radius dynamics ``r' = L(u) r + w`` from ``r0``."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     L = np.asarray(sys.growth_matrix(u), dtype=float)
-    w = sys.disturbance
-    r = _rk4(lambda r: r @ L.T + w, np.asarray(r0, dtype=float), tau / substeps, substeps)
+    r = np.array(r0, dtype=float)
+    _rk4(lambda v: v @ L.T + sys.disturbance, r, _lengths(tau / substeps), substeps)
     if not np.all(np.isfinite(r)):
         raise IntegrationDivergenceError("non-finite radius while integrating growth dynamics")
     return r
@@ -208,8 +220,9 @@ def reach_boxes(sys: ControlSystem, centers, radius, inputs, tau: float, substep
     block = np.arange(m)[:, None] * k
     tables = [np.tile(np.asarray(start, dtype=float), (m, 1)) for _, start, _ in free]
     at = [(block + rep) * n + axis for axis, _, rep in free]
-    y = _rk4(sys.vector_field(np.repeat(us, k, axis=0)), np.tile(centers, (m, 1)),
-             tau / substeps, substeps, list(zip(tables, at)))
+    y = np.tile(centers, (m, 1))
+    _rk4(sys.vector_field(np.repeat(us, k, axis=0)), y, _lengths(tau / substeps), substeps,
+         list(zip(tables, at)))
     ends = y.reshape(m, k, n)
     if not (np.all(np.isfinite(ends)) and all(np.all(np.isfinite(t)) for t in tables)):
         raise IntegrationDivergenceError(f"non-finite state while integrating {k} cell centres")
@@ -242,24 +255,25 @@ def sample_disturbed_step(
     disturbance box, which is how ``Generator.uniform`` maps them, so
     ``rng.random((DISTURBANCE_SEGMENTS, n))`` disturbs a state bit for bit
     like per-segment ``rng.uniform(-w, w)`` draws.  The rows are copied
-    once, stable-sorted by step count, longest first: in each segment all
-    rows take the fewest steps together, and each larger count runs its
-    extra steps on the prefix of rows that need them, the field bound
-    once per prefix.  So every row takes the steps it would take alone.
-    With a zero disturbance bound each row takes exactly the nominal RK4
-    steps of its own period and substeps, and ``draws`` is not read.
-    Returns a fresh array of the shape of ``x0``.
+    once, stable-sorted by step count, longest first, and stepped in place:
+    in each segment all rows take the fewest steps together, and each
+    larger count runs its extra steps on the prefix of rows that need them,
+    the field bound once per prefix, its derivatives read only.  So every
+    row takes the steps it would take alone.  With a zero disturbance bound
+    each row takes exactly the nominal RK4 steps of its own period and
+    substeps, and ``draws`` is not read.  Periods must be finite and
+    positive and substep counts integers >= 1, not bools, or ``ValueError``
+    is raised before any step.  Returns a fresh array shaped like ``x0``.
     """
     x = np.asarray(x0, dtype=float)
     n = x.shape[-1]
     rows = x.size // n
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), rows)
-    substeps = np.broadcast_to(substeps, rows)
-    if np.any(tau <= 0.0):
-        raise ValueError("tau must be positive")
-    if np.any(substeps < 1):
-        raise ValueError("substeps must be >= 1")
-    disturbed = bool(np.any(sys.disturbance > 0.0))
+    tau, substeps = np.full(rows, tau, dtype=float), np.full(rows, substeps)
+    if not ((tau > 0.0) & (tau < np.inf)).all():
+        raise ValueError("tau must be finite and positive")
+    if substeps.dtype.kind not in "iu" or (substeps < 1).any():
+        raise ValueError(f"substeps must be integers >= 1, got {substeps!r}")
+    disturbed = bool(sys.disturbance.any())
     segments = DISTURBANCE_SEGMENTS if disturbed else 1
     if disturbed:
         shape = x.shape[:-1] + (segments, n)
@@ -270,21 +284,24 @@ def sample_disturbed_step(
     order = np.argsort(-steps, kind="stable")
     y, steps = x.reshape(rows, n)[order], steps[order]
     # Full width: same-shape products are faster than column broadcasts.
-    h = np.repeat((tau[order] / segments / steps)[:, None], n, axis=1)
-    u = np.broadcast_to(np.asarray(u, dtype=float), (rows, sys.inputs[0].size))[order]
-    tiers = [(int(np.count_nonzero(steps >= c)), c) for c in sorted(set(steps.tolist()))]
-    fields = [sys.vector_field(u[:k]) for k, _ in tiers]
-    low = -sys.disturbance
+    lengths = _lengths((tau[order] / segments / steps).repeat(n).reshape(rows, n))
+    u = np.full((rows, sys.inputs[0].size), u, dtype=float)[order]
+    w = np.empty_like(y)  # each segment's disturbances in turn, scaled as it starts
+    low, span = -sys.disturbance, sys.disturbance + sys.disturbance
+    tiers, counts = [], sorted(set(steps.tolist()))
+    for c, before in zip(counts, [0] + counts):
+        k = int(np.count_nonzero(steps >= c))
+        f = sys.vector_field(u[:k])
+        deriv = (lambda z, f=f, w=w[:k]: f(z) + w) if disturbed else f
+        tiers.append((y[:k], [a[:k] for a in lengths], deriv, c - before))
+    del tau, substeps, u  # not needed while stepping
     for s in range(segments):
-        # A segment's disturbances are scaled, in row order, only when it
-        # starts: no block of every segment is built.
-        w = (sys.disturbance - low) * draws[order, s] + low if disturbed else None
-        done = 0
-        for (k, count), f in zip(tiers, fields):
-            deriv = f if w is None else lambda y, f=f, w=w[:k]: f(y) + w
-            y[:k] = _rk4(deriv, y[:k], h[:k], count - done)
-            done = count
-    if not np.all(np.isfinite(y)):
+        if disturbed:
+            np.multiply(span, draws[:, s].take(order, axis=0), w)
+            w += low
+        for yk, hk, deriv, count in tiers:
+            _rk4(deriv, yk, hk, count)
+    if not np.isfinite(y).all():
         raise IntegrationDivergenceError("non-finite state in disturbed simulation")
     out = np.empty_like(y)
     out[order] = y

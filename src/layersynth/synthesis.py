@@ -261,8 +261,8 @@ class SynthesisEngine:
         target = target.intersect(safe)
         candidates = safe.intersect(table.explored_cells())
         w = target.copy()
-        ranks = np.zeros(table.n_cells, dtype=np.int32)  # 0: not newly won
-        won_by = np.zeros((table.sys.n_inputs, table.n_cells), dtype=bool)
+        # Per iteration: its new cells, their moves and ranks (none before the first).
+        won = [(np.zeros(0, int), np.zeros((0, self.sys.n_inputs), bool), np.zeros(0, np.int32))]
         fixed = False
         iterations = 0
         while m is None or iterations < m:
@@ -274,12 +274,13 @@ class SynthesisEngine:
             if nxt == w:
                 fixed = True
                 break
-            new = nxt.difference(w).bits
-            ranks[new] = iterations
-            won_by[:, new] = mask[:, new]
+            new = np.flatnonzero(nxt.difference(w).bits)
+            won.append((new, _moves_into(mask, new), np.full(new.size, iterations, np.int32)))
+            del mask
             w = nxt
-        cells = np.flatnonzero(ranks)
-        return ReachOutcome(w, cells, _moves_into(won_by, cells), ranks[cells], fixed, iterations)
+        cells, moves, ranks = (np.concatenate(part) for part in zip(*won))
+        order = np.argsort(cells)
+        return ReachOutcome(w, cells[order], moves[order], ranks[order], fixed, iterations)
 
     # -- frontier exploration ----------------------------------------------
 

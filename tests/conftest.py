@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -107,6 +109,28 @@ def linear_system(a, offsets, disturbance) -> ControlSystem:
         inputs=[np.array([float(k)]) for k in range(len(offsets))],
         growth_matrix=lambda u: growth,
     )
+
+
+def counted_field(sys: ControlSystem):
+    """``sys`` with a field that counts its work, and the count: a list
+    ``[binds, derivative evaluations]`` from the construction on, so the
+    construction probe's binds are not in it."""
+    plain = sys.vector_field
+    calls = [0, 0]
+
+    def field(u):
+        calls[0] += 1
+        f = plain(u)
+
+        def deriv(x):
+            calls[1] += 1
+            return f(x)
+
+        return deriv
+
+    counted = dataclasses.replace(sys, vector_field=field)
+    calls[:] = [0, 0]
+    return counted, calls
 
 
 def chain_table(stack: LayerStack) -> TransitionTable:

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DCDC_SAFE, UNICYCLE_LAZY, drift_system, random_problem, stationary_system
+from conftest import (
+    DCDC_SAFE,
+    UNICYCLE_LAZY,
+    counted_field,
+    drift_system,
+    random_problem,
+    stationary_system,
+)
 from oracles import (
     check_rank_progress,
     quantize_oracle,
@@ -445,6 +452,19 @@ def test_closed_loop_steps_every_run_of_a_round_in_one_call(monkeypatch):
     _, _, steps, _ = controller._closed_loop(mlc, sys_, spec, x0, 200, 4, np.arange(64), substeps)
     assert len(calls) == steps.max()
     assert max(periods for periods, _ in calls) > 1 and max(inputs for _, inputs in calls) > 1
+
+
+def test_dcdc_safe_validation_takes_its_pinned_field_work():
+    # perfbench's dcdc-safe validation, 30 runs of 100 steps at the WORK
+    # seed: each round binds the field once per step-count tier (layers 1
+    # and 2 take one RK4 step per segment, layer 3 two) and evaluates 4
+    # derivatives per RK4 step, 80 per round.  So a speed-up cannot come
+    # from skipped steps.
+    sys_, spec, mlc, substeps = workload("dcdc-safe")
+    counted, calls = counted_field(sys_)
+    report = validate(mlc, counted, spec, 30, 100, 7, substeps)
+    assert report.executed == 30 and report.violations == 0 and report.mean_steps == 100
+    assert calls == [200, 8000]
 
 
 def test_validate_does_not_import_numpy_random(tmp_path):

@@ -1,11 +1,19 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import UNICYCLE_LAZY, UNICYCLE_PARAMS, drift_system, linear_system, stationary_system
+from conftest import (
+    UNICYCLE_LAZY,
+    UNICYCLE_PARAMS,
+    counted_field,
+    drift_system,
+    linear_system,
+    stationary_system,
+)
 from oracles import integrate_nominal, sample_disturbed_step_reference
 from layersynth import (
     ControlSystem,
@@ -187,6 +195,21 @@ class TestOverApproxReach:
         assert np.allclose(lo, [-expect], atol=1e-6)
         assert np.allclose(hi, [expect], atol=1e-6)
 
+    def test_integrators_leave_their_arguments_unchanged(self):
+        # The RK4 kernel advances arrays of the integrator's own: a
+        # cell's half widths, the centres and each free axis's start
+        # values keep their bits.
+        sys = unicycle()
+        half_width = np.array([0.1, 0.1, 0.05])
+        centers = np.array([[1.0, 2.0, 0.3], [1.5, 2.5, -0.4]])
+        start = [np.array([1.0, 1.2, 1.5]), np.array([2.0, 2.5, 2.7])]
+        kept = [a.copy() for a in (half_width, centers, *start)]
+        radius = radius_dynamics(sys, sys.inputs[3], half_width, 0.45, 5)
+        free = [(axis, s, np.array([0, 0, 1])) for axis, s in enumerate(start)]
+        reach_boxes(sys, centers, radius, sys.inputs, 0.45, 5, free)
+        assert not np.shares_memory(radius, half_width)
+        assert all(same_bits(a, b) for a, b in zip((half_width, centers, *start), kept))
+
     def test_disturbance_grows_radius_linearly(self):
         sys = ControlSystem(
             1,
@@ -328,6 +351,59 @@ class TestSampleDisturbedStep:
             out = sample_disturbed_step(sys, x0, sys.inputs[0], 0.5, draws, substeps=7)
             assert np.array_equal(out, want)
 
+    @pytest.mark.parametrize("substeps", [2.5, [5, 7.5], True, [5, 0], None])
+    def test_rejects_substeps_that_are_not_counts(self, substeps):
+        # Before any bind or step, for a count given once or per row.
+        sys, calls = counted_field(dcdc())
+        x0 = np.array([[1.2, 5.6], [1.3, 5.7]])
+        with pytest.raises(ValueError, match="substeps must be integers >= 1"):
+            sample_disturbed_step(sys, x0, sys.inputs[0], 0.5, unit_draws(1, 2, 2), substeps)
+        assert calls == [0, 0]
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 0.0, [0.5, math.nan]])
+    def test_rejects_periods_that_are_not_finite_and_positive(self, tau):
+        sys, calls = counted_field(dcdc())
+        x0 = np.array([[1.2, 5.6], [1.3, 5.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tau must be finite and positive"):
+                sample_disturbed_step(sys, x0, sys.inputs[0], tau, unit_draws(1, 2, 2), 5)
+        assert calls == [0, 0]
+
+    def test_a_field_that_returns_its_argument_is_never_written(self):
+        # f(x) = x: every derivative is the very state it is given, so an
+        # integrator that wrote into a derivative would corrupt its state.
+        # A mixed-period batch ends where the per-row references, which
+        # write nothing in place, end, bit for bit; so do reach boxes and
+        # undisturbed steps.
+        sys = ControlSystem(
+            2, lambda u: lambda x: x, [0.01, 0.02], [np.array([0.0]), np.array([1.0])],
+            lambda u: np.eye(2),
+        )
+        rng = np.random.default_rng(13)
+        x0 = rng.uniform(-1.0, 1.0, size=(9, 2))
+        layer = np.array([3, 1, 2, 1, 3, 2, 2, 1, 3])
+        u = np.stack(sys.inputs)[np.arange(9) % 2]
+        tau, substeps = 0.25 * 2.0 ** (layer - 1), 5 * 2 ** (layer - 1)
+        seeds = np.random.SeedSequence(13).spawn(9)
+        draws = np.stack(
+            [np.random.default_rng(s).random((DISTURBANCE_SEGMENTS, 2)) for s in seeds]
+        )
+        got = sample_disturbed_step(sys, x0, u, tau, draws, substeps)
+        still = dataclasses.replace(sys, disturbance=np.zeros(2))
+        nominal = sample_disturbed_step(still, x0, u, tau, None, substeps)
+        (ends, _), _ = reach_boxes(sys, x0, 0.0, sys.inputs, 0.5, 7)
+        for i in range(9):
+            rngs = [np.random.default_rng(seeds[i])]
+            want = sample_disturbed_step_reference(
+                sys, x0[i : i + 1], u[i], tau[i], rngs, int(substeps[i])
+            )
+            assert same_bits(got[i], want[0])
+            want = integrate_nominal(still, x0[i], u[i], tau[i], int(substeps[i]))
+            assert same_bits(nominal[i], want)
+            for j, uj in enumerate(sys.inputs):
+                assert same_bits(ends[j, i], integrate_nominal(sys, x0[i], uj, 0.5, 7))
+
 
 class TestBoundFields:
     """``vector_field(u)`` binds one input per row."""
@@ -343,6 +419,32 @@ class TestBoundFields:
             assert np.array_equal(sys.vector_field(u[i : i + 1])(x[i : i + 1])[0], batch[i])
         for i in range(0, 63, 3):
             assert np.array_equal(sys.vector_field(u[i : i + 3])(x[i : i + 3]), batch[i : i + 3])
+
+    def test_dcdc_field_rounds_as_the_column_form(self):
+        # The shipped field takes same-shape products; the column form
+        # ``x0 * A[:, 0] + x1 * A[:, 1] + b`` of each mode's matrix, built
+        # here from the converter's parameters, ends on the same bits, in a
+        # batch and row by row, over states of many magnitudes and signs.
+        r0, vs, rl, xl, xc = 1.0, 1.0, 0.05, 3.0, 70.0
+        rc = 0.5 * rl
+        g = r0 / (r0 + rc)
+        modes = {
+            1.0: np.array([[-rl / xl, 0.0], [0.0, -(1.0 / xc) * g]]),
+            2.0: np.array([
+                [-(1.0 / xl) * (rl + r0 * rc / (r0 + rc)), (1.0 / 5.0) * (-(1.0 / xl) * g)],
+                [5.0 * g * (1.0 / xc), -(1.0 / xc) * (1.0 / (r0 + rc))],
+            ]),
+        }
+        b = np.array([vs / xl, 0.0])
+        field = dcdc().vector_field
+        rng = np.random.default_rng(30)
+        for mode, a in modes.items():
+            x = rng.standard_normal((4096, 2)) * 10.0 ** rng.integers(-6, 7, size=(4096, 2))
+            u = np.full((4096, 1), mode)
+            want = x[:, :1] * a[:, 0] + x[:, 1:] * a[:, 1] + b
+            assert same_bits(field(u)(x), want)
+            alone = [field(u[i : i + 1])(x[i : i + 1])[0] for i in range(4096)]
+            assert same_bits(np.stack(alone), want)
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, 3.0, float("nan")])
     def test_dcdc_rejects_unknown_inputs(self, bad):

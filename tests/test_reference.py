@@ -259,8 +259,8 @@ VALIDATION = {
     ('unicycle-lazy', 'lazy-reach'): ('977894ac2b99f470', '8f1b90a405c9e758'),
 }
 WORK = {
-    ('dcdc-safe', 'lazy-safe'): (528455, 83596),
-    ('unicycle-lazy', 'lazy-reach'): (4600510, 1418204),
+    ('dcdc-safe', 'lazy-safe'): (528455, 82837),
+    ('unicycle-lazy', 'lazy-reach'): (3777684, 1315760),
 }
 # fmt: on
 
